@@ -42,13 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--samples", type=int, default=None, help="override the sample count of a suite"
     )
-    common.add_argument(
-        "--point",
-        type=str,
-        default=None,
-        help="comma-separated rationals; initial base point for `integrate`"
-        " (15 values: z, x1..x4, y1..y4, x12..x34)",
-    )
     parser = argparse.ArgumentParser(
         prog="f4prolong",
         description="Exact verification of the rank-8 model distribution, its"
@@ -76,6 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="8 rationals u1..u4,v1..v4 (default 0,0,1,0,1,0,0,0)",
+    )
+    p_int.add_argument(
+        "--point",
+        type=str,
+        default=None,
+        help="15 rationals z,x1..x4,y1..y4,x12..x34: the initial base point",
     )
     p_int.add_argument("--csv", type=str, default=None, help="write the trajectory as CSV")
 
@@ -114,26 +113,27 @@ def _emit_report(report: Report, as_json: bool) -> None:
 
 
 def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
+    if samples is not None and samples < 1:
+        raise CliError(f"--samples must be at least 1, got {samples}")
+    n = lambda default: default if samples is None else samples
     t0 = time.monotonic()
     report = Report(name, seed=seed)
     if name == "cartan":
-        report.extend(cartan.verify_suite(seed, samples or 5))
+        report.extend(cartan.verify_suite(seed, n(5)))
     elif name == "control":
-        report.extend(control.verify_suite(seed, svc_samples=samples or 200))
+        report.extend(control.verify_suite(seed, svc_samples=n(200)))
     elif name == "nullflag":
-        report.extend(nullflag.verify_suite(seed, samples or 100))
+        report.extend(nullflag.verify_suite(seed, n(100)))
     elif name == "prolong":
-        items, _, _ = prolong.verify_suite(seed, samples or 5)
+        items, _, _ = prolong.verify_suite(seed, n(5))
         report.extend(items)
     elif name == "roots":
         report.extend(f4roots.verify_suite())
     elif name == "all":
-        report.extend(_prefixed("cartan", cartan.verify_suite(seed, samples or 5)))
-        report.extend(
-            _prefixed("control", control.verify_suite(seed, svc_samples=samples or 200))
-        )
-        report.extend(_prefixed("nullflag", nullflag.verify_suite(seed, samples or 100)))
-        items, _, table = prolong.verify_suite(seed, samples or 5)
+        report.extend(_prefixed("cartan", cartan.verify_suite(seed, n(5))))
+        report.extend(_prefixed("control", control.verify_suite(seed, svc_samples=n(200))))
+        report.extend(_prefixed("nullflag", nullflag.verify_suite(seed, n(100))))
+        items, _, table = prolong.verify_suite(seed, n(5))
         report.extend(_prefixed("prolong", items))
         report.extend(_prefixed("roots", f4roots.verify_suite(table)))
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)

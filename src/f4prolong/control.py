@@ -4,6 +4,7 @@ and the RK4 integrator for abnormal bi-extremals."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, PAIRS, build_model
 from .fields import VectorField, lie_bracket
 from .linalg import det_cofactor, mat_mul, mat_rank, mat_rank_kernel, pfaffian, transpose
-from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly
+from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
 from .report import DISCREPANCY, Item, check
 
 FIBER_VARIABLES = (
@@ -127,13 +128,14 @@ def form_R(c: CovectorFiber) -> Fraction:
     return c.s * c.s - 4 * (r12 * r34 - r13 * r24 + r14 * r23)
 
 
-def bilinear_Q(w1: ControlVector, w2: ControlVector):
-    """Polarization of Q: (w1, w2) with (w, w) = Q(w)."""
-    acc = 0
-    for a, b in zip(w1.u, w2.v):
-        acc = acc + a * b
-    for a, b in zip(w2.u, w1.v):
-        acc = acc + a * b
+def bilinear_Q(a: Sequence, b: Sequence):
+    """Polarization of Q on 8-vectors (u1..u4, v1..v4), entries in any ring:
+    bilinear_Q(w, w) = Q(w)."""
+    acc = None
+    for i in range(4):
+        for x, y in ((a[i], b[4 + i]), (b[i], a[4 + i])):
+            term = x * y
+            acc = term if acc is None else acc + term
     return acc * Fraction(1, 2)
 
 
@@ -147,17 +149,17 @@ def gram_R() -> List[List[Fraction]]:
     return g
 
 
+# the nonzero entries (i, j, g_ij) of gram_R(), row by row
+_GRAM_R_TERMS = [(i, j, g) for i, row in enumerate(gram_R()) for j, g in enumerate(row) if g]
+
+
 def bilinear_R(a: Sequence, b: Sequence):
     """Polarization of R on 7-vectors (s, r12, r13, r14, r23, r24, r34)."""
-    g = gram_R()
     acc = None
-    for i in range(7):
-        for j in range(7):
-            if g[i][j] == 0:
-                continue
-            term = a[i] * b[j] * g[i][j]
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else a[0] * 0
+    for i, j, g in _GRAM_R_TERMS:
+        term = a[i] * b[j] * g
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def build_A11(r: Sequence):
@@ -517,29 +519,18 @@ def _random_control(rng: random.Random, null: bool) -> ControlVector:
 # ---------------------------------------------------------------------------
 
 
-def _p(chart: Chart, expr: Dict[Tuple[str, ...], int]) -> MultiPoly:
-    """Helper: sum of coeff * product-of-variables terms."""
-    total = MultiPoly.zero(chart)
-    for names, coeff in expr.items():
-        term = MultiPoly.constant(chart, coeff)
-        for n in names:
-            term = term * MultiPoly.variable(chart, n)
-        total = total + term
-    return total
-
-
 def printed_lift_displays(chart: Chart) -> Dict[str, MultiPoly]:
     """The eight published lift formulas, transcribed verbatim."""
     return {
-        "X1": _p(chart, {("p1",): 1, ("y1", "s"): 1, ("x2", "r12"): -1, ("x3", "r13"): -1, ("x4", "r14"): -1}),
-        "X2": _p(chart, {("p2",): 1, ("y2", "s"): 1, ("x1", "r12"): 1, ("x3", "r23"): -1, ("x4", "r24"): -1}),
-        "X3": _p(chart, {("p3",): 1, ("y3", "s"): 1, ("x1", "r13"): 1, ("x2", "r23"): 1, ("x4", "r34"): -1}),
-        "X4": _p(chart, {("p4",): 1, ("y4", "s"): 1, ("x1", "r14"): 1, ("x2", "r24"): 1, ("x3", "r34"): 1}),
-        "Y1": _p(chart, {("q1",): 1, ("y4", "r23"): -1, ("y3", "r24"): 1, ("y2", "r34"): -1}),
+        "X1": from_terms(chart, {("p1",): 1, ("y1", "s"): 1, ("x2", "r12"): -1, ("x3", "r13"): -1, ("x4", "r14"): -1}),
+        "X2": from_terms(chart, {("p2",): 1, ("y2", "s"): 1, ("x1", "r12"): 1, ("x3", "r23"): -1, ("x4", "r24"): -1}),
+        "X3": from_terms(chart, {("p3",): 1, ("y3", "s"): 1, ("x1", "r13"): 1, ("x2", "r23"): 1, ("x4", "r34"): -1}),
+        "X4": from_terms(chart, {("p4",): 1, ("y4", "s"): 1, ("x1", "r14"): 1, ("x2", "r24"): 1, ("x3", "r34"): 1}),
+        "Y1": from_terms(chart, {("q1",): 1, ("y4", "r23"): -1, ("y3", "r24"): 1, ("y2", "r34"): -1}),
         # the published display ends "- y_1 r_34"; the frame forces + y_1 r_34
-        "Y2": _p(chart, {("q2",): 1, ("y4", "r13"): 1, ("y3", "r14"): -1, ("y1", "r34"): -1}),
-        "Y3": _p(chart, {("q3",): 1, ("y4", "r12"): -1, ("y2", "r14"): 1, ("y1", "r24"): -1}),
-        "Y4": _p(chart, {("q4",): 1, ("y3", "r12"): 1, ("y2", "r13"): -1, ("y1", "r23"): 1}),
+        "Y2": from_terms(chart, {("q2",): 1, ("y4", "r13"): 1, ("y3", "r14"): -1, ("y1", "r34"): -1}),
+        "Y3": from_terms(chart, {("q3",): 1, ("y4", "r12"): -1, ("y2", "r14"): 1, ("y1", "r24"): -1}),
+        "Y4": from_terms(chart, {("q4",): 1, ("y3", "r12"): 1, ("y2", "r13"): -1, ("y1", "r23"): 1}),
     }
 
 
@@ -550,22 +541,22 @@ def printed_sharp_display(chart: Chart) -> Dict[str, MultiPoly]:
     under a second "q2" label (interpreted as the q4 slot).
     """
     d = {
-        "z": _p(chart, {("u1", "y1"): 1, ("u2", "y2"): 1, ("u3", "y3"): 1, ("u4", "u4"): 1}),
+        "z": from_terms(chart, {("u1", "y1"): 1, ("u2", "y2"): 1, ("u3", "y3"): 1, ("u4", "u4"): 1}),
         "s": MultiPoly.zero(chart),
-        "p1": _p(chart, {("u2", "r12"): -1, ("u3", "r13"): -1, ("u4", "r14"): -1}),
-        "p2": _p(chart, {("u1", "r12"): 1, ("u3", "r23"): -1, ("u4", "r24"): -1}),
-        "p3": _p(chart, {("u1", "r13"): 1, ("u2", "r23"): 1, ("u4", "r34"): -1}),
-        "p4": _p(chart, {("u1", "r14"): 1, ("u2", "r24"): 1, ("u3", "r34"): 1}),
-        "q1": _p(chart, {("u1", "s"): -1, ("v2", "r34"): -1, ("v3", "r24"): 1, ("v4", "r23"): -1}),
-        "q2": _p(chart, {("u2", "s"): -1, ("v1", "r34"): 1, ("v3", "r14"): -1, ("v4", "r13"): 1}),
-        "q3": _p(chart, {("u3", "s"): -1, ("v1", "r24"): -1, ("v2", "r14"): 1, ("v4", "r12"): -1}),
-        "q4": _p(chart, {("u4", "s"): -1, ("v1", "r23"): 1, ("v2", "r13"): -1, ("v3", "r12"): 1}),
-        "x12": _p(chart, {("x2", "u1"): -1, ("x1", "u2"): 1, ("y4", "v3"): -1, ("y3", "v4"): 1}),
-        "x13": _p(chart, {("x3", "u1"): -1, ("x1", "u3"): 1, ("y4", "v2"): 1, ("y2", "v4"): -1}),
-        "x14": _p(chart, {("x4", "u1"): -1, ("x1", "u4"): 1, ("y3", "v2"): -1, ("y2", "v3"): 1}),
-        "x23": _p(chart, {("x3", "u2"): -1, ("x2", "u3"): 1, ("y4", "v1"): -1, ("y1", "v4"): 1}),
-        "x24": _p(chart, {("x4", "u2"): -1, ("x2", "u4"): 1, ("y3", "v1"): 1, ("y1", "v3"): -1}),
-        "x34": _p(chart, {("x4", "u3"): -1, ("x3", "u4"): 1, ("y2", "v1"): -1, ("y1", "v2"): 1}),
+        "p1": from_terms(chart, {("u2", "r12"): -1, ("u3", "r13"): -1, ("u4", "r14"): -1}),
+        "p2": from_terms(chart, {("u1", "r12"): 1, ("u3", "r23"): -1, ("u4", "r24"): -1}),
+        "p3": from_terms(chart, {("u1", "r13"): 1, ("u2", "r23"): 1, ("u4", "r34"): -1}),
+        "p4": from_terms(chart, {("u1", "r14"): 1, ("u2", "r24"): 1, ("u3", "r34"): 1}),
+        "q1": from_terms(chart, {("u1", "s"): -1, ("v2", "r34"): -1, ("v3", "r24"): 1, ("v4", "r23"): -1}),
+        "q2": from_terms(chart, {("u2", "s"): -1, ("v1", "r34"): 1, ("v3", "r14"): -1, ("v4", "r13"): 1}),
+        "q3": from_terms(chart, {("u3", "s"): -1, ("v1", "r24"): -1, ("v2", "r14"): 1, ("v4", "r12"): -1}),
+        "q4": from_terms(chart, {("u4", "s"): -1, ("v1", "r23"): 1, ("v2", "r13"): -1, ("v3", "r12"): 1}),
+        "x12": from_terms(chart, {("x2", "u1"): -1, ("x1", "u2"): 1, ("y4", "v3"): -1, ("y3", "v4"): 1}),
+        "x13": from_terms(chart, {("x3", "u1"): -1, ("x1", "u3"): 1, ("y4", "v2"): 1, ("y2", "v4"): -1}),
+        "x14": from_terms(chart, {("x4", "u1"): -1, ("x1", "u4"): 1, ("y3", "v2"): -1, ("y2", "v3"): 1}),
+        "x23": from_terms(chart, {("x3", "u2"): -1, ("x2", "u3"): 1, ("y4", "v1"): -1, ("y1", "v4"): 1}),
+        "x24": from_terms(chart, {("x4", "u2"): -1, ("x2", "u4"): 1, ("y3", "v1"): 1, ("y1", "v3"): -1}),
+        "x34": from_terms(chart, {("x4", "u3"): -1, ("x3", "u4"): 1, ("y2", "v1"): -1, ("y1", "v2"): 1}),
     }
     for i in range(1, 5):
         d[f"x{i}"] = MultiPoly.variable(chart, f"u{i}")
@@ -685,7 +676,7 @@ def verify_poisson_lift_table() -> List[Item]:
             want = (
                 MultiPoly.zero(chart)
                 if br.is_zero()
-                else hamiltonian_lift(_named(br), chart).poly
+                else hamiltonian_lift(br, chart).poly
             )
             got = poisson_bracket(lifts[a], lifts[b])
             items.append(
@@ -698,10 +689,6 @@ def verify_poisson_lift_table() -> List[Item]:
                 )
             )
     return items
-
-
-def _named(f: VectorField) -> VectorField:
-    return f
 
 
 def verify_flow_lemma_symbolic() -> List[Item]:
@@ -802,8 +789,10 @@ def integrate_extremal(
     t_max: float,
 ) -> Tuple[Trajectory, DriftReport]:
     """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be a positive finite number, got {t_max}")
     chart = cotangent_chart()
     init = {v: Fraction(init[v]) for v in COTANGENT_VARIABLES}
     fiber_vals = [init[v] for v in FIBER_VARIABLES]
@@ -819,7 +808,7 @@ def integrate_extremal(
     constraints = constraint_polys(chart)
     for name, poly in constraints.items():
         val = poly.evaluate(init)
-        if abs(val) > Fraction(1, 10**12):
+        if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # constant-control Hamiltonian and compiled right-hand sides

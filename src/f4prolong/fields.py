@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import mat_rank, solve_exact
+from .linalg import mat_rank, prefix_ranks, solve_exact
 from .poly import Chart, ChartMismatchError, MultiPoly
 
 Point = Dict[str, Fraction]
@@ -220,6 +222,18 @@ class Distribution:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", generators)
 
+    @cached_property
+    def flag(self) -> List[List[VectorField]]:
+        """The weak derived flag as new fields per stage, computed on first use."""
+        return derived_flag_fields(self)
+
+    def flag_matrix(self, point: Point) -> Tuple[List[List[Fraction]], List[int]]:
+        """All flag fields evaluated once at the point, and the row count
+        after each stage."""
+        fields = [f for stage in self.flag for f in stage]
+        ends = list(accumulate(len(stage) for stage in self.flag))
+        return fields_matrix(fields, point), ends
+
 
 @dataclass(frozen=True)
 class GrowthVector:
@@ -288,19 +302,22 @@ def derived_flag_fields(
     return stages
 
 
-def derived_flag(d: Distribution, point: Point, max_depth: int = 16) -> GrowthVector:
-    """Pointwise growth vector of the weak derived flag at the point."""
-    stages = derived_flag_fields(d, max_depth)
+def growth_ranks(rows: List[List[Fraction]], ends: Sequence[int]) -> Tuple[int, ...]:
+    """Ranks of the flag stages (row prefixes ending at `ends`) until they stop growing."""
+    by_row = prefix_ranks(rows)
     ranks: List[int] = []
-    acc: List[VectorField] = []
-    for stage in stages:
-        acc.extend(stage)
-        r = rank_at(acc, point)
+    for n in ends:
+        r = by_row[n - 1]
         if ranks and r == ranks[-1]:
             break
         ranks.append(r)
+    return tuple(ranks)
+
+
+def derived_flag(d: Distribution, point: Point) -> GrowthVector:
+    """Pointwise growth vector of the weak derived flag at the point."""
     base = tuple(point[v] for v in d.chart.variables)
-    return GrowthVector(tuple(ranks), base)
+    return GrowthVector(growth_ranks(*d.flag_matrix(point)), base)
 
 
 def span_membership(v: VectorField, d: Distribution, point: Point) -> bool:

@@ -1,4 +1,5 @@
-"""Exact linear algebra: fraction-free rank/kernel, determinants, Pfaffians.
+"""Exact linear algebra: one fraction-free echelon for rank, kernel and solve;
+cofactor determinants and Pfaffians.
 
 Entries are Fractions for the numeric routines; the cofactor determinant and the
 Pfaffian also accept any commutative-ring elements (e.g. MultiPoly).
@@ -17,9 +18,9 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank/kernel preserving)."""
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
         m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * m) for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
     return out
 
 
@@ -28,7 +29,7 @@ def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
 
     Returns the integer echelon matrix and the list of pivot columns.
     """
-    m = _integer_rows(rows)
+    m = [row for row in _integer_rows(rows) if any(row)]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
@@ -41,21 +42,55 @@ def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
+        top = m[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                # Bareiss update: the division by the previous pivot is exact.
-                m[i][j] = (piv * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
+            row = m[i]
+            a = row[c]
+            # Bareiss update: every division by the previous pivot is exact,
+            # also on rows with a = 0, whose zero entries stay zero.
+            if a:
+                for j in range(c + 1, ncols):
+                    row[j] = (piv * row[j] - a * top[j]) // prev
+                row[c] = 0
+            elif piv != prev:
+                for j in range(c + 1, ncols):
+                    if row[j]:
+                        row[j] = piv * row[j] // prev
         prev = piv
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def _back_substitute(ech: list[list[int]], pivots: list[int], v: list[Fraction]) -> list[Fraction]:
+    """Fill the pivot entries of v so that every echelon row annihilates v."""
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = ech[i]
+        s = sum((row[j] * v[j] for j in range(c + 1, len(v)) if v[j]), Fraction(0))
+        v[c] = -s / row[c]
+    return v
+
+
 def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     _, pivots = _bareiss_echelon(rows)
     return len(pivots)
+
+
+def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
+    """rank(rows[:n]) for n = 1..len(rows), from one echelon of the transpose.
+
+    Column c of the transpose is a pivot exactly when row c is independent of
+    the rows before it.
+    """
+    _, pivots = _bareiss_echelon(transpose(rows))
+    independent = set(pivots)
+    ranks, r = [], 0
+    for n in range(len(rows)):
+        r += n in independent
+        ranks.append(r)
+    return ranks
 
 
 def mat_rank_kernel(
@@ -66,56 +101,16 @@ def mat_rank_kernel(
     Kernel vectors carry 1 in their own free column and 0 in every other free
     column (column-echelon canonical form), so bases compare deterministically.
     """
-    nrows = len(rows)
-    if nrows == 0:
-        n = cols or 0
-        basis = []
-        for f in range(n):
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            basis.append(tuple(v))
-        return 0, basis
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else (cols or 0)
     ech, pivots = _bareiss_echelon(rows)
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        # back substitution on the echelon rows
-        for i in range(rank - 1, -1, -1):
-            c = pivots[i]
-            s = sum((Fraction(ech[i][j]) * v[j] for j in range(c + 1, ncols)), Fraction(0))
-            v[c] = -s / ech[i][c]
-        basis.append(tuple(v))
-    return rank, basis
-
-
-def mat_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix (Bareiss)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    prev = Fraction(1)
-    for c in range(n - 1):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (piv * m[i][j] - m[i][c] * m[c][j]) / prev
-            m[i][c] = Fraction(0)
-        prev = piv
-    return sign * m[n - 1][n - 1]
+        basis.append(tuple(_back_substitute(ech, pivots, v)))
+    return len(pivots), basis
 
 
 def det_cofactor(rows, zero, one):
@@ -187,34 +182,15 @@ def pfaffian(rows, zero, one):
 def solve_exact(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [x / piv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return x
+    """One exact solution of A x = b (free unknowns 0), or None if inconsistent."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    ech, pivots = _bareiss_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = _back_substitute(ech, pivots, [Fraction(0)] * ncols + [Fraction(-1)])
+    return x[:ncols]
 
 
 def mat_mul(a, b, zero):

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .control import bilinear_R, build_A, gram_R
+from .control import bilinear_Q, bilinear_R, build_A
 from .linalg import mat_rank, mat_rank_kernel, solve_exact
-from .poly import Chart, MultiPoly
+from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
 
 FREE_COORDS = ("z11", "z13", "z14", "z15", "z16", "z21", "z24", "z25", "z31")
@@ -123,16 +123,6 @@ def eta_frames(coords: Mapping[str, object]) -> VFlagFrame:
     return VFlagFrame(eta1, eta2, eta3, eta4)
 
 
-def q_pair(a: Sequence, b: Sequence):
-    """Polarized Q on 8-vectors over the frame (X1..X4, Y1..Y4)."""
-    acc = None
-    for i in range(4):
-        for x, y in ((a[i], b[4 + i]), (b[i], a[4 + i])):
-            term = x * y
-            acc = term if acc is None else acc + term
-    return acc * Fraction(1, 2)
-
-
 def _apply_A(lam: Sequence, w: Sequence):
     """A(lambda) applied to an 8-vector; lam = (s, r12, r13, r14, r23, r24, r34)."""
     amat = build_A(lam[0], list(lam[1:]))
@@ -202,7 +192,7 @@ def verify_flag_nullity(v: VFlagFrame) -> List[Item]:
     bad = []
     for a in range(4):
         for b in range(a, 4):
-            if q_pair(v.etas[a], v.etas[b]) != 0:
+            if bilinear_Q(v.etas[a], v.etas[b]) != 0:
                 bad.append((a + 1, b + 1))
     items.append(
         check(
@@ -262,12 +252,7 @@ def verify_printed_expansions() -> List[Item]:
     items = []
     for (a, b), terms in PRINTED_NULL_EXPANSIONS.items():
         computed = bilinear_R(f[a], f[b])
-        printed = MultiPoly.zero(chart)
-        for names, coeff in terms.items():
-            t = MultiPoly.constant(chart, coeff)
-            for n in names:
-                t = t * zv[n]
-            printed = printed + t
+        printed = from_terms(chart, terms)
         if computed == printed:
             items.append(
                 check(
@@ -323,7 +308,7 @@ def verify_symbolic_etas() -> List[Item]:
         ok = all(all(x.is_zero() for x in _apply_A(lam, e)) for e in etas)
         items.append(check(f"symbolic:{desc.split()[0]}-kernel", desc + " identically", ok))
     q_ok = all(
-        q_pair(v.etas[a], v.etas[b]).is_zero() for a in range(4) for b in range(a, 4)
+        bilinear_Q(v.etas[a], v.etas[b]).is_zero() for a in range(4) for b in range(a, 4)
     )
     items.append(
         check(
@@ -397,7 +382,7 @@ def verify_samples(seed: int = 0, samples: int = 100) -> List[Item]:
             continue
         for a in range(4):
             for b in range(a, 4):
-                if q_pair(v.etas[a], v.etas[b]) != 0:
+                if bilinear_Q(v.etas[a], v.etas[b]) != 0:
                     pairing_bad += 1
         closed = eta_frames(coords)
         for got, want in zip(v.etas, closed.etas):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -294,23 +294,15 @@ class MultiPoly:
         return cls(chart, terms)
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Exact add/sub/mul of polynomials on a shared chart."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_diff(p: MultiPoly, var: str) -> MultiPoly:
-    return p.diff(var)
-
-
-def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
-    return p.evaluate(point)
+def from_terms(chart: Chart, terms: Mapping[Sequence[str], Scalar]) -> MultiPoly:
+    """Sum of coeff * product of the named variables, e.g. {("x", "y"): 2, ("z",): -1}."""
+    total = MultiPoly.zero(chart)
+    for names, coeff in terms.items():
+        t = MultiPoly.constant(chart, coeff)
+        for n in names:
+            t = t * MultiPoly.variable(chart, n)
+        total = total + t
+    return total
 
 
 def variables(chart: Chart) -> list[MultiPoly]:

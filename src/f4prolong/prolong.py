@@ -4,7 +4,7 @@ bracket table, growth vector, and graded symbol structure."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -16,18 +16,17 @@ from .fields import (
     VectorField,
     constant_combination,
     derived_flag,
-    derived_flag_fields,
     extend_field,
     fields_matrix,
+    growth_ranks,
     lie_bracket,
     origin,
     pair,
     random_point,
-    span_membership,
 )
-from .linalg import mat_rank
+from .linalg import mat_rank, prefix_ranks
 from .nullflag import FREE_COORDS, eta_frames
-from .poly import Chart, MultiPoly
+from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
 
 PROLONGED_VARIABLES = BASE_VARIABLES + FREE_COORDS
@@ -82,15 +81,8 @@ def prolonged_chart() -> Chart:
 @dataclass
 class ZetaSystem:
     chart: Chart
-    zeta: Dict[int, VectorField]
-    defining: Dict[int, Tuple[int, int]] = field(default_factory=lambda: dict(DEFINING_BRACKETS))
-
-    @property
-    def generators(self) -> List[VectorField]:
-        return [self.zeta[k] for k in (1, 2, 3, 4)]
-
-    def distribution(self) -> Distribution:
-        return Distribution(self.chart, self.generators)
+    zeta: Dict[int, VectorField]  # zeta_1..zeta_24
+    distribution: Distribution  # E, spanned by zeta_1..zeta_4
 
 
 @dataclass
@@ -100,38 +92,28 @@ class BracketTable:
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]]
 
 
-def _expr(chart: Chart, terms: Dict[Tuple[str, ...], Fraction]) -> MultiPoly:
-    total = MultiPoly.zero(chart)
-    for names, coeff in terms.items():
-        t = MultiPoly.constant(chart, coeff)
-        for n in names:
-            t = t * MultiPoly.variable(chart, n)
-        total = total + t
-    return total
-
-
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
     """The published zeta_4 coefficients over (X1..X4, Y1..Y4), transcribed."""
     h = Fraction(1, 2)
     q = Fraction(1, 4)
     return {
-        "X1": _expr(chart, {
+        "X1": from_terms(chart, {
             ("z11", "z25"): -h, ("z15", "z21"): h, ("z16", "z31"): h,
             ("z11", "z21", "z31"): Fraction(1, 8), ("z15", "z24", "z31"): -h,
         }),
-        "X2": _expr(chart, {
+        "X2": from_terms(chart, {
             ("z11",): h, ("z13", "z21"): -h, ("z14", "z31"): -h,
             ("z13", "z24", "z31"): h,
         }),
-        "X3": _expr(chart, {("z21",): h, ("z24", "z31"): -h}),
-        "X4": _expr(chart, {("z31",): h}),
+        "X3": from_terms(chart, {("z21",): h, ("z24", "z31"): -h}),
+        "X4": from_terms(chart, {("z31",): h}),
         "Y1": MultiPoly.constant(chart, 1),
-        "Y2": _expr(chart, {("z25",): Fraction(1), ("z21", "z31"): -q}),
-        "Y3": _expr(chart, {
+        "Y2": from_terms(chart, {("z25",): Fraction(1), ("z21", "z31"): -q}),
+        "Y3": from_terms(chart, {
             ("z15",): Fraction(-1), ("z11", "z31"): q,
             ("z13", "z25"): Fraction(1), ("z13", "z21", "z31"): -q,
         }),
-        "Y4": _expr(chart, {
+        "Y4": from_terms(chart, {
             ("z16",): Fraction(-1), ("z11", "z21"): -q, ("z14", "z25"): Fraction(1),
             ("z11", "z24", "z31"): q, ("z14", "z21", "z31"): -q,
         }),
@@ -173,7 +155,11 @@ def build_zeta_generators() -> ZetaSystem:
     for name, coeff in zeta4_coefficients(chart).items():
         z4 = z4 + frame[name] * coeff
     z4.name = "zeta4"
-    return ZetaSystem(chart, {1: z1, 2: z2, 3: z3, 4: z4})
+    zeta = {1: z1, 2: z2, 3: z3, 4: z4}
+    for k, (i, j) in DEFINING_BRACKETS.items():
+        zeta[k] = lie_bracket(zeta[i], zeta[j])
+        zeta[k].name = f"zeta{k}"
+    return ZetaSystem(chart, zeta, Distribution(chart, [z1, z2, z3, z4]))
 
 
 def pfaff_forms(chart: Chart) -> List[OneForm]:
@@ -226,14 +212,8 @@ def verify_pfaff_conditions(zs: ZetaSystem) -> List[Item]:
 
 
 def compute_bracket_table(zs: ZetaSystem) -> BracketTable:
-    """Materialize zeta_5..zeta_24 by the defining brackets, then expand all
-    92 brackets [zeta_i, zeta_j] (i in 1..4, j in 1..23) with exact rational
-    constant coefficients."""
-    for k in range(5, 25):
-        i, j = zs.defining[k]
-        br = lie_bracket(zs.zeta[i], zs.zeta[j])
-        br.name = f"zeta{k}"
-        zs.zeta[k] = br
+    """Expand all 92 brackets [zeta_i, zeta_j] (i in 1..4, j in 1..23) with
+    exact rational constant coefficients."""
     basis = [zs.zeta[k] for k in range(1, 25)]
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]] = {}
     for i in range(1, 5):
@@ -359,13 +339,25 @@ def static_discrepancy_items(zs: ZetaSystem) -> List[Item]:
 
 
 def growth_vector_E(zs: ZetaSystem, point: Point):
-    return derived_flag(zs.distribution(), point, max_depth=12)
+    return derived_flag(zs.distribution, point)
 
 
 def verify_growth(zs: ZetaSystem, seed: int = 0, samples: int = 5) -> List[Item]:
     rng = random.Random(seed)
     pts = [origin(zs.chart)] + [random_point(zs.chart, rng) for _ in range(samples)]
-    growths = [growth_vector_E(zs, p).ranks for p in pts]
+    frame = lifted_frame(zs.chart)
+    lifts = [frame[n] for n in ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")]
+    growths = []
+    lifts_in_e7 = True
+    for p in pts:
+        rows, ends = zs.distribution.flag_matrix(p)
+        growths.append(growth_ranks(rows, ends))
+        # pi_*^{-1}(D) inside E^(7): the first seven stages of E's flag
+        e7 = rows[: ends[6]]
+        r7 = mat_rank(e7)
+        lifts_in_e7 = lifts_in_e7 and all(
+            mat_rank(e7 + [row]) == r7 for row in fields_matrix(lifts, p)
+        )
     items = [
         check(
             "growth:E",
@@ -375,18 +367,11 @@ def verify_growth(zs: ZetaSystem, seed: int = 0, samples: int = 5) -> List[Item]
             expected=str([EXPECTED_GROWTH]),
         )
     ]
-    # pi_*^{-1}(D) inside E^(7)
-    stages = derived_flag_fields(zs.distribution(), max_depth=7)
-    e7: List[VectorField] = [f for stage in stages for f in stage]
-    dist_e7 = Distribution(zs.chart, e7)
-    frame = lifted_frame(zs.chart)
-    lifts = [frame[n] for n in ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")]
-    ok = all(span_membership(f, dist_e7, p) for f in lifts for p in pts)
     items.append(
         check(
             "growth:pi-lift-in-E7",
             "the lifts of the eight base generators lie in E^(7) at all sample points",
-            ok,
+            lifts_in_e7,
         )
     )
     return items
@@ -402,28 +387,20 @@ class SymbolAlgebra:
 def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> SymbolAlgebra:
     """Weights from first appearance in the derived flag; graded brackets keep
     only the weight-additive part of each table entry."""
-    stages = derived_flag_fields(zs.distribution(), max_depth=12)
-    acc: List[VectorField] = []
-    rank_by_depth = []
-    acc_by_depth = []
-    for stage in stages:
-        acc = acc + stage
-        acc_by_depth.append(list(acc))
-        rank_by_depth.append(mat_rank(fields_matrix(acc, point)))
+    rows, ends = zs.distribution.flag_matrix(point)
+    flag_ranks = prefix_ranks(rows)
+    zeta_rows = fields_matrix([zs.zeta[k] for k in range(1, 25)], point)
     weights: Dict[int, int] = {}
-    for k in range(1, 25):
-        zk = zs.zeta[k]
-        depth = None
-        for d, fields_d in enumerate(acc_by_depth, start=1):
-            rows = fields_matrix(fields_d, point)
-            r0 = mat_rank(rows)
-            if mat_rank(rows + [list(zk.evaluate(point))]) == r0:
-                depth = d
-                break
+    for k, zrow in enumerate(zeta_rows, start=1):
+        # zeta_k lies in span(F_1..F_n) iff it leaves their rank unchanged
+        with_zeta = prefix_ranks([zrow] + rows)
+        depth = next(
+            (d for d, n in enumerate(ends, start=1) if with_zeta[n] == flag_ranks[n - 1]),
+            None,
+        )
         if depth is None:
             raise ValueError(f"zeta{k} not captured by the derived flag at the point")
-        expected_depth = _expected_weight(k)
-        if depth != expected_depth:
+        if depth != _expected_weight(k):
             raise ValueError(
                 f"weight of zeta{k} ambiguous: first appears at depth {depth}"
             )
@@ -444,8 +421,7 @@ def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> Symbo
 
 
 def _expected_weight(k: int) -> int:
-    bounds = (4, 7, 10, 13, 16, 18, 20, 21, 22, 23, 24)
-    for d, b in enumerate(bounds, start=1):
+    for d, b in enumerate(EXPECTED_GROWTH, start=1):
         if k <= b:
             return d
     raise ValueError(k)

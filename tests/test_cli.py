@@ -116,6 +116,38 @@ def test_integrate_bad_controls_exit_2(capsys):
     assert "ker" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--step", "nan"],
+        ["--step", "inf"],
+        ["--tmax", "inf"],
+        ["--tmax", "nan"],
+        ["--tmax", "-1"],
+        ["--tmax", "0"],
+    ],
+)
+def test_integrate_rejects_bad_step_or_horizon(capsys, flags):
+    code, out, err = _capture(capsys, ["integrate", *flags])
+    assert code == 2
+    assert "must be a positive finite number" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_exit_2(capsys, samples):
+    code, out, err = _capture(capsys, ["verify", "control", "--samples", samples])
+    assert code == 2
+    assert "--samples must be at least 1" in err
+    assert out == ""
+
+
+def test_point_belongs_to_integrate_only():
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "roots", "--point", "0"])
+    assert exc.value.code == 2
+
+
 def test_integrate_csv_export(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     code, _, _ = _capture(

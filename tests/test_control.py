@@ -30,7 +30,7 @@ from f4prolong.control import (
     svc_membership,
     twisted_gram,
 )
-from f4prolong.linalg import mat_det, mat_rank
+from f4prolong.linalg import mat_rank
 from f4prolong.poly import MultiPoly
 
 
@@ -149,7 +149,16 @@ def test_bilinear_Q_polarizes():
         (Fraction(1), Fraction(2), Fraction(0), Fraction(1)),
         (Fraction(0), Fraction(1), Fraction(1), Fraction(3)),
     )
-    assert bilinear_Q(w1, w1) == form_Q(w1)
+    assert bilinear_Q(w1.as_seq(), w1.as_seq()) == form_Q(w1)
+    w2 = ControlVector(
+        (Fraction(2), Fraction(0), Fraction(-1), Fraction(1, 2)),
+        (Fraction(1), Fraction(1), Fraction(0), Fraction(-2)),
+    )
+    s = ControlVector(
+        tuple(a + b for a, b in zip(w1.u, w2.u)), tuple(a + b for a, b in zip(w1.v, w2.v))
+    )
+    # polarization identity: Q(w1 + w2) = Q(w1) + 2 (w1, w2) + Q(w2)
+    assert form_Q(s) == form_Q(w1) + 2 * bilinear_Q(w1.as_seq(), w2.as_seq()) + form_Q(w2)
 
 
 def test_integrator_standard_data_zero_drift():
@@ -177,6 +186,18 @@ def test_integrator_rejects_bad_input():
     off_constraint["p1"] = Fraction(1)
     with pytest.raises(ValueError):
         integrate_extremal(off_constraint, controls, 1e-3, 1.0)
+    for step, t_max in ((float("nan"), 1.0), (float("inf"), 1.0), (0.5, float("inf")),
+                        (0.5, float("nan")), (0.5, -1.0), (0.5, 0.0)):
+        with pytest.raises(ValueError):
+            integrate_extremal(init, controls, step, t_max)
+
+
+def test_integrator_constraints_are_exact():
+    # an exact violation far below any float tolerance is still a violation
+    init, controls = standard_initial_data()
+    init["p1"] = Fraction(1, 10**15)
+    with pytest.raises(ValueError, match="H_X1"):
+        integrate_extremal(init, controls, 0.5, 1.0)
 
 
 def test_constraints_vanish_on_standard_data():

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from f4prolong.linalg import (
     det_cofactor,
-    mat_det,
     mat_mul,
     mat_rank,
     mat_rank_kernel,
     pfaffian,
+    prefix_ranks,
     solve_exact,
     transpose,
 )
@@ -30,6 +30,10 @@ def matrices(rows, cols):
     )
 
 
+def _sympy_det(rows):
+    return Fraction(sympy.Rational(sympy.Matrix(rows).det()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(4, 5))
 def test_rank_matches_sympy(rows):
@@ -37,11 +41,16 @@ def test_rank_matches_sympy(rows):
 
 
 @settings(max_examples=40, deadline=None)
+@given(matrices(5, 3))
+def test_prefix_ranks_match_sympy(rows):
+    assert prefix_ranks(rows) == [sympy.Matrix(rows[:n]).rank() for n in range(1, 6)]
+
+
+@settings(max_examples=40, deadline=None)
 @given(matrices(4, 4))
 def test_det_matches_sympy_and_cofactor(rows):
-    d = mat_det(rows)
-    assert d == Fraction(sympy.Rational(sympy.Matrix(rows).det()))
-    assert d == det_cofactor(rows, Fraction(0), Fraction(1))
+    d = det_cofactor(rows, Fraction(0), Fraction(1))
+    assert d == _sympy_det(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,7 +82,7 @@ def test_pfaffian_squares_to_det(entries):
             m[i][j] = x
             m[j][i] = -x
     pf = pfaffian(m, Fraction(0), Fraction(1))
-    assert pf * pf == mat_det(m)
+    assert pf * pf == _sympy_det(m)
 
 
 def test_pfaffian_2x2_convention():
@@ -93,6 +102,22 @@ def test_solve_exact_solution_or_inconsistent(rows, x):
     sol = solve_exact(rows, rhs)
     assert sol is not None
     assert [sum(a * b for a, b in zip(row, sol)) for row in rows] == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(matrices(n, 3), st.lists(fracs, min_size=n, max_size=n))
+    )
+)
+def test_solve_exact_none_iff_augmented_rank_grows(system):
+    rows, rhs = system
+    sol = solve_exact(rows, rhs)
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    inconsistent = sympy.Matrix(aug).rank() > sympy.Matrix(rows).rank()
+    assert (sol is None) == inconsistent
+    if sol is not None:
+        assert [sum(a * x for a, x in zip(row, sol)) for row in rows] == rhs
 
 
 def test_solve_exact_inconsistent():

@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import by_id, discrepancies, failures
-from f4prolong.control import bilinear_R
+from f4prolong.control import bilinear_Q, bilinear_R
 from f4prolong.nullflag import (
     DEPENDENT_COORDS,
     FREE_COORDS,
     complete_null_flag,
     eta_frames,
     lambda_to_v,
-    q_pair,
     random_coords,
     verify_flag_nullity,
 )
@@ -48,7 +47,7 @@ def test_lambda_to_v_is_q_null():
         v = lambda_to_v(complete_null_flag(_coords(rng)))
         for a in range(4):
             for b in range(a, 4):
-                assert q_pair(v.etas[a], v.etas[b]) == 0
+                assert bilinear_Q(v.etas[a], v.etas[b]) == 0
 
 
 def test_base_point_etas():

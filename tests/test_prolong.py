@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 from conftest import by_id, discrepancies, failures
+from f4prolong import cartan, fields, prolong
 from f4prolong.fields import lie_bracket, origin, pair, random_point
 from f4prolong.prolong import (
     DEFINING_BRACKETS,
     EXPECTED_GROWTH,
     PRINTED_TABLE,
     PROLONGED_VARIABLES,
+    build_zeta_generators,
+    compute_bracket_table,
     growth_vector_E,
     pfaff_forms,
     symbol_structure,
@@ -32,6 +35,41 @@ def test_defining_brackets_reference_earlier_fields():
     for k, (i, j) in DEFINING_BRACKETS.items():
         assert 5 <= k <= 24
         assert i < k and j < k
+
+
+def test_build_zeta_generators_returns_all_24():
+    zs = build_zeta_generators()
+    assert sorted(zs.zeta) == list(range(1, 25))
+    assert all(zs.zeta[k].name == f"zeta{k}" for k in zs.zeta)
+    assert list(zs.distribution.generators) == [zs.zeta[k] for k in (1, 2, 3, 4)]
+    before = dict(zs.zeta)
+    compute_bracket_table(zs)
+    assert zs.zeta.keys() == before.keys()
+    assert all(zs.zeta[k] is before[k] for k in before)
+
+
+def _count_flag_builds(monkeypatch):
+    calls = []
+    original = fields.derived_flag_fields
+
+    def counting(d, *args, **kwargs):
+        calls.append(d)
+        return original(d, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "derived_flag_fields", counting)
+    return calls
+
+
+def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
+    calls = _count_flag_builds(monkeypatch)
+    prolong.verify_suite(seed=1, samples=2)
+    assert len(calls) == 1
+
+
+def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
+    calls = _count_flag_builds(monkeypatch)
+    cartan.verify_suite(seed=1, samples=2)
+    assert len(calls) == 1
 
 
 def test_zetas_annihilate_pfaff_system(prolong_run):
