@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from . import cartan, control, f4roots, nullflag, prolong
+from . import cartan, control, f4roots, fields, nullflag, prolong
 from .linalg import solve_exact
 from .report import Report
 
@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument(
-        "--samples", type=int, default=None, help="override the sample count of a suite"
-    )
     parser = argparse.ArgumentParser(
         prog="f4prolong",
         description="Exact verification of the rank-8 model distribution, its"
@@ -52,6 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument(
+        "--samples", type=int, default=None, help="override the sample count of a suite"
+    )
 
     p_int = sub.add_parser(
         "integrate", parents=[common], help="RK4 on the constrained Hamiltonian system"
@@ -133,9 +133,10 @@ def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
         report.extend(_prefixed("cartan", cartan.verify_suite(seed, n(5))))
         report.extend(_prefixed("control", control.verify_suite(seed, svc_samples=n(200))))
         report.extend(_prefixed("nullflag", nullflag.verify_suite(seed, n(100))))
-        items, _, table = prolong.verify_suite(seed, n(5))
+        items, zs, table = prolong.verify_suite(seed, n(5))
         report.extend(_prefixed("prolong", items))
-        report.extend(_prefixed("roots", f4roots.verify_suite(table)))
+        weights = prolong.symbol_weights(zs, fields.origin(zs.chart))
+        report.extend(_prefixed("roots", f4roots.verify_suite(table, weights)))
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 

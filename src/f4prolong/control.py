@@ -782,6 +782,10 @@ def constraint_polys(chart: Optional[Chart] = None) -> Dict[str, MultiPoly]:
     }
 
 
+# every RK4 state is kept (about 1 KB per step), so the step count is capped
+MAX_STEPS = 100_000
+
+
 def integrate_extremal(
     init: Mapping[str, Fraction],
     controls: ControlVector,
@@ -793,6 +797,10 @@ def integrate_extremal(
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be a positive finite number, got {t_max}")
+    if t_max / step > MAX_STEPS:
+        raise ValueError(
+            f"t_max / step = {t_max / step:.6g} exceeds the cap of {MAX_STEPS} steps"
+        )
     chart = cotangent_chart()
     init = {v: Fraction(init[v]) for v in COTANGENT_VARIABLES}
     fiber_vals = [init[v] for v in FIBER_VARIABLES]

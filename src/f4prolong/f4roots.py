@@ -206,11 +206,21 @@ def verify_root_system() -> List[Item]:
     return items
 
 
-def verify_root_correspondence(table=None) -> List[Item]:
+def verify_root_correspondence(table=None, weights=None) -> List[Item]:
     """Bijectivity (after repair), additivity on the computed bracket table,
-    non-roots on the computed zeros, and heights equal to frame weights."""
-    from .prolong import _expected_weight, build_zeta_generators, compute_bracket_table
+    non-roots on the computed zeros, and heights equal to the frame weights
+    that the derived flag of E assigns (`prolong.symbol_weights`).
 
+    The table and the weights are computed here when not given."""
+    from .fields import origin
+    from .prolong import build_zeta_generators, compute_bracket_table, symbol_weights
+
+    if table is None or weights is None:
+        zs = build_zeta_generators()
+        if table is None:
+            table = compute_bracket_table(zs)
+        if weights is None:
+            weights = symbol_weights(zs, origin(zs.chart))
     items: List[Item] = []
     roots = generate_positive_roots()
     root_set = set(roots)
@@ -233,16 +243,19 @@ def verify_root_correspondence(table=None) -> List[Item]:
             sorted(assignment.values()) == sorted(roots) and len(assignment) == 24,
         )
     )
+    bad_height = [
+        f"zeta{k}: height {height(assignment[k])}, weight {weights.get(k)}"
+        for k in range(1, 25)
+        if height(assignment[k]) != weights.get(k)
+    ]
     items.append(
         check(
             "roots:heights-are-weights",
             "height of root(k) equals the grading weight of zeta_k",
-            all(height(assignment[k]) == _expected_weight(k) for k in range(1, 25)),
+            not bad_height,
+            computed="; ".join(bad_height),
         )
     )
-    if table is None:
-        zs = build_zeta_generators()
-        table = compute_bracket_table(zs)
     bad_add: List[str] = []
     bad_zero: List[str] = []
     for (i, j), combo in sorted(table.entries.items()):
@@ -275,5 +288,5 @@ def verify_root_correspondence(table=None) -> List[Item]:
     return items
 
 
-def verify_suite(table=None) -> List[Item]:
-    return verify_root_system() + verify_root_correspondence(table)
+def verify_suite(table=None, weights=None) -> List[Item]:
+    return verify_root_system() + verify_root_correspondence(table, weights)

@@ -9,7 +9,7 @@ from itertools import accumulate
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import mat_rank, prefix_ranks, solve_exact
+from .linalg import Echelon, mat_rank, prefix_ranks
 from .poly import Chart, ChartMismatchError, MultiPoly
 
 Point = Dict[str, Fraction]
@@ -254,25 +254,36 @@ def rank_at(fields: Sequence[VectorField], point: Point) -> int:
     return mat_rank(fields_matrix(fields, point))
 
 
+class FieldSpan:
+    """The span over rational constants of the fields added so far: one
+    incremental echelon of their (component index, monomial) coefficients."""
+
+    def __init__(self, fields: Sequence[VectorField] = ()):
+        self._echelon = Echelon()
+        for f in fields:
+            self.add(f)
+
+    @staticmethod
+    def _coefficients(field: VectorField) -> Dict[tuple, Fraction]:
+        return {
+            (k, e): c for k, comp in enumerate(field.components) for e, c in comp.terms.items()
+        }
+
+    def add(self, field: VectorField) -> bool:
+        """Add the field; True iff it is not a constant combination of the
+        fields added before it."""
+        return self._echelon.add(self._coefficients(field))
+
+    def combination(self, field: VectorField) -> Optional[List[Fraction]]:
+        """Exact rational constants c with field = sum c_i added_i, else None."""
+        return self._echelon.combination(self._coefficients(field))
+
+
 def constant_combination(
     field: VectorField, basis: Sequence[VectorField]
 ) -> Optional[List[Fraction]]:
-    """Exact rational constants c with field = sum c_i basis_i, else None.
-
-    Equations: one per (component index, monomial) pair appearing anywhere.
-    """
-    chart = field.chart
-    monos = set()
-    for k in range(chart.dimension):
-        monos.update((k, e) for e in field.components[k].terms)
-        for b in basis:
-            monos.update((k, e) for e in b.components[k].terms)
-    keys = sorted(monos)
-    rows = [
-        [b.components[k].terms.get(e, Fraction(0)) for b in basis] for k, e in keys
-    ]
-    rhs = [field.components[k].terms.get(e, Fraction(0)) for k, e in keys]
-    return solve_exact(rows, rhs)
+    """Exact rational constants c with field = sum c_i basis_i, else None."""
+    return FieldSpan(basis).combination(field)
 
 
 def derived_flag_fields(
@@ -285,20 +296,17 @@ def derived_flag_fields(
     preserving the span (brackets are bilinear over constants).
     """
     stages: List[List[VectorField]] = [list(d.generators)]
-    collected: List[VectorField] = list(d.generators)
+    span = FieldSpan(d.generators)
     for _ in range(1, max_depth):
         new: List[VectorField] = []
         for g in d.generators:
             for f in stages[-1]:
                 br = lie_bracket(g, f)
-                if br.is_zero():
-                    continue
-                if constant_combination(br, collected + new) is None:
+                if not br.is_zero() and span.add(br):
                     new.append(br)
         if not new:
             break
         stages.append(new)
-        collected.extend(new)
     return stages
 
 
@@ -347,6 +355,7 @@ def frobenius_check(
         rng = random.Random(seed)
         sample_points = [random_point(d.chart, rng) for _ in range(5)]
     pts = [point] + list(sample_points)
+    span = FieldSpan(gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             br = lie_bracket(gens[i], gens[j])
@@ -354,7 +363,7 @@ def frobenius_check(
                 continue
             # symbolic fast path: a constant combination lies in the span
             # at every point
-            if constant_combination(br, gens) is not None:
+            if span.combination(br) is not None:
                 continue
             for p in pts:
                 if not span_membership(br, d, p):

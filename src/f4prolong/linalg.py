@@ -1,96 +1,131 @@
-"""Exact linear algebra: one fraction-free echelon for rank, kernel and solve;
-cofactor determinants and Pfaffians.
+"""Exact linear algebra: one incremental fraction-free echelon for rank, prefix
+ranks, kernel, solve and span membership; cofactor determinants and Pfaffians.
 
-Entries are Fractions for the numeric routines; the cofactor determinant and the
-Pfaffian also accept any commutative-ring elements (e.g. MultiPoly).
+Entries are Fractions (or ints) for the numeric routines; the cofactor
+determinant and the Pfaffian also accept any commutative-ring elements
+(e.g. MultiPoly).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-Row = List[Fraction]
+# sparse integer vector: key -> nonzero int
+Vec = Dict[Hashable, int]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank/kernel preserving)."""
-    out = []
-    for row in rows:
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (m // x.denominator) for x in row])
+def _axpy(a: int, x: Vec, b: int, y: Vec) -> Vec:
+    """a*x + b*y with zero entries dropped."""
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        s = out.get(k, 0) + b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
     return out
 
 
-def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) elimination to row-echelon form.
+class Echelon:
+    """Incremental fraction-free echelon of sparse rational vectors.
 
-    Returns the integer echelon matrix and the list of pivot columns.
+    A vector is a mapping key -> number over sortable keys; inputs are
+    numbered in the order they are added. Each stored row is an integer
+    vector whose pivot is its smallest key, kept with its tag: the integer
+    combination {input number: coefficient} of the inputs that equals it.
+    Row and tag are divided by their common gcd. Stored rows and their tags
+    involve only the inputs that were independent of the inputs before them,
+    so every combination and relation leaves the dependent inputs at 0.
     """
-    m = [row for row in _integer_rows(rows) if any(row)]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        top = m[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            a = row[c]
-            # Bareiss update: every division by the previous pivot is exact,
-            # also on rows with a = 0, whose zero entries stay zero.
-            if a:
-                for j in range(c + 1, ncols):
-                    row[j] = (piv * row[j] - a * top[j]) // prev
-                row[c] = 0
-            elif piv != prev:
-                for j in range(c + 1, ncols):
-                    if row[j]:
-                        row[j] = piv * row[j] // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return m, pivots
+
+    def __init__(self) -> None:
+        self._rows: Dict[Hashable, Tuple[Vec, Vec]] = {}
+        self._pivots: List[Hashable] = []  # ascending
+        self.count = 0
+        # dependent input number -> the relation that expresses it: a kernel
+        # vector {input number: Fraction} with 1 at that input
+        self.relations: Dict[int, Dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def _reduce(self, vec: Mapping[Hashable, Fraction]) -> Tuple[Vec, Vec]:
+        """vec as an integer row with tag {self.count: scale}, reduced against
+        every stored pivot; the row comes back empty iff vec is in the span."""
+        m = lcm(*(x.denominator for x in vec.values()))
+        row = {k: x.numerator * (m // x.denominator) for k, x in vec.items() if x}
+        tag = {self.count: m}
+        for p in self._pivots:
+            b = row.get(p)
+            if b:
+                prow, ptag = self._rows[p]
+                a = prow[p]
+                g = gcd(a, b)
+                a, b = a // g, -b // g
+                row = _axpy(a, row, b, prow)
+                tag = _axpy(a, tag, b, ptag)
+        return row, tag
+
+    def add(self, vec: Mapping[Hashable, Fraction]) -> bool:
+        """Add vec as the next input; True iff it is independent of the
+        inputs before it (else its relation is recorded)."""
+        row, tag = self._reduce(vec)
+        n = self.count
+        self.count += 1
+        if not row:
+            own = tag[n]
+            self.relations[n] = {i: Fraction(c, own) for i, c in tag.items()}
+            return False
+        g = gcd(*row.values(), *tag.values())
+        row = {k: v // g for k, v in row.items()}
+        tag = {k: v // g for k, v in tag.items()}
+        pivot = min(row)
+        self._rows[pivot] = (row, tag)
+        insort(self._pivots, pivot)
+        return True
+
+    def combination(self, vec: Mapping[Hashable, Fraction]) -> Optional[List[Fraction]]:
+        """Rational c with vec = sum c_i input_i (0 on dependent inputs), or
+        None when vec is outside the span."""
+        row, tag = self._reduce(vec)
+        if row:
+            return None
+        own = -tag.pop(self.count)
+        out = [Fraction(0)] * self.count
+        for i, c in tag.items():
+            out[i] = Fraction(c, own)
+        return out
 
 
-def _back_substitute(ech: list[list[int]], pivots: list[int], v: list[Fraction]) -> list[Fraction]:
-    """Fill the pivot entries of v so that every echelon row annihilates v."""
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = ech[i]
-        s = sum((row[j] * v[j] for j in range(c + 1, len(v)) if v[j]), Fraction(0))
-        v[c] = -s / row[c]
-    return v
+def sparse(seq: Sequence[Fraction]) -> Dict[int, Fraction]:
+    """A dense sequence as a sparse vector keyed by position."""
+    return {j: x for j, x in enumerate(seq) if x}
 
 
-def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
+def _column_echelon(rows: Sequence[Sequence[Fraction]], ncols: int) -> Echelon:
+    """Echelon of the columns of a row-major matrix, added left to right."""
+    ech = Echelon()
+    for j in range(ncols):
+        ech.add({i: row[j] for i, row in enumerate(rows) if row[j]})
+    return ech
 
 
 def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
-    """rank(rows[:n]) for n = 1..len(rows), from one echelon of the transpose.
-
-    Column c of the transpose is a pivot exactly when row c is independent of
-    the rows before it.
-    """
-    _, pivots = _bareiss_echelon(transpose(rows))
-    independent = set(pivots)
-    ranks, r = [], 0
-    for n in range(len(rows)):
-        r += n in independent
-        ranks.append(r)
+    """rank(rows[:n]) for n = 1..len(rows), adding the rows one at a time."""
+    ech = Echelon()
+    ranks = []
+    for row in rows:
+        ech.add(sparse(row))
+        ranks.append(ech.rank)
     return ranks
+
+
+def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return prefix_ranks(rows)[-1] if rows else 0
 
 
 def mat_rank_kernel(
@@ -100,17 +135,17 @@ def mat_rank_kernel(
 
     Kernel vectors carry 1 in their own free column and 0 in every other free
     column (column-echelon canonical form), so bases compare deterministically.
+    A free column is one that depends on the columns before it, and its kernel
+    vector is that dependency.
     """
     ncols = len(rows[0]) if rows else (cols or 0)
-    ech, pivots = _bareiss_echelon(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        basis.append(tuple(_back_substitute(ech, pivots, v)))
-    return len(pivots), basis
+    ech = _column_echelon(rows, ncols)
+    zero = Fraction(0)
+    basis = [
+        tuple(rel.get(j, zero) for j in range(ncols))
+        for rel in ech.relations.values()
+    ]
+    return ech.rank, basis
 
 
 def det_cofactor(rows, zero, one):
@@ -185,12 +220,7 @@ def solve_exact(
     """One exact solution of A x = b (free unknowns 0), or None if inconsistent."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    ech, pivots = _bareiss_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = _back_substitute(ech, pivots, [Fraction(0)] * ncols + [Fraction(-1)])
-    return x[:ncols]
+    return _column_echelon(rows, len(rows[0])).combination(sparse(rhs))
 
 
 def mat_mul(a, b, zero):

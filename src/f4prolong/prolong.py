@@ -11,10 +11,10 @@ from typing import Dict, List, Optional, Tuple
 from .cartan import BASE_VARIABLES, build_model
 from .fields import (
     Distribution,
+    FieldSpan,
     OneForm,
     Point,
     VectorField,
-    constant_combination,
     derived_flag,
     extend_field,
     fields_matrix,
@@ -24,7 +24,7 @@ from .fields import (
     pair,
     random_point,
 )
-from .linalg import mat_rank, prefix_ranks
+from .linalg import Echelon, mat_rank, sparse
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -213,8 +213,9 @@ def verify_pfaff_conditions(zs: ZetaSystem) -> List[Item]:
 
 def compute_bracket_table(zs: ZetaSystem) -> BracketTable:
     """Expand all 92 brackets [zeta_i, zeta_j] (i in 1..4, j in 1..23) with
-    exact rational constant coefficients."""
-    basis = [zs.zeta[k] for k in range(1, 25)]
+    exact rational constant coefficients, reduced against one echelon of the
+    24-field basis."""
+    span = FieldSpan([zs.zeta[k] for k in range(1, 25)])
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]] = {}
     for i in range(1, 5):
         for j in range(1, 24):
@@ -222,7 +223,7 @@ def compute_bracket_table(zs: ZetaSystem) -> BracketTable:
             if br.is_zero():
                 entries[(i, j)] = {}
                 continue
-            combo = constant_combination(br, basis)
+            combo = span.combination(br)
             if combo is None:
                 entries[(i, j)] = None
             else:
@@ -384,27 +385,30 @@ class SymbolAlgebra:
     structure_constants: Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
+def symbol_weights(zs: ZetaSystem, point: Point) -> Dict[int, int]:
+    """Weight of each zeta_k: the first derived-flag stage whose span at the
+    point contains it. Raises if the whole flag does not contain it."""
+    rows, ends = zs.distribution.flag_matrix(point)
+    span = Echelon()
+    for row in rows:
+        span.add(sparse(row))
+    weights: Dict[int, int] = {}
+    zeta_rows = fields_matrix([zs.zeta[k] for k in range(1, 25)], point)
+    for k, zrow in enumerate(zeta_rows, start=1):
+        combo = span.combination(sparse(zrow))
+        if combo is None:
+            raise ValueError(f"zeta{k} not captured by the derived flag at the point")
+        # the combination uses only rows independent of the rows before them,
+        # so it lies in the first stage that holds all of its rows
+        last = max((n for n, c in enumerate(combo) if c), default=-1)
+        weights[k] = next(d for d, n in enumerate(ends, start=1) if n > last)
+    return weights
+
+
 def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> SymbolAlgebra:
     """Weights from first appearance in the derived flag; graded brackets keep
     only the weight-additive part of each table entry."""
-    rows, ends = zs.distribution.flag_matrix(point)
-    flag_ranks = prefix_ranks(rows)
-    zeta_rows = fields_matrix([zs.zeta[k] for k in range(1, 25)], point)
-    weights: Dict[int, int] = {}
-    for k, zrow in enumerate(zeta_rows, start=1):
-        # zeta_k lies in span(F_1..F_n) iff it leaves their rank unchanged
-        with_zeta = prefix_ranks([zrow] + rows)
-        depth = next(
-            (d for d, n in enumerate(ends, start=1) if with_zeta[n] == flag_ranks[n - 1]),
-            None,
-        )
-        if depth is None:
-            raise ValueError(f"zeta{k} not captured by the derived flag at the point")
-        if depth != _expected_weight(k):
-            raise ValueError(
-                f"weight of zeta{k} ambiguous: first appears at depth {depth}"
-            )
-        weights[k] = depth
+    weights = symbol_weights(zs, point)
     counts: Dict[int, int] = {}
     for k, w in weights.items():
         counts[w] = counts.get(w, 0) + 1
@@ -418,13 +422,6 @@ def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> Symbo
             k: c for k, c in combo.items() if weights[k] == target
         }
     return SymbolAlgebra(graded, weights, structure)
-
-
-def _expected_weight(k: int) -> int:
-    for d, b in enumerate(EXPECTED_GROWTH, start=1):
-        if k <= b:
-            return d
-    raise ValueError(k)
 
 
 def verify_symbol(zs: ZetaSystem, table: BracketTable, seed: int = 0) -> List[Item]:

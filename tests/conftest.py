@@ -7,6 +7,7 @@ import time
 import pytest
 
 from f4prolong import cartan, control, f4roots, nullflag, prolong
+from f4prolong.fields import origin
 
 
 def by_id(items):
@@ -51,7 +52,7 @@ def prolong_run():
 
 @pytest.fixture(scope="session")
 def roots_run(prolong_run):
-    _, _, table, _ = prolong_run
+    _, zs, table, _ = prolong_run
     t0 = time.monotonic()
-    items = f4roots.verify_suite(table)
+    items = f4roots.verify_suite(table, prolong.symbol_weights(zs, origin(zs.chart)))
     return items, time.monotonic() - t0

@@ -142,6 +142,34 @@ def test_samples_below_one_exit_2(capsys, samples):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots"],
+        ["export-model"],
+        ["integrate"],
+        ["flag", "--coords", "0,0,0,0,0,0,0,0,0"],
+    ],
+)
+def test_samples_belongs_to_verify_only(argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--samples", "-3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--step", "1e-9", "--tmax", "1"], ["--step", "1e-300", "--tmax", "1e300"]]
+)
+def test_integrate_caps_the_step_count(capsys, flags):
+    # the controls also lie outside ker A, so the cap must be checked first;
+    # without a cap the call still fails at once, on the controls, instead of
+    # integrating 10^9 steps
+    code, out, err = _capture(capsys, ["integrate", *flags, "--controls", "1,0,0,0,0,0,0,0"])
+    assert code == 2
+    assert "exceeds the cap of 100000 steps" in err
+    assert out == ""
+
+
 def test_point_belongs_to_integrate_only():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "roots", "--point", "0"])

@@ -16,6 +16,7 @@ from f4prolong.f4roots import (
     height,
     is_root,
     repaired_assignment,
+    verify_root_correspondence,
 )
 
 
@@ -115,3 +116,11 @@ def test_suite_statuses(roots_run):
     assert ids["roots:additivity"].status == "pass"
     assert ids["roots:non-roots-vanish"].status == "pass"
     assert ids["roots:heights-are-weights"].status == "pass"
+
+
+def test_heights_are_judged_against_the_given_weights(prolong_run):
+    _, _, table, _ = prolong_run
+    wrong = {k: 1 for k in range(1, 25)}
+    item = by_id(verify_root_correspondence(table, wrong))["roots:heights-are-weights"]
+    assert item.status == "fail"
+    assert "zeta5: height 2, weight 1" in item.computed

@@ -10,7 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f4prolong.fields import VectorField, constant_combination
 from f4prolong.linalg import (
+    Echelon,
     det_cofactor,
     mat_mul,
     mat_rank,
@@ -20,6 +22,7 @@ from f4prolong.linalg import (
     solve_exact,
     transpose,
 )
+from f4prolong.poly import Chart, MultiPoly
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -118,6 +121,76 @@ def test_solve_exact_none_iff_augmented_rank_grows(system):
     assert (sol is None) == inconsistent
     if sol is not None:
         assert [sum(a * x for a, x in zip(row, sol)) for row in rows] == rhs
+
+
+@st.composite
+def dependent_systems(draw):
+    """Small integer systems A x = b where some columns of A are integer
+    combinations of others, in shuffled order; b is in the column span about
+    half of the time."""
+    ints = st.integers(-3, 3)
+    n = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=3))
+    mixes = draw(st.lists(st.lists(ints, min_size=len(base), max_size=len(base)), max_size=3))
+    cols = base + [
+        [sum(c * col[i] for c, col in zip(mix, base)) for i in range(n)] for mix in mixes
+    ]
+    cols = draw(st.permutations(cols))
+    rows = [[Fraction(col[i]) for col in cols] for i in range(n)]
+    if draw(st.booleans()):
+        x = draw(st.lists(ints, min_size=len(cols), max_size=len(cols)))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [Fraction(b) for b in draw(st.lists(ints, min_size=n, max_size=n))]
+    return rows, rhs
+
+
+def _sympy_solution_free_zero(rows, rhs):
+    """sympy's Gauss-Jordan solution with every free unknown set to 0."""
+    try:
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    sol = sol.subs({p: 0 for p in params})
+    return [Fraction(int(v.p), int(v.q)) for v in sol]
+
+
+def _column_fields(rows):
+    """One vector field per column: row i is the coefficient of x^i d/dx."""
+    chart = Chart("x", ("x",))
+    return [
+        VectorField(chart, [MultiPoly(chart, {(i,): row[j] for i, row in enumerate(rows)})])
+        for j in range(len(rows[0]))
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dependent_systems())
+def test_solve_exact_and_constant_combination_match_sympy_free_zero(system):
+    rows, rhs = system
+    expected = _sympy_solution_free_zero(rows, rhs)
+    assert solve_exact(rows, rhs) == expected
+    *basis, target = _column_fields([row + [b] for row, b in zip(rows, rhs)])
+    assert constant_combination(target, basis) == expected
+    # sympy's nullspace has the same canonical form: 1 in its own free column
+    # and 0 in the other free columns
+    kernel = sympy.Matrix(rows).nullspace()
+    assert mat_rank_kernel(rows)[1] == [
+        tuple(Fraction(int(v.p), int(v.q)) for v in vec) for vec in kernel
+    ]
+
+
+def test_echelon_add_relation_and_combination():
+    ech = Echelon()
+    assert ech.add({"a": Fraction(1), "b": Fraction(2)})
+    assert ech.add({"b": Fraction(1, 2), "c": Fraction(3)})
+    # 2 (a + 2b) - 4 (b/2 + 3c): dependent, its relation is the kernel vector
+    assert not ech.add({"a": 2, "b": 2, "c": -12})
+    assert (ech.rank, ech.count) == (2, 3)
+    assert ech.relations == {2: {0: Fraction(-2), 1: Fraction(4), 2: Fraction(1)}}
+    assert ech.combination({"a": 1, "b": Fraction(5, 2), "c": 3}) == [1, 1, 0]
+    assert ech.combination({"c": 1}) is None
+    assert ech.combination({}) == [0, 0, 0]
 
 
 def test_solve_exact_inconsistent():

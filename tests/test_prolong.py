@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from conftest import by_id, discrepancies, failures
-from f4prolong import cartan, fields, prolong
+from f4prolong import cartan, fields, linalg, prolong
 from f4prolong.fields import lie_bracket, origin, pair, random_point
 from f4prolong.prolong import (
     DEFINING_BRACKETS,
@@ -72,6 +72,23 @@ def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
+    zs = build_zeta_generators()
+    adds, calls = [], []
+    original_add = linalg.Echelon.add
+    monkeypatch.setattr(
+        linalg.Echelon, "add", lambda self, vec: adds.append(self) or original_add(self, vec)
+    )
+    for mod, name in ((fields, "constant_combination"), (linalg, "solve_exact")):
+        original = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    table = compute_bracket_table(zs)
+    assert len(table.entries) == 92
+    # one echelon holds zeta_1..zeta_24; every bracket is only reduced against it
+    assert len(adds) == 24 and len(set(map(id, adds))) == 1
+    assert calls == []
+
+
 def test_zetas_annihilate_pfaff_system(prolong_run):
     _, zs, _, _ = prolong_run
     for form in pfaff_forms(zs.chart):
@@ -120,6 +137,15 @@ def test_symbol_algebra(prolong_run):
     assert sym.weights[24] == 11
     # graded structure constants retain the weight-additive part
     assert sym.structure_constants[(1, 2)] == {5: Fraction(1)}
+
+
+def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
+    _, zs, table, _ = prolong_run
+    # a wrong expected growth vector must not change or veto computed weights
+    monkeypatch.setattr(prolong, "EXPECTED_GROWTH", (24,))
+    sym = symbol_structure(zs, table, origin(zs.chart))
+    assert sym.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
+    assert sym.weights[24] == 11
 
 
 def test_suite_statuses(prolong_run):
