@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from . import cartan, control, f4roots, fields, nullflag, prolong
+from . import cartan, control, f4roots, nullflag, prolong
 from .linalg import solve_exact
 from .report import Report
 
@@ -125,7 +125,7 @@ def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
     elif name == "nullflag":
         report.extend(nullflag.verify_suite(seed, n(100)))
     elif name == "prolong":
-        items, _, _ = prolong.verify_suite(seed, n(5))
+        items, *_ = prolong.verify_suite(seed, n(5))
         report.extend(items)
     elif name == "roots":
         report.extend(f4roots.verify_suite())
@@ -133,9 +133,8 @@ def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
         report.extend(_prefixed("cartan", cartan.verify_suite(seed, n(5))))
         report.extend(_prefixed("control", control.verify_suite(seed, svc_samples=n(200))))
         report.extend(_prefixed("nullflag", nullflag.verify_suite(seed, n(100))))
-        items, zs, table = prolong.verify_suite(seed, n(5))
+        items, _, table, weights = prolong.verify_suite(seed, n(5))
         report.extend(_prefixed("prolong", items))
-        weights = prolong.symbol_weights(zs, fields.origin(zs.chart))
         report.extend(_prefixed("roots", f4roots.verify_suite(table, weights)))
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report

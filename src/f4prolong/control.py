@@ -832,9 +832,12 @@ def integrate_extremal(
     rhs = [rhs_by_var[v] for v in chart.variables]
 
     def f(state: List[float]) -> List[float]:
-        return [float(p.evaluate_seq(state)) for p in rhs]
+        return [p.evaluate_seq(state) for p in rhs]
 
-    state = [float(init[v]) for v in chart.variables]
+    try:
+        state = [float(init[v]) for v in chart.variables]
+    except OverflowError:
+        raise ValueError("initial state does not fit in floats") from None
     n_steps = max(1, round(t_max / step))
     times = [0.0]
     states = [list(state)]
@@ -849,6 +852,8 @@ def integrate_extremal(
             for x, a, b, c, d in zip(state, k1, k2, k3, k4)
         ]
         times.append((k + 1) * hstep)
+        if not all(map(math.isfinite, state)):
+            raise ValueError(f"RK4 state is not finite at t = {times[-1]:.6g}")
         states.append(list(state))
 
     sr_idx = [chart.index("s")] + [chart.index(f"r{n}") for n in R_NAMES]
@@ -856,11 +861,14 @@ def integrate_extremal(
     max_c = 0.0
     max_sr = 0.0
     cpolys = list(constraints.values())
-    for st in states:
-        for p in cpolys:
-            max_c = max(max_c, abs(float(p.evaluate_seq(st))))
-        for idx, ref in zip(sr_idx, sr_init):
-            max_sr = max(max_sr, abs(st[idx] - ref))
+    for t, st in zip(times, states):
+        cs = [abs(p.evaluate_seq(st)) for p in cpolys]
+        srs = [abs(st[idx] - ref) for idx, ref in zip(sr_idx, sr_init)]
+        # max() passes over a NaN, so every value is tested
+        if not all(map(math.isfinite, cs + srs)):
+            raise ValueError(f"constraint or (s, r) drift is not finite at t = {t:.6g}")
+        max_c = max(max_c, *cs)
+        max_sr = max(max_sr, *srs)
     traj = Trajectory(chart, times, states, controls, step)
     return traj, DriftReport(max_c, max_sr, step, t_max)
 
@@ -885,10 +893,10 @@ def verify_flow_lemma_numeric(traj: Trajectory, tol: float = 1e-6) -> List[Item]
             if br.is_zero():
                 continue
             rhs_poly = rhs_poly + hamiltonian_lift(br, chart).poly * c
-        vals = [float(lifts[name].evaluate_seq(st)) for st in traj.states]
+        vals = [lifts[name].evaluate_seq(st) for st in traj.states]
         for k in range(1, len(vals) - 1):
             lhs = (vals[k + 1] - vals[k - 1]) / (2 * h)
-            rhs = float(rhs_poly.evaluate_seq(traj.states[k]))
+            rhs = rhs_poly.evaluate_seq(traj.states[k])
             max_dev = max(max_dev, abs(lhs - rhs))
     return [
         check(

@@ -9,7 +9,7 @@ from itertools import accumulate
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Echelon, mat_rank, prefix_ranks
+from .linalg import Echelon, prefix_ranks, sparse
 from .poly import Chart, ChartMismatchError, MultiPoly
 
 Point = Dict[str, Fraction]
@@ -250,10 +250,6 @@ def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Frac
     return [list(f.evaluate(point)) for f in fields]
 
 
-def rank_at(fields: Sequence[VectorField], point: Point) -> int:
-    return mat_rank(fields_matrix(fields, point))
-
-
 class FieldSpan:
     """The span over rational constants of the fields added so far: one
     incremental echelon of their (component index, monomial) coefficients."""
@@ -328,13 +324,24 @@ def derived_flag(d: Distribution, point: Point) -> GrowthVector:
     return GrowthVector(growth_ranks(*d.flag_matrix(point)), base)
 
 
+def span_at(fields: Sequence[VectorField], point: Point) -> Echelon:
+    """The span of the fields' values at the point, as one echelon."""
+    span = Echelon()
+    for row in fields_matrix(fields, point):
+        span.add(sparse(row))
+    return span
+
+
+def in_span_at(span: Echelon, v: VectorField, point: Point) -> bool:
+    """True iff v(point) lies in `span`, built by `span_at` at the same point."""
+    return span.combination(sparse(v.evaluate(point))) is not None
+
+
 def span_membership(v: VectorField, d: Distribution, point: Point) -> bool:
     """True iff v(point) lies in the span of the generators at the point."""
     if v.chart != d.chart:
         raise ChartMismatchError("field and distribution on different charts")
-    gens = fields_matrix(d.generators, point)
-    r0 = mat_rank(gens)
-    return mat_rank(gens + [list(v.evaluate(point))]) == r0
+    return in_span_at(span_at(d.generators, point), v, point)
 
 
 def frobenius_check(
@@ -349,13 +356,14 @@ def frobenius_check(
     when none are given). Raises if the generators are dependent at `point`.
     """
     gens = d.generators
-    if rank_at(gens, point) != len(gens):
+    spans = {0: span_at(gens, point)}
+    if spans[0].rank != len(gens):
         raise ValueError("generators are dependent at the test point")
     if sample_points is None:
         rng = random.Random(seed)
         sample_points = [random_point(d.chart, rng) for _ in range(5)]
     pts = [point] + list(sample_points)
-    span = FieldSpan(gens)
+    constant_span = FieldSpan(gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             br = lie_bracket(gens[i], gens[j])
@@ -363,9 +371,11 @@ def frobenius_check(
                 continue
             # symbolic fast path: a constant combination lies in the span
             # at every point
-            if span.combination(br) is not None:
+            if constant_span.combination(br) is not None:
                 continue
-            for p in pts:
-                if not span_membership(br, d, p):
+            for n, p in enumerate(pts):
+                if n not in spans:
+                    spans[n] = span_at(gens, p)
+                if not in_span_at(spans[n], br, p):
                     return False
     return True

@@ -65,7 +65,7 @@ class MultiPoly:
     Immutable after construction; all operations return new instances.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_float_terms")  # _float_terms: set by evaluate_seq
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
         self.chart = chart
@@ -222,15 +222,23 @@ class MultiPoly:
             total += term
         return total
 
-    def evaluate_seq(self, values: Sequence) -> object:
-        """Value at an ordered assignment (rationals or floats); no exactness check."""
+    def evaluate_seq(self, values: Sequence[float]) -> float:
+        """Float value at an ordered assignment of the chart variables, with
+        each coefficient rounded to a float once, on the first call; every
+        product and sum rounds where Fraction * float would. Exact values
+        come from `evaluate`."""
+        try:
+            compiled = self._float_terms
+        except AttributeError:
+            compiled = self._float_terms = tuple(
+                (float(c), tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in self.terms.items()
+            )
         total = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                if k:
-                    term = term * v**k
-            total = total + term
+        for t, factors in compiled:
+            for i, k in factors:
+                t = t * values[i] ** k
+            total = total + t
         return total
 
     def substitute(self, assign: Mapping[str, "MultiPoly"]) -> "MultiPoly":

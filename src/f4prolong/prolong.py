@@ -424,7 +424,10 @@ def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> Symbo
     return SymbolAlgebra(graded, weights, structure)
 
 
-def verify_symbol(zs: ZetaSystem, table: BracketTable, seed: int = 0) -> List[Item]:
+def verify_symbol(
+    zs: ZetaSystem, table: BracketTable, seed: int = 0
+) -> Tuple[List[Item], Optional[Dict[int, int]]]:
+    """Symbol checks, and the weights at the origin (None when ill-defined)."""
     rng = random.Random(seed)
     pts = [origin(zs.chart)] + [random_point(zs.chart, rng) for _ in range(3)]
     items = []
@@ -439,7 +442,7 @@ def verify_symbol(zs: ZetaSystem, table: BracketTable, seed: int = 0) -> List[It
         err = str(exc)
     if not ok:
         items.append(check("symbol:weights", "weight assignment well-defined", False, computed=err))
-        return items
+        return items, None
     s0 = symbols[0]
     items.append(
         check(
@@ -470,10 +473,14 @@ def verify_symbol(zs: ZetaSystem, table: BracketTable, seed: int = 0) -> List[It
             same,
         )
     )
-    return items
+    return items, s0.weights
 
 
-def verify_suite(seed: int = 0, samples: int = 5) -> Tuple[List[Item], ZetaSystem, BracketTable]:
+def verify_suite(
+    seed: int = 0, samples: int = 5
+) -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[int, int]]]:
+    """All prolong checks; also the zeta system, its bracket table and the
+    symbol weights at the origin (None when ill-defined)."""
     zs = build_zeta_generators()
     items: List[Item] = []
     items.extend(verify_pfaff_conditions(zs))
@@ -481,5 +488,6 @@ def verify_suite(seed: int = 0, samples: int = 5) -> Tuple[List[Item], ZetaSyste
     items.extend(verify_bracket_table(zs, table))
     items.extend(static_discrepancy_items(zs))
     items.extend(verify_growth(zs, seed, samples))
-    items.extend(verify_symbol(zs, table, seed))
-    return items, zs, table
+    symbol_items, weights = verify_symbol(zs, table, seed)
+    items.extend(symbol_items)
+    return items, zs, table, weights

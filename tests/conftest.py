@@ -7,7 +7,6 @@ import time
 import pytest
 
 from f4prolong import cartan, control, f4roots, nullflag, prolong
-from f4prolong.fields import origin
 
 
 def by_id(items):
@@ -20,6 +19,19 @@ def failures(items):
 
 def discrepancies(items):
     return [i for i in items if i.status == "paper-discrepancy"]
+
+
+def dense_evaluate(p, values):
+    """The oracle for MultiPoly.evaluate_seq: the term-by-term walk over dense
+    exponent tuples with Fraction coefficients that it replaced."""
+    total = 0
+    for e, c in p.terms.items():
+        term = c
+        for v, k in zip(values, e):
+            if k:
+                term = term * v**k
+        total = total + term
+    return total
 
 
 @pytest.fixture(scope="session")
@@ -44,15 +56,22 @@ def nullflag_run():
 
 
 @pytest.fixture(scope="session")
-def prolong_run():
+def prolong_suite():
+    """prolong.verify_suite's (items, zs, table, weights) and its wall time."""
     t0 = time.monotonic()
-    items, zs, table = prolong.verify_suite(seed=0, samples=5)
-    return items, zs, table, time.monotonic() - t0
+    result = prolong.verify_suite(seed=0, samples=5)
+    return result, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
-def roots_run(prolong_run):
-    _, zs, table, _ = prolong_run
+def prolong_run(prolong_suite):
+    (items, zs, table, _), elapsed = prolong_suite
+    return items, zs, table, elapsed
+
+
+@pytest.fixture(scope="session")
+def roots_run(prolong_suite):
+    (_, _, table, weights), _ = prolong_suite
     t0 = time.monotonic()
-    items = f4roots.verify_suite(table, prolong.symbol_weights(zs, origin(zs.chart)))
+    items = f4roots.verify_suite(table, weights)
     return items, time.monotonic() - t0

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import by_id, discrepancies, failures
+from f4prolong import cartan
 from f4prolong.cartan import (
     PAIRS,
     build_model,
     even_complement,
     expected_bracket,
+    type_f4_frame_check,
     verify_bracket_table,
     verify_duality,
 )
@@ -67,6 +69,21 @@ def test_growth_vector_8_15(model):
     rng = random.Random(1)
     for p in [origin(model.chart)] + [random_point(model.chart, rng) for _ in range(3)]:
         assert derived_flag(model.distribution, p).ranks == (8, 15)
+
+
+def test_f4_frame_check_evaluates_the_distribution_once_per_point(model, monkeypatch):
+    calls = []
+    real = cartan.span_at
+    monkeypatch.setattr(cartan, "span_at", lambda fs, p: calls.append(fs) or real(fs, p))
+    items = type_f4_frame_check(model.frame, model.distribution, origin(model.chart))
+    # the test point and 5 sample points, after the rank check of the frame
+    assert calls.count(model.distribution.generators) == 6
+    assert len(items) == 22
+    assert not failures(items)
+    # with Y1 and Y2 swapped, [X1, Y1] = 0 while [X3, Y3] = Z lies outside D
+    swapped = dict(model.frame, Y1=model.frame["Y2"], Y2=model.frame["Y1"])
+    ids = by_id(type_f4_frame_check(swapped, model.distribution, origin(model.chart)))
+    assert ids["f4:[X1,Y1]~[X3,Y3]"].status == "fail"
 
 
 def test_suite_green(cartan_run):

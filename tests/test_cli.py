@@ -205,3 +205,41 @@ def test_roots_list_json(capsys):
     data = json.loads(out)
     assert len(data["positive_roots"]) == 24
     assert {"root": [2, 3, 4, 2], "height": 11, "alpha4": 2} in data["positive_roots"]
+
+
+BIG = str(10**160)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # three steps of 1e300; this used to exit 0 with a finite drift over
+        # 16 non-finite state entries
+        (
+            [
+                "--covector=9/5,-1/200,109/200,81/100,1,0,0",
+                "--controls=-2,1,1,-2,-6/5,11/10,1/10,9/5",
+                "--step", "1e300", "--tmax", "3e300",
+            ],
+            "RK4 state is not finite",
+        ),
+        # a finite state whose constraint H_X1 is nan in floats; this used to
+        # report a drift of 0.0
+        (
+            [
+                "--point", f"0,0,{BIG},0,-{BIG},0,0,0,0,0,0,0,0,0,0",
+                "--covector", f"0,{BIG},0,{BIG},0,0,0",
+                "--controls", "0,0,1,0,0,0,0,0",
+                "--step", "0.01", "--tmax", "0.03",
+            ],
+            "drift is not finite",
+        ),
+        (["--covector", f"0,{10**400},0,0,0,0,0"], "does not fit in floats"),
+    ],
+    ids=["state", "drift", "initial-state"],
+)  # fmt: skip
+def test_integrate_exits_2_when_the_floats_overflow(capsys, flags, message):
+    code, out, err = _capture(capsys, ["integrate", "--json", *flags])
+    assert code == 2
+    assert message in err
+    assert out == ""

@@ -8,16 +8,19 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import by_id, discrepancies, failures
-from f4prolong.cartan import build_model
+from conftest import by_id, dense_evaluate, discrepancies, failures
+from f4prolong.cartan import GENERATOR_ORDER, build_model
 from f4prolong.control import (
+    R_NAMES,
     ControlVector,
     CovectorFiber,
+    _random_control,
     bilinear_Q,
     build_A,
     build_A11,
     build_A22,
     build_U,
+    conjugate_pairs,
     constraint_polys,
     cotangent_chart,
     form_Q,
@@ -198,6 +201,97 @@ def test_integrator_constraints_are_exact():
     init["p1"] = Fraction(1, 10**15)
     with pytest.raises(ValueError, match="H_X1"):
         integrate_extremal(init, controls, 0.5, 1.0)
+
+
+def test_integrator_rejects_a_trajectory_that_leaves_the_floats():
+    # three steps of 1e300 overflow the state; the drift used to read 2.38e285
+    init, _ = standard_initial_data()
+    covector = "9/5 -1/200 109/200 81/100 1 0 0".split()
+    for name, x in zip(["s"] + [f"r{n}" for n in R_NAMES], covector):
+        init[name] = Fraction(x)
+    c = [Fraction(x) for x in "-2 1 1 -2 -6/5 11/10 1/10 9/5".split()]
+    controls = ControlVector(tuple(c[:4]), tuple(c[4:]))
+    integrate_extremal(init, controls, 1e-3, 3e-3)  # finite at a small step
+    with pytest.raises(ValueError, match="RK4 state is not finite"):
+        integrate_extremal(init, controls, 1e300, 3e300)
+
+
+def test_integrator_rejects_a_constraint_value_beyond_the_floats():
+    # every state entry is finite, but H_X1 = -x2*r12 - x4*r14 + ... is
+    # -inf + inf = nan in floats; max() used to pass over it and report 0.0
+    init, _ = standard_initial_data()
+    big = Fraction(10) ** 160
+    init.update(x2=big, x4=-big, r12=big, r14=big)
+    zero = Fraction(0)
+    controls = ControlVector((zero, zero, Fraction(1), zero), (zero,) * 4)
+    with pytest.raises(ValueError, match="drift is not finite at t = 0"):
+        integrate_extremal(init, controls, 1e-2, 3e-2)
+
+
+def test_integrator_rejects_an_initial_state_beyond_the_floats():
+    init, controls = standard_initial_data()
+    init["r12"] = Fraction(10) ** 400
+    with pytest.raises(ValueError, match="does not fit in floats"):
+        integrate_extremal(init, controls, 1e-3, 3e-3)
+
+
+def _reference_rk4(init, controls, step, n_steps):
+    """The integrator's RK4 with every right-hand side evaluated by the dense
+    Fraction walk."""
+    chart = cotangent_chart()
+    model = build_model()
+    h = MultiPoly.zero(chart)
+    for name, c in zip(GENERATOR_ORDER, controls.as_seq()):
+        h = h + hamiltonian_lift(model.frame[name], chart).poly * c
+    by_var = {}
+    for fib, base in conjugate_pairs(chart):
+        by_var[base] = h.diff(fib)
+        by_var[fib] = -h.diff(base)
+    rhs = [by_var[v] for v in chart.variables]
+
+    def f(state):
+        return [float(dense_evaluate(p, state)) for p in rhs]
+
+    state = [float(init[v]) for v in chart.variables]
+    states = [list(state)]
+    for _ in range(n_steps):
+        k1 = f(state)
+        k2 = f([x + step / 2 * d for x, d in zip(state, k1)])
+        k3 = f([x + step / 2 * d for x, d in zip(state, k2)])
+        k4 = f([x + step * d for x, d in zip(state, k3)])
+        state = [
+            x + step / 6 * (a + 2 * b + 2 * c + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        states.append(list(state))
+    return states
+
+
+def _seeded_null_data(seed):
+    """A Q-null control with all eight components nonzero, and its SVC
+    witness as the covector over the origin."""
+    rng = random.Random(seed)
+    controls = _random_control(rng, null=True)
+    while not all(controls.as_seq()):
+        controls = _random_control(rng, null=True)
+    member, witness = svc_membership(controls)
+    assert member and witness is not None
+    init, _ = standard_initial_data()
+    init["s"] = witness.s
+    for n, x in zip(R_NAMES, witness.r):
+        init[f"r{n}"] = x
+    return init, controls
+
+
+@pytest.mark.parametrize("data", ["standard", "seeded"])
+def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
+    init, controls = standard_initial_data() if data == "standard" else _seeded_null_data(4)
+    traj, _ = integrate_extremal(init, controls, 1e-3, 0.05)
+    want = _reference_rk4(init, controls, 1e-3, 50)
+    assert len(traj.states) == 51
+    assert [[x.hex() for x in st] for st in traj.states] == [[x.hex() for x in st] for st in want]
+    if data == "seeded":
+        assert traj.states[-1] != traj.states[0]
 
 
 def test_constraints_vanish_on_standard_data():

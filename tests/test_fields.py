@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f4prolong import fields
 from f4prolong.fields import (
     Distribution,
     OneForm,
@@ -144,6 +145,19 @@ def test_span_membership():
     p = random_point(CHART, rng)
     assert span_membership(fx * Fraction(5) + fy, d, p)
     assert not span_membership(VectorField.coordinate(CHART, "z"), d, p)
+
+
+def test_frobenius_check_evaluates_the_generators_once_per_point(monkeypatch):
+    # [d/dx, x^2 d/dx + d/dy] = 2x d/dx lies in the span at every point but is
+    # no constant combination, so every point is checked
+    fx = VectorField.coordinate(CHART, "x")
+    g = VectorField.from_dict(CHART, {"x": v("x") * v("x"), "y": MultiPoly.constant(CHART, 1)})
+    d = Distribution(CHART, [fx, g])
+    calls = []
+    real = fields.span_at
+    monkeypatch.setattr(fields, "span_at", lambda fs, p: calls.append(p) or real(fs, p))
+    assert frobenius_check(d, origin(CHART))
+    assert len(calls) == 6  # the test point and 5 sample points
 
 
 def test_distribution_requires_generators():

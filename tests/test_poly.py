@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_evaluate
 from f4prolong.poly import Chart, ChartMismatchError, MultiPoly, extend_poly
 
 CHART = Chart("t3", ("a", "b", "c"))
@@ -101,3 +102,46 @@ def test_diff_is_a_derivation(p, q):
 def test_evaluate_is_a_ring_map(p, q, pt):
     assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+
+
+@st.composite
+def float_polys(draw):
+    """Sparse polynomials with non-dyadic coefficients, or the zero or a
+    constant polynomial."""
+    kind = draw(st.sampled_from(["sparse", "zero", "constant"]))
+    coeff = st.builds(
+        Fraction,
+        st.integers(-50, 50).filter(bool),
+        st.integers(3, 40).filter(lambda d: d & (d - 1)),  # not a power of 2
+    )
+    if kind == "zero":
+        return MultiPoly.zero(CHART)
+    if kind == "constant":
+        return MultiPoly.constant(CHART, draw(coeff))
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    return MultiPoly(CHART, draw(st.dictionaries(exps, coeff, min_size=1, max_size=8)))
+
+
+float_points = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_polys(), float_points)
+def test_evaluate_seq_matches_the_dense_fraction_walk(p, values):
+    got = p.evaluate_seq(values)
+    assert float(got).hex() == float(dense_evaluate(p, values)).hex()
+    # a second call runs on the cached compiled terms
+    assert float(p.evaluate_seq(values)).hex() == float(got).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys(), points, float_points)
+def test_float_evaluation_leaves_the_polynomial_unchanged(p, q, pt, values):
+    copy = MultiPoly(CHART, p.terms)
+    before = (p + q, p * q, q * p, hash(p), p.evaluate(pt))
+    p.evaluate_seq(values)
+    q.evaluate_seq(values)
+    assert (p + q, p * q, q * p, hash(p), p.evaluate(pt)) == before
+    assert p == copy and copy == p and hash(p) == hash(copy)

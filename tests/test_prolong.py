@@ -148,6 +148,24 @@ def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
     assert sym.weights[24] == 11
 
 
+def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
+    (_, zs, _, weights), _ = prolong_suite
+    assert weights == prolong.symbol_weights(zs, origin(zs.chart))
+
+
+def test_verify_all_passes_the_prolong_weights_to_roots(monkeypatch):
+    from f4prolong import cli, control, f4roots, nullflag
+
+    for module in (cartan, control, nullflag):
+        monkeypatch.setattr(module, "verify_suite", lambda *a, **k: [])
+    monkeypatch.setattr(prolong, "verify_suite", lambda *a: ([], None, "table", {1: 1}))
+    monkeypatch.setattr(prolong, "symbol_weights", None)  # must not be called
+    seen = []
+    monkeypatch.setattr(f4roots, "verify_suite", lambda *a: seen.append(a) or [])
+    cli._run_suite("all", 0, None)
+    assert seen == [("table", {1: 1})]
+
+
 def test_suite_statuses(prolong_run):
     items, _, _, elapsed = prolong_run
     assert not failures(items)
