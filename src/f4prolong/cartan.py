@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -10,7 +9,6 @@ from typing import Dict, List, Tuple
 from .fields import (
     Distribution,
     OneForm,
-    Point,
     VectorField,
     derived_flag,
     fields_matrix,
@@ -19,7 +17,7 @@ from .fields import (
     lie_bracket,
     origin,
     pair,
-    random_point,
+    sample_points,
     span_at,
     two_form_eval,
 )
@@ -68,10 +66,6 @@ class CartanModel:
     coframe: Dict[str, OneForm]
     coframe_order: Tuple[str, ...]
     distribution: Distribution
-
-    @property
-    def generators(self) -> List[VectorField]:
-        return list(self.distribution.generators)
 
 
 def build_model() -> CartanModel:
@@ -275,19 +269,17 @@ F4_SKEW_RELATIONS = [
 def type_f4_frame_check(
     frame: Dict[str, VectorField],
     d: Distribution,
-    point: Point,
     seed: int = 0,
     samples: int = 5,
 ) -> List[Item]:
-    """Check the defining congruences of a type-F4 adapted frame modulo D."""
-    chart = d.chart
+    """Check the defining congruences of a type-F4 adapted frame modulo D at
+    the origin and `samples` seeded points."""
     X = {i: frame[f"X{i}"] for i in range(1, 5)}
     Y = {i: frame[f"Y{i}"] for i in range(1, 5)}
     fields8 = list(X.values()) + list(Y.values())
-    if span_at(fields8, point).rank != 8:
-        raise ValueError("frame candidate is degenerate at the test point")
-    rng = random.Random(seed)
-    pts = [point] + [random_point(chart, rng) for _ in range(samples)]
+    pts = sample_points(d.chart, seed, samples)
+    if span_at(fields8, pts[0]).rank != 8:
+        raise ValueError("frame candidate is degenerate at the origin")
     spans = [(p, span_at(d.generators, p)) for p in pts]
 
     def congruent_zero(v: VectorField) -> bool:
@@ -357,8 +349,7 @@ def verify_suite(seed: int = 0, samples: int = 5) -> List[Item]:
     )
     for i, j in PAIRS:
         items.extend(contact_foliation_check(m, i, j, seed=seed))
-    rng = random.Random(seed)
-    pts = [origin(m.chart)] + [random_point(m.chart, rng) for _ in range(samples)]
+    pts = sample_points(m.chart, seed, samples)
     growths = [derived_flag(m.distribution, p).ranks for p in pts]
     items.append(
         check(
@@ -369,7 +360,5 @@ def verify_suite(seed: int = 0, samples: int = 5) -> List[Item]:
             expected="[(8, 15)]",
         )
     )
-    items.extend(
-        type_f4_frame_check(m.frame, m.distribution, origin(m.chart), seed=seed)
-    )
+    items.extend(type_f4_frame_check(m.frame, m.distribution, seed=seed))
     return items

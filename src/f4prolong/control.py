@@ -566,39 +566,69 @@ def printed_sharp_display(chart: Chart) -> Dict[str, MultiPoly]:
     return d
 
 
-def symbolic_hamiltonian(chart: Chart) -> Tuple[MultiPoly, Dict[str, MultiPoly]]:
-    """H = sum of control variables times lifts, plus the lifts, on phase38."""
+def constraint_polys(chart: Optional[Chart] = None) -> Dict[str, MultiPoly]:
+    """The eight lifts H_X1..H_Y4 on the chart (cotangent30 by default), in
+    GENERATOR_ORDER."""
+    chart = chart or cotangent_chart()
     model = build_model()
-    lifts = {
+    return {
         name: hamiltonian_lift(model.frame[name], chart).poly
         for name in GENERATOR_ORDER
     }
-    ctrl = {"X": "u", "Y": "v"}
-    h = MultiPoly.zero(chart)
+
+
+def control_variables(chart: Chart) -> Dict[str, MultiPoly]:
+    """The control variable of each generator: u_i for X_i, v_i for Y_i."""
+    letter = {"X": "u", "Y": "v"}
+    return {
+        name: MultiPoly.variable(chart, letter[name[0]] + name[1])
+        for name in GENERATOR_ORDER
+    }
+
+
+def hamiltonian(lifts: Mapping[str, MultiPoly], w: Mapping[str, object]) -> MultiPoly:
+    """H = sum of lift * w over GENERATOR_ORDER; each w is a control
+    variable or a rational."""
+    h = MultiPoly.zero(lifts[GENERATOR_ORDER[0]].chart)
     for name in GENERATOR_ORDER:
-        cv = MultiPoly.variable(chart, ctrl[name[0]] + name[1])
-        h = h + cv * lifts[name]
-    return h, lifts
+        h = h + lifts[name] * w[name]
+    return h
 
 
-def mechanical_sharp(chart: Chart) -> Dict[str, MultiPoly]:
-    """All 30 right-hand sides derived from H: base-dot = dH/dfiber,
-    fiber-dot = -dH/dbase."""
-    h, _ = symbolic_hamiltonian(chart)
+def hamilton_equations(h: MultiPoly) -> Dict[str, MultiPoly]:
+    """The right-hand side of each variable: base' = dH/dfiber,
+    fiber' = -dH/dbase."""
     out: Dict[str, MultiPoly] = {}
-    for fib, base in conjugate_pairs(chart):
+    for fib, base in conjugate_pairs(h.chart):
         out[base] = h.diff(fib)
         out[fib] = -h.diff(base)
+    return out
+
+
+def flow_rhs(chart: Chart, w: Mapping[str, object]) -> Dict[str, MultiPoly]:
+    """sum_j w_j H_[xi_j, xi] for each generator xi, the right-hand side of
+    the flow lemma d/dt H_xi = {H, H_xi}; zero weights are skipped."""
+    frame = build_model().frame
+    out: Dict[str, MultiPoly] = {}
+    for name in GENERATOR_ORDER:
+        total = MultiPoly.zero(chart)
+        for other in GENERATOR_ORDER:
+            if w[other] == 0:
+                continue
+            br = lie_bracket(frame[other], frame[name])
+            if not br.is_zero():
+                total = total + hamiltonian_lift(br, chart).poly * w[other]
+        out[name] = total
     return out
 
 
 def verify_sharp_display(seed: int = 0) -> List[Item]:
     """Diff the published Hamiltonian-system display against the derivation."""
     chart = phase_control_chart()
-    mech = mechanical_sharp(chart)
+    lifts = constraint_polys(chart)
+    mech = hamilton_equations(hamiltonian(lifts, control_variables(chart)))
     printed = printed_sharp_display(chart)
     lifts_printed = printed_lift_displays(chart)
-    _, lifts = symbolic_hamiltonian(chart)
     items: List[Item] = []
     for name in GENERATOR_ORDER:
         if lifts[name] == lifts_printed[name]:
@@ -665,10 +695,7 @@ def verify_poisson_lift_table() -> List[Item]:
     """{H_xi, H_eta} = H_[xi, eta] for all 28 generator pairs."""
     model = build_model()
     chart = cotangent_chart()
-    lifts = {
-        name: hamiltonian_lift(model.frame[name], chart).poly
-        for name in GENERATOR_ORDER
-    }
+    lifts = constraint_polys(chart)
     items = []
     for i, a in enumerate(GENERATOR_ORDER):
         for b in GENERATOR_ORDER[i + 1 :]:
@@ -694,25 +721,18 @@ def verify_poisson_lift_table() -> List[Item]:
 def verify_flow_lemma_symbolic() -> List[Item]:
     """d/dt H_xi = {H, H_xi} = sum_j w_j H_[xi_j, xi] as exact polynomials."""
     chart = phase_control_chart()
-    h, lifts = symbolic_hamiltonian(chart)
-    model = build_model()
+    lifts = constraint_polys(chart)
+    w = control_variables(chart)
+    h = hamiltonian(lifts, w)
+    rhs = flow_rhs(chart, w)
     pairs = conjugate_pairs(chart)
-    ctrl = {"X": "u", "Y": "v"}
     items: List[Item] = []
     for name in GENERATOR_ORDER:
-        lhs = poisson_bracket(h, lifts[name], pairs)
-        rhs = MultiPoly.zero(chart)
-        for other in GENERATOR_ORDER:
-            br = lie_bracket(model.frame[other], model.frame[name])
-            if br.is_zero():
-                continue
-            cv = MultiPoly.variable(chart, ctrl[other[0]] + other[1])
-            rhs = rhs + cv * hamiltonian_lift(br, chart).poly
         items.append(
             check(
                 f"flow:H_{name}",
                 f"{{H, H_{name}}} = sum_j w_j H_[xi_j, {name}] in 38 variables",
-                lhs == rhs,
+                poisson_bracket(h, lifts[name], pairs) == rhs[name],
             )
         )
     items.append(
@@ -773,15 +793,6 @@ def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
     return init, controls
 
 
-def constraint_polys(chart: Optional[Chart] = None) -> Dict[str, MultiPoly]:
-    chart = chart or cotangent_chart()
-    model = build_model()
-    return {
-        name: hamiltonian_lift(model.frame[name], chart).poly
-        for name in GENERATOR_ORDER
-    }
-
-
 # every RK4 state is kept (about 1 KB per step), so the step count is capped
 MAX_STEPS = 100_000
 
@@ -819,17 +830,10 @@ def integrate_extremal(
         if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
-    # constant-control Hamiltonian and compiled right-hand sides
-    h = MultiPoly.zero(chart)
-    model = build_model()
-    ctrl_of = dict(zip(GENERATOR_ORDER, uv))
-    for name in GENERATOR_ORDER:
-        h = h + hamiltonian_lift(model.frame[name], chart).poly * ctrl_of[name]
-    rhs_by_var: Dict[str, MultiPoly] = {}
-    for fib, base in conjugate_pairs(chart):
-        rhs_by_var[base] = h.diff(fib)
-        rhs_by_var[fib] = -h.diff(base)
-    rhs = [rhs_by_var[v] for v in chart.variables]
+    # the constant-control Hamiltonian's right-hand sides, in chart order
+    h = hamiltonian(constraints, dict(zip(GENERATOR_ORDER, uv)))
+    equations = hamilton_equations(h)
+    rhs = [equations[v] for v in chart.variables]
 
     def f(state: List[float]) -> List[float]:
         return [p.evaluate_seq(state) for p in rhs]
@@ -878,25 +882,15 @@ def verify_flow_lemma_numeric(traj: Trajectory, tol: float = 1e-6) -> List[Item]
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
     chart = traj.chart
-    model = build_model()
     lifts = constraint_polys(chart)
-    ctrl_of = dict(zip(GENERATOR_ORDER, traj.controls.as_seq()))
+    flow = flow_rhs(chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
     h = traj.step
     max_dev = 0.0
     for name in GENERATOR_ORDER:
-        rhs_poly = MultiPoly.zero(chart)
-        for other in GENERATOR_ORDER:
-            c = ctrl_of[other]
-            if c == 0:
-                continue
-            br = lie_bracket(model.frame[other], model.frame[name])
-            if br.is_zero():
-                continue
-            rhs_poly = rhs_poly + hamiltonian_lift(br, chart).poly * c
         vals = [lifts[name].evaluate_seq(st) for st in traj.states]
         for k in range(1, len(vals) - 1):
             lhs = (vals[k + 1] - vals[k - 1]) / (2 * h)
-            rhs = rhs_poly.evaluate_seq(traj.states[k])
+            rhs = flow[name].evaluate_seq(traj.states[k])
             max_dev = max(max_dev, abs(lhs - rhs))
     return [
         check(

@@ -7,7 +7,7 @@ store the positive coefficient tuples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .report import DISCREPANCY, Item, check
 
@@ -95,11 +95,6 @@ def alpha4_grading(roots: List[Root]) -> Tuple[int, ...]:
     for r in roots:
         counts[r[3]] = counts.get(r[3], 0) + 1
     return tuple(counts[c] for c in sorted(counts))
-
-
-def is_root(beta: Root, roots: Optional[List[Root]] = None) -> bool:
-    rs = set(roots if roots is not None else generate_positive_roots())
-    return beta in rs
 
 
 def repaired_assignment() -> Tuple[Dict[int, Root], List[int]]:
@@ -220,7 +215,7 @@ def verify_root_correspondence(table=None, weights=None) -> List[Item]:
         if table is None:
             table = compute_bracket_table(zs)
         if weights is None:
-            weights = symbol_weights(zs, origin(zs.chart))
+            weights = symbol_weights(zs, zs.distribution.at(origin(zs.chart)))
     items: List[Item] = []
     roots = generate_positive_roots()
     root_set = set(roots)

@@ -5,11 +5,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Echelon, prefix_ranks, sparse
+from .linalg import Echelon, sparse
 from .poly import Chart, ChartMismatchError, MultiPoly
 
 Point = Dict[str, Fraction]
@@ -21,6 +20,12 @@ def origin(chart: Chart) -> Point:
 
 def random_point(chart: Chart, rng: random.Random, lo: int = -2, hi: int = 2) -> Point:
     return {v: Fraction(rng.randint(lo, hi)) for v in chart.variables}
+
+
+def sample_points(chart: Chart, seed: int, n: int) -> List[Point]:
+    """The origin followed by n random points drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [origin(chart)] + [random_point(chart, rng) for _ in range(n)]
 
 
 class VectorField:
@@ -227,12 +232,39 @@ class Distribution:
         """The weak derived flag as new fields per stage, computed on first use."""
         return derived_flag_fields(self)
 
-    def flag_matrix(self, point: Point) -> Tuple[List[List[Fraction]], List[int]]:
-        """All flag fields evaluated once at the point, and the row count
-        after each stage."""
-        fields = [f for stage in self.flag for f in stage]
-        ends = list(accumulate(len(stage) for stage in self.flag))
-        return fields_matrix(fields, point), ends
+    def at(self, point: Point) -> "FlagAt":
+        """The derived flag at the point, every flag field evaluated once."""
+        return FlagAt(self.flag, point)
+
+
+class FlagAt:
+    """A derived flag at one point: the values of its fields, added stage by
+    stage to one echelon."""
+
+    def __init__(self, stages: Sequence[Sequence[VectorField]], point: Point):
+        self.point = point
+        self._span = Echelon()
+        self._ends: List[int] = []  # fields added after each stage
+        ranks: List[int] = []
+        for stage in stages:
+            for f in stage:
+                self._span.add(sparse(f.evaluate(point)))
+            self._ends.append(self._span.count)
+            ranks.append(self._span.rank)
+        # the growth vector: stage ranks until they stop growing
+        cut = next((n for n in range(1, len(ranks)) if ranks[n] == ranks[n - 1]), len(ranks))
+        self.ranks = tuple(ranks[:cut])
+
+    def weight(self, v: VectorField) -> Optional[int]:
+        """The first stage whose span at the point holds v, or None when the
+        whole flag does not."""
+        combo = self._span.combination(sparse(v.evaluate(self.point)))
+        if combo is None:
+            return None
+        # the combination uses only fields independent of the fields before
+        # them, so it lies in the first stage that holds all of its fields
+        last = max((n for n, c in enumerate(combo) if c), default=-1)
+        return next(d for d, n in enumerate(self._ends, start=1) if n > last)
 
 
 @dataclass(frozen=True)
@@ -306,22 +338,10 @@ def derived_flag_fields(
     return stages
 
 
-def growth_ranks(rows: List[List[Fraction]], ends: Sequence[int]) -> Tuple[int, ...]:
-    """Ranks of the flag stages (row prefixes ending at `ends`) until they stop growing."""
-    by_row = prefix_ranks(rows)
-    ranks: List[int] = []
-    for n in ends:
-        r = by_row[n - 1]
-        if ranks and r == ranks[-1]:
-            break
-        ranks.append(r)
-    return tuple(ranks)
-
-
 def derived_flag(d: Distribution, point: Point) -> GrowthVector:
     """Pointwise growth vector of the weak derived flag at the point."""
     base = tuple(point[v] for v in d.chart.variables)
-    return GrowthVector(growth_ranks(*d.flag_matrix(point)), base)
+    return GrowthVector(d.at(point).ranks, base)
 
 
 def span_at(fields: Sequence[VectorField], point: Point) -> Echelon:
@@ -335,13 +355,6 @@ def span_at(fields: Sequence[VectorField], point: Point) -> Echelon:
 def in_span_at(span: Echelon, v: VectorField, point: Point) -> bool:
     """True iff v(point) lies in `span`, built by `span_at` at the same point."""
     return span.combination(sparse(v.evaluate(point))) is not None
-
-
-def span_membership(v: VectorField, d: Distribution, point: Point) -> bool:
-    """True iff v(point) lies in the span of the generators at the point."""
-    if v.chart != d.chart:
-        raise ChartMismatchError("field and distribution on different charts")
-    return in_span_at(span_at(d.generators, point), v, point)
 
 
 def frobenius_check(

@@ -1,5 +1,5 @@
-"""Exact linear algebra: one incremental fraction-free echelon for rank, prefix
-ranks, kernel, solve and span membership; cofactor determinants and Pfaffians.
+"""Exact linear algebra: one incremental fraction-free echelon for rank,
+kernel, solve and span membership; cofactor determinants and Pfaffians.
 
 Entries are Fractions (or ints) for the numeric routines; the cofactor
 determinant and the Pfaffian also accept any commutative-ring elements
@@ -114,18 +114,11 @@ def _column_echelon(rows: Sequence[Sequence[Fraction]], ncols: int) -> Echelon:
     return ech
 
 
-def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
-    """rank(rows[:n]) for n = 1..len(rows), adding the rows one at a time."""
+def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     ech = Echelon()
-    ranks = []
     for row in rows:
         ech.add(sparse(row))
-        ranks.append(ech.rank)
-    return ranks
-
-
-def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return prefix_ranks(rows)[-1] if rows else 0
+    return ech.rank
 
 
 def mat_rank_kernel(

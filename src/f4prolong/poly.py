@@ -111,9 +111,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
@@ -311,11 +308,6 @@ def from_terms(chart: Chart, terms: Mapping[Sequence[str], Scalar]) -> MultiPoly
             t = t * MultiPoly.variable(chart, n)
         total = total + t
     return total
-
-
-def variables(chart: Chart) -> list[MultiPoly]:
-    """Convenience: the chart's coordinate functions as polynomials."""
-    return [MultiPoly.variable(chart, v) for v in chart.variables]
 
 
 def extend_poly(p: MultiPoly, chart: Chart) -> MultiPoly:

@@ -3,28 +3,22 @@ bracket table, growth vector, and graded symbol structure."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import BASE_VARIABLES, build_model
+from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import (
     Distribution,
     FieldSpan,
+    FlagAt,
     OneForm,
-    Point,
     VectorField,
-    derived_flag,
     extend_field,
-    fields_matrix,
-    growth_ranks,
     lie_bracket,
-    origin,
     pair,
-    random_point,
+    sample_points,
 )
-from .linalg import Echelon, mat_rank, sparse
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -197,9 +191,8 @@ def verify_pfaff_conditions(zs: ZetaSystem) -> List[Item]:
     coords = {n: MultiPoly.variable(zs.chart, n) for n in FREE_COORDS}
     eta1 = eta_frames(coords).eta1
     frame = lifted_frame(zs.chart)
-    names = ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
     rebuilt = VectorField.zero(zs.chart)
-    for name, coeff in zip(names, eta1):
+    for name, coeff in zip(GENERATOR_ORDER, eta1):
         rebuilt = rebuilt + frame[name] * coeff
     items.append(
         check(
@@ -339,26 +332,13 @@ def static_discrepancy_items(zs: ZetaSystem) -> List[Item]:
     ]
 
 
-def growth_vector_E(zs: ZetaSystem, point: Point):
-    return derived_flag(zs.distribution, point)
-
-
-def verify_growth(zs: ZetaSystem, seed: int = 0, samples: int = 5) -> List[Item]:
-    rng = random.Random(seed)
-    pts = [origin(zs.chart)] + [random_point(zs.chart, rng) for _ in range(samples)]
+def verify_growth(zs: ZetaSystem, flags: Sequence[FlagAt]) -> List[Item]:
+    """The growth vector of E, and pi_*^{-1}(D) inside E^(7), read from E's
+    flag at the origin (the first flag) and at sample points."""
+    samples = len(flags) - 1
     frame = lifted_frame(zs.chart)
-    lifts = [frame[n] for n in ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")]
-    growths = []
-    lifts_in_e7 = True
-    for p in pts:
-        rows, ends = zs.distribution.flag_matrix(p)
-        growths.append(growth_ranks(rows, ends))
-        # pi_*^{-1}(D) inside E^(7): the first seven stages of E's flag
-        e7 = rows[: ends[6]]
-        r7 = mat_rank(e7)
-        lifts_in_e7 = lifts_in_e7 and all(
-            mat_rank(e7 + [row]) == r7 for row in fields_matrix(lifts, p)
-        )
+    growths = [flag.ranks for flag in flags]
+    lift_weights = [flag.weight(frame[name]) for flag in flags for name in GENERATOR_ORDER]
     items = [
         check(
             "growth:E",
@@ -372,7 +352,7 @@ def verify_growth(zs: ZetaSystem, seed: int = 0, samples: int = 5) -> List[Item]
         check(
             "growth:pi-lift-in-E7",
             "the lifts of the eight base generators lie in E^(7) at all sample points",
-            lifts_in_e7,
+            all(w is not None and w <= 7 for w in lift_weights),
         )
     )
     return items
@@ -385,30 +365,22 @@ class SymbolAlgebra:
     structure_constants: Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
-def symbol_weights(zs: ZetaSystem, point: Point) -> Dict[int, int]:
-    """Weight of each zeta_k: the first derived-flag stage whose span at the
-    point contains it. Raises if the whole flag does not contain it."""
-    rows, ends = zs.distribution.flag_matrix(point)
-    span = Echelon()
-    for row in rows:
-        span.add(sparse(row))
+def symbol_weights(zs: ZetaSystem, flag: FlagAt) -> Dict[int, int]:
+    """Weight of each zeta_k: the first stage of E's flag at a point whose
+    span there contains it. Raises if the whole flag does not contain it."""
     weights: Dict[int, int] = {}
-    zeta_rows = fields_matrix([zs.zeta[k] for k in range(1, 25)], point)
-    for k, zrow in enumerate(zeta_rows, start=1):
-        combo = span.combination(sparse(zrow))
-        if combo is None:
+    for k in range(1, 25):
+        w = flag.weight(zs.zeta[k])
+        if w is None:
             raise ValueError(f"zeta{k} not captured by the derived flag at the point")
-        # the combination uses only rows independent of the rows before them,
-        # so it lies in the first stage that holds all of its rows
-        last = max((n for n, c in enumerate(combo) if c), default=-1)
-        weights[k] = next(d for d, n in enumerate(ends, start=1) if n > last)
+        weights[k] = w
     return weights
 
 
-def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> SymbolAlgebra:
-    """Weights from first appearance in the derived flag; graded brackets keep
-    only the weight-additive part of each table entry."""
-    weights = symbol_weights(zs, point)
+def symbol_structure(zs: ZetaSystem, table: BracketTable, flag: FlagAt) -> SymbolAlgebra:
+    """Weights from first appearance in E's flag at a point; graded brackets
+    keep only the weight-additive part of each table entry."""
+    weights = symbol_weights(zs, flag)
     counts: Dict[int, int] = {}
     for k, w in weights.items():
         counts[w] = counts.get(w, 0) + 1
@@ -425,23 +397,17 @@ def symbol_structure(zs: ZetaSystem, table: BracketTable, point: Point) -> Symbo
 
 
 def verify_symbol(
-    zs: ZetaSystem, table: BracketTable, seed: int = 0
+    zs: ZetaSystem, table: BracketTable, flags: Sequence[FlagAt]
 ) -> Tuple[List[Item], Optional[Dict[int, int]]]:
-    """Symbol checks, and the weights at the origin (None when ill-defined)."""
-    rng = random.Random(seed)
-    pts = [origin(zs.chart)] + [random_point(zs.chart, rng) for _ in range(3)]
+    """Symbol checks on E's flag at the origin (the first flag) and 3 sample
+    points, and the weights at the origin (None when ill-defined)."""
     items = []
-    symbols = []
     try:
-        for p in pts:
-            symbols.append(symbol_structure(zs, table, p))
-        ok = True
-        err = ""
+        symbols = [symbol_structure(zs, table, flag) for flag in flags]
     except ValueError as exc:
-        ok = False
-        err = str(exc)
-    if not ok:
-        items.append(check("symbol:weights", "weight assignment well-defined", False, computed=err))
+        items.append(
+            check("symbol:weights", "weight assignment well-defined", False, computed=str(exc))
+        )
         return items, None
     s0 = symbols[0]
     items.append(
@@ -480,14 +446,21 @@ def verify_suite(
     seed: int = 0, samples: int = 5
 ) -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[int, int]]]:
     """All prolong checks; also the zeta system, its bracket table and the
-    symbol weights at the origin (None when ill-defined)."""
+    symbol weights at the origin (None when ill-defined).
+
+    E's flag is evaluated once at each of the origin and max(samples, 3)
+    seeded points: growth reads the first samples + 1, the symbol the first 4."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     zs = build_zeta_generators()
     items: List[Item] = []
     items.extend(verify_pfaff_conditions(zs))
     table = compute_bracket_table(zs)
     items.extend(verify_bracket_table(zs, table))
     items.extend(static_discrepancy_items(zs))
-    items.extend(verify_growth(zs, seed, samples))
-    symbol_items, weights = verify_symbol(zs, table, seed)
+    points = sample_points(zs.chart, seed, max(samples, 3))
+    flags = [zs.distribution.at(p) for p in points]
+    items.extend(verify_growth(zs, flags[: samples + 1]))
+    symbol_items, weights = verify_symbol(zs, table, flags[:4])
     items.extend(symbol_items)
     return items, zs, table, weights

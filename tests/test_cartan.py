@@ -75,14 +75,14 @@ def test_f4_frame_check_evaluates_the_distribution_once_per_point(model, monkeyp
     calls = []
     real = cartan.span_at
     monkeypatch.setattr(cartan, "span_at", lambda fs, p: calls.append(fs) or real(fs, p))
-    items = type_f4_frame_check(model.frame, model.distribution, origin(model.chart))
-    # the test point and 5 sample points, after the rank check of the frame
+    items = type_f4_frame_check(model.frame, model.distribution)
+    # the origin and 5 sample points, after the rank check of the frame
     assert calls.count(model.distribution.generators) == 6
     assert len(items) == 22
     assert not failures(items)
     # with Y1 and Y2 swapped, [X1, Y1] = 0 while [X3, Y3] = Z lies outside D
     swapped = dict(model.frame, Y1=model.frame["Y2"], Y2=model.frame["Y1"])
-    ids = by_id(type_f4_frame_check(swapped, model.distribution, origin(model.chart)))
+    ids = by_id(type_f4_frame_check(swapped, model.distribution))
     assert ids["f4:[X1,Y1]~[X3,Y3]"].status == "fail"
 
 

@@ -14,7 +14,6 @@ from f4prolong.f4roots import (
     cartan_pairing,
     generate_positive_roots,
     height,
-    is_root,
     repaired_assignment,
     verify_root_correspondence,
 )
@@ -90,9 +89,9 @@ def test_cartan_pairing_on_simple_roots():
 
 def test_root_strings_closed():
     roots = set(generate_positive_roots())
-    assert is_root((1, 1, 0, 0), list(roots))
-    assert not is_root((1, 0, 1, 0), list(roots))
-    assert not is_root((2, 3, 4, 3), list(roots))
+    assert (1, 1, 0, 0) in roots
+    assert (1, 0, 1, 0) not in roots
+    assert (2, 3, 4, 3) not in roots
 
 
 def test_printed_assignment_has_one_duplicate():

@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import by_id, discrepancies, failures
 from f4prolong import cartan, fields, linalg, prolong
-from f4prolong.fields import lie_bracket, origin, pair, random_point
+from f4prolong.fields import (
+    FlagAt,
+    derived_flag,
+    lie_bracket,
+    origin,
+    pair,
+    random_point,
+    sample_points,
+)
 from f4prolong.prolong import (
     DEFINING_BRACKETS,
     EXPECTED_GROWTH,
@@ -15,7 +25,6 @@ from f4prolong.prolong import (
     PROLONGED_VARIABLES,
     build_zeta_generators,
     compute_bracket_table,
-    growth_vector_E,
     pfaff_forms,
     symbol_structure,
 )
@@ -66,6 +75,72 @@ def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_prolong_suite_evaluates_the_flag_of_E_once_per_point(monkeypatch):
+    evaluated, rank_calls = [], []
+    real_evaluate = fields.VectorField.evaluate
+    monkeypatch.setattr(
+        fields.VectorField,
+        "evaluate",
+        lambda self, p: evaluated.append((self, p)) or real_evaluate(self, p),
+    )
+    real_rank = linalg.mat_rank
+    # also the copy a `from .linalg import mat_rank` would bind in prolong
+    for module in (linalg, prolong):
+        monkeypatch.setattr(
+            module,
+            "mat_rank",
+            lambda rows: rank_calls.append(rows) or real_rank(rows),
+            raising=False,
+        )
+    _, zs, _, _ = prolong.verify_suite(0, 5)
+    # the bracket fields of E's flag are evaluated nowhere else
+    brackets = [f for stage in zs.distribution.flag[1:] for f in stage]
+    assert len(brackets) == 20
+    for f in brackets:
+        points = [p for g, p in evaluated if g is f]
+        assert len(points) == 6
+        assert len({tuple(p.values()) for p in points}) == 6
+    assert rank_calls == []
+
+
+def test_the_E7_check_can_fail(prolong_run):
+    _, zs, _, _ = prolong_run
+    frame = prolong.lifted_frame(zs.chart)
+    points = sample_points(zs.chart, 0, 5)
+    flags = [zs.distribution.at(p) for p in points]
+    # the lifted generators lie in E^(7) and not all of them in E^(6)
+    for flag in flags:
+        assert max(flag.weight(frame[n]) for n in cartan.GENERATOR_ORDER) == 7
+    assert flags[0].weight(frame["X1"]) == 7
+    assert by_id(prolong.verify_growth(zs, flags))["growth:pi-lift-in-E7"].status == "pass"
+    six = [FlagAt(zs.distribution.flag[:6], p) for p in points]
+    assert by_id(prolong.verify_growth(zs, six))["growth:pi-lift-in-E7"].status == "fail"
+    # splitting the first stage in two moves every later weight up by one
+    first, rest = zs.distribution.flag[0], zs.distribution.flag[1:]
+    split = [FlagAt([first[:2], first[2:]] + rest, p) for p in points]
+    assert split[0].weight(frame["X1"]) == 8
+    assert by_id(prolong.verify_growth(zs, split))["growth:pi-lift-in-E7"].status == "fail"
+
+
+def test_symbol_items_do_not_depend_on_the_sample_count(prolong_run, monkeypatch):
+    items, _, _, _ = prolong_run
+    symbol = lambda items: [i for i in items if i.id.startswith("symbol:")]
+    assert len(symbol(items)) == 3
+    flags = []
+    real = prolong.symbol_structure
+    monkeypatch.setattr(
+        prolong, "symbol_structure", lambda zs, t, flag: flags.append(flag) or real(zs, t, flag)
+    )
+    for samples in (1, 2):
+        fewer, _, _, _ = prolong.verify_suite(0, samples)
+        assert symbol(fewer) == symbol(items)
+        # the symbol is read at the origin and 3 sample points whatever the count
+        assert len(flags) == 4
+        flags.clear()
+    with pytest.raises(ValueError):
+        prolong.verify_suite(0, -1)
+
+
 def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
     calls = _count_flag_builds(monkeypatch)
     cartan.verify_suite(seed=1, samples=2)
@@ -106,8 +181,8 @@ def test_defining_brackets_reproduce_zetas(prolong_run):
 def test_growth_vector(prolong_run):
     _, zs, _, _ = prolong_run
     rng = random.Random(99)
-    assert growth_vector_E(zs, origin(zs.chart)).ranks == EXPECTED_GROWTH
-    assert growth_vector_E(zs, random_point(zs.chart, rng)).ranks == EXPECTED_GROWTH
+    assert derived_flag(zs.distribution, origin(zs.chart)).ranks == EXPECTED_GROWTH
+    assert derived_flag(zs.distribution, random_point(zs.chart, rng)).ranks == EXPECTED_GROWTH
 
 
 def test_table_all_constant_with_rational_coefficients(prolong_run):
@@ -131,7 +206,7 @@ def test_table_spot_values(prolong_run):
 
 def test_symbol_algebra(prolong_run):
     _, zs, table, _ = prolong_run
-    sym = symbol_structure(zs, table, origin(zs.chart))
+    sym = symbol_structure(zs, table, zs.distribution.at(origin(zs.chart)))
     assert sym.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
     assert sym.weights[7] == 2
     assert sym.weights[24] == 11
@@ -143,14 +218,14 @@ def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
     _, zs, table, _ = prolong_run
     # a wrong expected growth vector must not change or veto computed weights
     monkeypatch.setattr(prolong, "EXPECTED_GROWTH", (24,))
-    sym = symbol_structure(zs, table, origin(zs.chart))
+    sym = symbol_structure(zs, table, zs.distribution.at(origin(zs.chart)))
     assert sym.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
     assert sym.weights[24] == 11
 
 
 def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
     (_, zs, _, weights), _ = prolong_suite
-    assert weights == prolong.symbol_weights(zs, origin(zs.chart))
+    assert weights == prolong.symbol_weights(zs, zs.distribution.at(origin(zs.chart)))
 
 
 def test_verify_all_passes_the_prolong_weights_to_roots(monkeypatch):
