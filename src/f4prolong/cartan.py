@@ -4,26 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .fields import (
     Distribution,
     OneForm,
     VectorField,
-    derived_flag,
-    fields_matrix,
     frobenius_check,
-    in_span_at,
     lie_bracket,
-    origin,
     pair,
-    sample_points,
-    span_at,
     two_form_eval,
 )
 from .linalg import det_cofactor, mat_rank
 from .poly import Chart, MultiPoly
-from .report import DISCREPANCY, Item, check
+from .report import Item, check
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -211,25 +206,43 @@ def verify_duality(m: CartanModel) -> Tuple[int, int]:
     return checked, mismatched
 
 
-def contact_foliation_check(m: CartanModel, i: int, j: int, seed: int = 0) -> List[Item]:
+def frame_rank(m: CartanModel, fields: Dict[str, VectorField]) -> int:
+    """The rank of the fields' coordinates in the model frame, their pairings
+    with the dual coframe (a global frame by duality:225). Raises ValueError
+    naming the first coordinate that is not constant."""
+    rows = []
+    for label, v in fields.items():
+        row = []
+        for name in m.coframe_order:
+            value = pair(m.coframe[name], v)
+            if not value.is_constant():
+                raise ValueError(f"<{name}, {label}> = {value} is not constant")
+            row.append(value.constant_value())
+        rows.append(row)
+    return mat_rank(rows)
+
+
+def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
     """Integrability of D_ij plus nondegeneracy of the leaf contact form."""
     if not (1 <= i < j <= 4):
         raise ValueError("need 1 <= i < j <= 4")
     h, k = even_complement(i, j)
-    complement = [m.frame[f"X{i}"], m.frame[f"X{j}"], m.frame[f"Y{h}"], m.frame[f"Y{k}"]]
-    gens = complement + [m.frame[f"X{i}{j}"]]
-    dij = Distribution(m.chart, gens)
-    items = []
-    integrable = frobenius_check(dij, origin(m.chart), seed=seed)
-    items.append(
+    names = [f"X{i}", f"X{j}", f"Y{h}", f"Y{k}", f"X{i}{j}"]
+    gens = [m.frame[n] for n in names]
+    complement = gens[:4]
+    # the coframe forms dual to the other ten frame fields annihilate D_ij
+    dual = dict(zip(m.frame_order, m.coframe_order))
+    annihilator = [m.coframe[dual[field]] for field in m.frame_order if field not in names]
+    obstructions = frobenius_check(gens, annihilator)
+    items = [
         check(
             f"foliation:D{i}{j}:integrable",
             f"D_{i}{j} is completely integrable (Frobenius)",
-            integrable,
-            computed=str(integrable),
+            not obstructions,
+            computed="; ".join(obstructions) or "True",
             expected="True",
         )
-    )
+    ]
     alpha = m.coframe[f"omega{i}{j}"]
     mat = [[two_form_eval(alpha, a, b) for b in complement] for a in complement]
     # restrict to the leaf through the origin: coordinates not moved by D_ij
@@ -266,75 +279,63 @@ F4_SKEW_RELATIONS = [
 ]
 
 
-def type_f4_frame_check(
-    frame: Dict[str, VectorField],
-    d: Distribution,
-    seed: int = 0,
-    samples: int = 5,
-) -> List[Item]:
-    """Check the defining congruences of a type-F4 adapted frame modulo D at
-    the origin and `samples` seeded points."""
+def type_f4_frame_check(m: CartanModel, frame: Dict[str, VectorField]) -> List[Item]:
+    """Check the defining congruences of a type-F4 adapted frame modulo D, the
+    distribution of the model m, on the whole chart: v = 0 mod D when omega
+    and every omega_ij pair to zero with v identically."""
     X = {i: frame[f"X{i}"] for i in range(1, 5)}
     Y = {i: frame[f"Y{i}"] for i in range(1, 5)}
-    fields8 = list(X.values()) + list(Y.values())
-    pts = sample_points(d.chart, seed, samples)
-    if span_at(fields8, pts[0]).rank != 8:
-        raise ValueError("frame candidate is degenerate at the origin")
-    spans = [(p, span_at(d.generators, p)) for p in pts]
-
-    def congruent_zero(v: VectorField) -> bool:
-        return all(in_span_at(span, v, p) for p, span in spans)
-
-    items = []
+    annihilator = [m.coframe[name] for name in m.coframe_order if name.startswith("omega")]
+    congruences = []  # (item id, description, v that must be 0 mod D)
     for (i, j), (a, b), sign in F4_SKEW_RELATIONS:
-        diff = lie_bracket(X[i], X[j]) - lie_bracket(Y[a], Y[b]) * sign
-        items.append(
-            check(
-                f"f4:[X{i},X{j}]~{'' if sign == 1 else '-'}[Y{a},Y{b}]",
-                f"[X{i},X{j}] = {'' if sign == 1 else '-'}[Y{a},Y{b}] mod D",
-                congruent_zero(diff),
-            )
-        )
+        minus = "" if sign == 1 else "-"
+        congruences.append((
+            f"f4:[X{i},X{j}]~{minus}[Y{a},Y{b}]",
+            f"[X{i},X{j}] = {minus}[Y{a},Y{b}] mod D",
+            lie_bracket(X[i], X[j]) - lie_bracket(Y[a], Y[b]) * sign,
+        ))
     first = lie_bracket(X[1], Y[1])
     for i in range(2, 5):
-        diff = first - lie_bracket(X[i], Y[i])
-        items.append(
-            check(
-                f"f4:[X1,Y1]~[X{i},Y{i}]",
-                f"[X1,Y1] = [X{i},Y{i}] mod D",
-                congruent_zero(diff),
-            )
-        )
+        congruences.append((
+            f"f4:[X1,Y1]~[X{i},Y{i}]",
+            f"[X1,Y1] = [X{i},Y{i}] mod D",
+            first - lie_bracket(X[i], Y[i]),
+        ))
     for i in range(1, 5):
         for j in range(1, 5):
-            if i == j:
-                continue
-            items.append(
-                check(
-                    f"f4:[X{i},Y{j}]~0",
-                    f"[X{i},Y{j}] = 0 mod D",
-                    congruent_zero(lie_bracket(X[i], Y[j])),
+            if i != j:
+                congruences.append(
+                    (f"f4:[X{i},Y{j}]~0", f"[X{i},Y{j}] = 0 mod D", lie_bracket(X[i], Y[j]))
                 )
-            )
-    induced = list(fields8)
+    items = []
+    for item_id, description, v in congruences:
+        values = {form.name: pair(form, v) for form in annihilator}
+        witness = "; ".join(f"<{n}, v> = {x}" for n, x in values.items() if not x.is_zero())
+        items.append(check(item_id, description, not witness, computed=witness))
+    induced = {name: frame[name] for name in GENERATOR_ORDER}
     for i, j in PAIRS:
-        induced.append(lie_bracket(X[i], X[j]) * Fraction(1, 2))
-    induced.append(lie_bracket(Y[1], X[1]))
-    indep = all(mat_rank(fields_matrix(induced, p)) == 15 for p in pts)
+        induced[f"[X{i},X{j}]/2"] = lie_bracket(X[i], X[j]) * Fraction(1, 2)
+    induced["[Y1,X1]"] = lie_bracket(Y[1], X[1])
+    try:
+        rank = frame_rank(m, induced)
+        computed = str(rank)
+    except ValueError as exc:
+        rank, computed = None, str(exc)
     items.append(
         check(
             "f4:induced-frame-rank",
-            "frame + half-brackets + [Y1,X1] span rank 15 pointwise",
-            indep,
-            computed=str(indep),
-            expected="True",
+            "frame + half-brackets + [Y1,X1] have constant frame coordinates of rank 15",
+            rank == 15,
+            computed=computed,
+            expected="15",
         )
     )
     return items
 
 
-def verify_suite(seed: int = 0, samples: int = 5) -> List[Item]:
-    """The full frame-level suite: brackets, duality, foliations, growth, F4 check."""
+def verify_suite() -> List[Item]:
+    """The full frame-level suite: brackets, duality, foliations, growth, F4
+    check. Every check holds on the whole chart: none draws a point."""
     m = build_model()
     items = verify_bracket_table(m)
     checked, mism = verify_duality(m)
@@ -348,17 +349,25 @@ def verify_suite(seed: int = 0, samples: int = 5) -> List[Item]:
         )
     )
     for i, j in PAIRS:
-        items.extend(contact_foliation_check(m, i, j, seed=seed))
-    pts = sample_points(m.chart, seed, samples)
-    growths = [derived_flag(m.distribution, p).ranks for p in pts]
+        items.extend(contact_foliation_check(m, i, j))
+    # D^(2) = D + [D, D]; at rank 15 it is the whole tangent space and the
+    # flag stops
+    gens = {name: m.frame[name] for name in GENERATOR_ORDER}
+    pairs = combinations(GENERATOR_ORDER, 2)
+    brackets = {f"[{a},{b}]": lie_bracket(gens[a], gens[b]) for a, b in pairs}
+    try:
+        ranks = (frame_rank(m, gens), frame_rank(m, {**gens, **brackets}))
+        computed = str(ranks)
+    except ValueError as exc:
+        ranks, computed = None, str(exc)
     items.append(
         check(
             "growth:D",
-            "growth vector of D is (8, 15) at the origin and sampled points",
-            all(g == (8, 15) for g in growths),
-            computed=str(sorted(set(growths))),
-            expected="[(8, 15)]",
+            "growth vector of D is (8, 15) on the whole chart",
+            ranks == (8, 15),
+            computed=computed,
+            expected="(8, 15)",
         )
     )
-    items.extend(type_f4_frame_check(m.frame, m.distribution, seed=seed))
+    items.extend(type_f4_frame_check(m, m.frame))
     return items

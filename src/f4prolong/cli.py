@@ -38,7 +38,7 @@ def _fraction_csv(text: str, expect: int, what: str) -> List[Fraction]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    common.add_argument("--seed", type=int, default=0, help="seed of control and nullflag samples")
     parser = argparse.ArgumentParser(
         prog="f4prolong",
         description="Exact verification of the rank-8 model distribution, its"
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument(
-        "--samples", type=int, default=None, help="override the sample count of a suite"
+        "--samples", type=int, default=None, help="sample count; only control and nullflag use it"
     )
 
     p_int = sub.add_parser(
@@ -119,21 +119,21 @@ def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
     t0 = time.monotonic()
     report = Report(name, seed=seed)
     if name == "cartan":
-        report.extend(cartan.verify_suite(seed, n(5)))
+        report.extend(cartan.verify_suite())
     elif name == "control":
         report.extend(control.verify_suite(seed, svc_samples=n(200)))
     elif name == "nullflag":
         report.extend(nullflag.verify_suite(seed, n(100)))
     elif name == "prolong":
-        items, *_ = prolong.verify_suite(seed, n(5))
+        items, *_ = prolong.verify_suite()
         report.extend(items)
     elif name == "roots":
         report.extend(f4roots.verify_suite())
     elif name == "all":
-        report.extend(_prefixed("cartan", cartan.verify_suite(seed, n(5))))
+        report.extend(_prefixed("cartan", cartan.verify_suite()))
         report.extend(_prefixed("control", control.verify_suite(seed, svc_samples=n(200))))
         report.extend(_prefixed("nullflag", nullflag.verify_suite(seed, n(100))))
-        items, _, table, weights = prolong.verify_suite(seed, n(5))
+        items, _, table, weights = prolong.verify_suite()
         report.extend(_prefixed("prolong", items))
         report.extend(_prefixed("roots", f4roots.verify_suite(table, weights)))
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)

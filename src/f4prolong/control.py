@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cartan import BASE_VARIABLES, GENERATOR_ORDER, PAIRS, build_model
+from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField, lie_bracket
 from .linalg import det_cofactor, mat_mul, mat_rank, mat_rank_kernel, pfaffian, transpose
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms

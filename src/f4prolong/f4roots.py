@@ -204,18 +204,16 @@ def verify_root_system() -> List[Item]:
 def verify_root_correspondence(table=None, weights=None) -> List[Item]:
     """Bijectivity (after repair), additivity on the computed bracket table,
     non-roots on the computed zeros, and heights equal to the frame weights
-    that the derived flag of E assigns (`prolong.symbol_weights`).
+    that the derived flag of E, closed over the table, assigns
+    (`prolong.symbol_weights`).
 
     The table and the weights are computed here when not given."""
-    from .fields import origin
     from .prolong import build_zeta_generators, compute_bracket_table, symbol_weights
 
-    if table is None or weights is None:
-        zs = build_zeta_generators()
-        if table is None:
-            table = compute_bracket_table(zs)
-        if weights is None:
-            weights = symbol_weights(zs, zs.distribution.at(origin(zs.chart)))
+    if table is None:
+        table = compute_bracket_table(build_zeta_generators())
+    if weights is None:
+        weights = symbol_weights(table)
     items: List[Item] = []
     roots = generate_positive_roots()
     root_set = set(roots)

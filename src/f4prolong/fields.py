@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -16,16 +15,6 @@ Point = Dict[str, Fraction]
 
 def origin(chart: Chart) -> Point:
     return {v: Fraction(0) for v in chart.variables}
-
-
-def random_point(chart: Chart, rng: random.Random, lo: int = -2, hi: int = 2) -> Point:
-    return {v: Fraction(rng.randint(lo, hi)) for v in chart.variables}
-
-
-def sample_points(chart: Chart, seed: int, n: int) -> List[Point]:
-    """The origin followed by n random points drawn from random.Random(seed)."""
-    rng = random.Random(seed)
-    return [origin(chart)] + [random_point(chart, rng) for _ in range(n)]
 
 
 class VectorField:
@@ -232,40 +221,6 @@ class Distribution:
         """The weak derived flag as new fields per stage, computed on first use."""
         return derived_flag_fields(self)
 
-    def at(self, point: Point) -> "FlagAt":
-        """The derived flag at the point, every flag field evaluated once."""
-        return FlagAt(self.flag, point)
-
-
-class FlagAt:
-    """A derived flag at one point: the values of its fields, added stage by
-    stage to one echelon."""
-
-    def __init__(self, stages: Sequence[Sequence[VectorField]], point: Point):
-        self.point = point
-        self._span = Echelon()
-        self._ends: List[int] = []  # fields added after each stage
-        ranks: List[int] = []
-        for stage in stages:
-            for f in stage:
-                self._span.add(sparse(f.evaluate(point)))
-            self._ends.append(self._span.count)
-            ranks.append(self._span.rank)
-        # the growth vector: stage ranks until they stop growing
-        cut = next((n for n in range(1, len(ranks)) if ranks[n] == ranks[n - 1]), len(ranks))
-        self.ranks = tuple(ranks[:cut])
-
-    def weight(self, v: VectorField) -> Optional[int]:
-        """The first stage whose span at the point holds v, or None when the
-        whole flag does not."""
-        combo = self._span.combination(sparse(v.evaluate(self.point)))
-        if combo is None:
-            return None
-        # the combination uses only fields independent of the fields before
-        # them, so it lies in the first stage that holds all of its fields
-        last = max((n for n, c in enumerate(combo) if c), default=-1)
-        return next(d for d, n in enumerate(self._ends, start=1) if n > last)
-
 
 @dataclass(frozen=True)
 class GrowthVector:
@@ -339,56 +294,34 @@ def derived_flag_fields(
 
 
 def derived_flag(d: Distribution, point: Point) -> GrowthVector:
-    """Pointwise growth vector of the weak derived flag at the point."""
-    base = tuple(point[v] for v in d.chart.variables)
-    return GrowthVector(d.at(point).ranks, base)
-
-
-def span_at(fields: Sequence[VectorField], point: Point) -> Echelon:
-    """The span of the fields' values at the point, as one echelon."""
+    """Pointwise growth vector of the weak derived flag at the point: the
+    stage ranks of its values there, until they stop growing."""
     span = Echelon()
-    for row in fields_matrix(fields, point):
-        span.add(sparse(row))
-    return span
+    ranks: List[int] = []
+    for stage in d.flag:
+        for row in fields_matrix(stage, point):
+            span.add(sparse(row))
+        if ranks and span.rank == ranks[-1]:
+            break
+        ranks.append(span.rank)
+    base = tuple(point[v] for v in d.chart.variables)
+    return GrowthVector(tuple(ranks), base)
 
 
-def in_span_at(span: Echelon, v: VectorField, point: Point) -> bool:
-    """True iff v(point) lies in `span`, built by `span_at` at the same point."""
-    return span.combination(sparse(v.evaluate(point))) is not None
+def frobenius_check(generators: Sequence[VectorField], annihilator: Sequence[OneForm]) -> List[str]:
+    """The pairings <form, [g_a, g_b]> of the annihilator with the generator
+    brackets that do not vanish identically, as witnesses; empty iff the
+    distribution is involutive on the whole chart.
 
-
-def frobenius_check(
-    d: Distribution,
-    point: Point,
-    sample_points: Optional[Sequence[Point]] = None,
-    seed: int = 0,
-) -> bool:
-    """True iff all pairwise generator brackets stay in the pointwise span.
-
-    Checked at `point` and at sample points (5 seeded random rational points
-    when none are given). Raises if the generators are dependent at `point`.
-    """
-    gens = d.generators
-    spans = {0: span_at(gens, point)}
-    if spans[0].rank != len(gens):
-        raise ValueError("generators are dependent at the test point")
-    if sample_points is None:
-        rng = random.Random(seed)
-        sample_points = [random_point(d.chart, rng) for _ in range(5)]
-    pts = [point] + list(sample_points)
-    constant_span = FieldSpan(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = lie_bracket(gens[i], gens[j])
-            if br.is_zero():
-                continue
-            # symbolic fast path: a constant combination lies in the span
-            # at every point
-            if constant_span.combination(br) is not None:
-                continue
-            for n, p in enumerate(pts):
-                if n not in spans:
-                    spans[n] = span_at(gens, p)
-                if not in_span_at(spans[n], br, p):
-                    return False
-    return True
+    The forms must annihilate the generators and span the annihilator of
+    their distribution at every point (for a frame with its dual coframe:
+    the forms dual to the other frame fields)."""
+    witnesses = []
+    for a, x in enumerate(generators):
+        for y in generators[a + 1 :]:
+            br = lie_bracket(x, y)
+            for form in annihilator:
+                value = pair(form, br)
+                if not value.is_zero():
+                    witnesses.append(f"<{form.name}, [{x.name}, {y.name}]> = {value}")
+    return witnesses

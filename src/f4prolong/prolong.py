@@ -3,22 +3,22 @@ bracket table, growth vector, and graded symbol structure."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import (
     Distribution,
     FieldSpan,
-    FlagAt,
     OneForm,
     VectorField,
     extend_field,
     lie_bracket,
     pair,
-    sample_points,
 )
+from .linalg import Echelon
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -332,90 +332,152 @@ def static_discrepancy_items(zs: ZetaSystem) -> List[Item]:
     ]
 
 
-def verify_growth(zs: ZetaSystem, flags: Sequence[FlagAt]) -> List[Item]:
-    """The growth vector of E, and pi_*^{-1}(D) inside E^(7), read from E's
-    flag at the origin (the first flag) and at sample points."""
-    samples = len(flags) - 1
+def frame_leads(zs: ZetaSystem) -> Dict[int, int]:
+    """A lead coordinate (chart index) for each zeta_k: the first one, not
+    already a lead, where zeta_k is a nonzero constant. zeta_k must vanish on
+    the leads of every zeta_j with j < k, so the frame matrix is triangular
+    with constant pivots and zeta_1..zeta_24 is a frame at every point of the
+    chart. Raises ValueError naming the first zeta_k that breaks this."""
+    leads: Dict[int, int] = {}
+    for k in sorted(zs.zeta):
+        comps = zs.zeta[k].components
+        for j, lead in leads.items():
+            if not comps[lead].is_zero():
+                raise ValueError(f"zeta{k} is {comps[lead]} on the lead of zeta{j}")
+        pivots = [n for n, c in enumerate(comps) if c.is_constant() and not c.is_zero()]
+        free = [n for n in pivots if n not in leads.values()]
+        if not free:
+            raise ValueError(f"zeta{k} has no nonzero constant component off the earlier leads")
+        leads[k] = free[0]
+    return leads
+
+
+def _bracket_zeta(table: BracketTable, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """[zeta_i, sum c_j zeta_j] = sum c_j [zeta_i, zeta_j], read from the table."""
+    out: Dict[int, Fraction] = {}
+    for j, c in vec.items():
+        entry = table.entries.get((i, j))
+        if entry is None:
+            raise ValueError(f"the table has no constant entry for [zeta{i}, zeta{j}]")
+        for k, d in entry.items():
+            out[k] = out.get(k, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def table_flag(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """E's weak derived flag E^(s+1) = E^(s) + [zeta_1..zeta_4, E^(s)], closed
+    over the constant entries of the bracket table in one echelon of zeta-frame
+    coordinates {k: c}: its growth vector, and the weight of each zeta_k in
+    it, the first stage that holds it.
+
+    The closure stops at full rank, so it never needs [zeta_i, zeta_24],
+    which the table omits. Raises ValueError naming an entry that it needs
+    and that is missing or not constant."""
+    span = Echelon()
+    ranks: List[int] = []
+    weights: Dict[int, int] = {}
+    stage = [{k: Fraction(1)} for k in range(1, 5)]
+    while True:
+        kept = [vec for vec in stage if span.add(vec)]
+        if not kept:
+            break
+        ranks.append(span.rank)
+        for k in range(1, len(PROLONGED_VARIABLES) + 1):
+            if k not in weights and span.combination({k: Fraction(1)}) is not None:
+                weights[k] = len(ranks)
+        if span.rank == len(PROLONGED_VARIABLES):
+            break
+        stage = [_bracket_zeta(table, i, vec) for i in range(1, 5) for vec in kept]
+    return tuple(ranks), weights
+
+
+def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[int]]:
+    """The weight of each lifted base generator v: forward substitution on the
+    leads writes v = sum c_k zeta_k with polynomial c_k, and v lies in E^(w)
+    at every point for w the largest weight of a zeta_k with c_k != 0 (None
+    when one has no weight). Raises ValueError when the zeta frame is not
+    triangular or an expansion does not rebuild its field."""
+    leads = frame_leads(zs)
     frame = lifted_frame(zs.chart)
-    growths = [flag.ranks for flag in flags]
-    lift_weights = [flag.weight(frame[name]) for flag in flags for name in GENERATOR_ORDER]
-    items = [
+    out: Dict[str, Optional[int]] = {}
+    for name in GENERATOR_ORDER:
+        rest = frame[name]
+        used = []
+        for k, lead in leads.items():
+            c = rest.components[lead] * (1 / zs.zeta[k].components[lead].constant_value())
+            if not c.is_zero():
+                rest = rest - zs.zeta[k] * c
+                used.append(weights.get(k))
+        if not rest.is_zero():
+            raise ValueError(f"{name} minus its zeta-frame expansion leaves {rest}")
+        out[name] = None if None in used else max(used)
+    return out
+
+
+def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
+    """The growth vector of E, and pi_*^{-1}(D) inside E^(7), read from E's
+    flag closed over the bracket table; with the global zeta frame both hold
+    on the whole chart."""
+    growth = lifts = None
+    witness = ""
+    try:
+        growth, weights = table_flag(table)
+        lifts = lift_weights(zs, weights)
+    except ValueError as exc:
+        witness = str(exc)
+    return [
         check(
             "growth:E",
-            f"growth vector of E is {EXPECTED_GROWTH} at origin and {samples} samples",
-            all(g == EXPECTED_GROWTH for g in growths),
-            computed=str(sorted(set(growths))),
-            expected=str([EXPECTED_GROWTH]),
-        )
-    ]
-    items.append(
+            f"growth vector of E is {EXPECTED_GROWTH} on the whole chart",
+            growth == EXPECTED_GROWTH,
+            computed=str(growth) if growth else witness,
+            expected=str(EXPECTED_GROWTH),
+        ),
         check(
             "growth:pi-lift-in-E7",
-            "the lifts of the eight base generators lie in E^(7) at all sample points",
-            all(w is not None and w <= 7 for w in lift_weights),
-        )
-    )
-    return items
+            "the lifts of the eight base generators lie in E^(7) on the whole chart",
+            lifts is not None and all(w is not None and w <= 7 for w in lifts.values()),
+            computed=", ".join(f"{n}: {w}" for n, w in lifts.items()) if lifts else witness,
+            expected="weight <= 7 each",
+        ),
+    ]
 
 
-@dataclass
-class SymbolAlgebra:
-    graded_dimensions: Tuple[int, ...]
-    weights: Dict[int, int]
-    structure_constants: Dict[Tuple[int, int], Dict[int, Fraction]]
-
-
-def symbol_weights(zs: ZetaSystem, flag: FlagAt) -> Dict[int, int]:
-    """Weight of each zeta_k: the first stage of E's flag at a point whose
-    span there contains it. Raises if the whole flag does not contain it."""
-    weights: Dict[int, int] = {}
-    for k in range(1, 25):
-        w = flag.weight(zs.zeta[k])
-        if w is None:
-            raise ValueError(f"zeta{k} not captured by the derived flag at the point")
-        weights[k] = w
+def symbol_weights(table: BracketTable) -> Dict[int, int]:
+    """Weight of each zeta_k: the first stage of E's flag, closed over the
+    table, that holds it. Raises ValueError if the flag does not hold it."""
+    _, weights = table_flag(table)
+    missing = [f"zeta{k}" for k in range(1, 25) if k not in weights]
+    if missing:
+        raise ValueError(f"{', '.join(missing)} not in the derived flag closed over the table")
     return weights
 
 
-def symbol_structure(zs: ZetaSystem, table: BracketTable, flag: FlagAt) -> SymbolAlgebra:
-    """Weights from first appearance in E's flag at a point; graded brackets
-    keep only the weight-additive part of each table entry."""
-    weights = symbol_weights(zs, flag)
-    counts: Dict[int, int] = {}
-    for k, w in weights.items():
-        counts[w] = counts.get(w, 0) + 1
-    graded = tuple(counts[d] for d in sorted(counts))
-    structure: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for (i, j), combo in table.entries.items():
-        if combo is None:
-            continue
-        target = weights[i] + weights[j]
-        structure[(i, j)] = {
-            k: c for k, c in combo.items() if weights[k] == target
-        }
-    return SymbolAlgebra(graded, weights, structure)
+def graded_dimensions(weights: Dict[int, int]) -> Tuple[int, ...]:
+    """The number of zeta_k of each weight, by ascending weight."""
+    counts = Counter(weights.values())
+    return tuple(counts[w] for w in sorted(counts))
 
 
 def verify_symbol(
-    zs: ZetaSystem, table: BracketTable, flags: Sequence[FlagAt]
+    zs: ZetaSystem, table: BracketTable
 ) -> Tuple[List[Item], Optional[Dict[int, int]]]:
-    """Symbol checks on E's flag at the origin (the first flag) and 3 sample
-    points, and the weights at the origin (None when ill-defined)."""
+    """Symbol checks on E's flag closed over the table, and the weights (None
+    when ill-defined)."""
     items = []
     try:
-        symbols = [symbol_structure(zs, table, flag) for flag in flags]
+        weights = symbol_weights(table)
     except ValueError as exc:
         items.append(
             check("symbol:weights", "weight assignment well-defined", False, computed=str(exc))
         )
         return items, None
-    s0 = symbols[0]
     items.append(
         check(
             "symbol:graded-dims",
             "graded dimensions are (4,3,3,3,3,2,2,1,1,1,1)",
-            s0.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1),
-            computed=str(s0.graded_dimensions),
+            graded_dimensions(weights) == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1),
+            computed=str(graded_dimensions(weights)),
             expected="(4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)",
         )
     )
@@ -423,44 +485,39 @@ def verify_symbol(
         check(
             "symbol:weights-spot",
             "weight(zeta7) = 2 and weight(zeta24) = 11",
-            s0.weights[7] == 2 and s0.weights[24] == 11,
-            computed=f"w(zeta7)={s0.weights[7]}, w(zeta24)={s0.weights[24]}",
+            weights[7] == 2 and weights[24] == 11,
+            computed=f"w(zeta7)={weights[7]}, w(zeta24)={weights[24]}",
             expected="2 and 11",
         )
     )
-    same = all(
-        s.weights == s0.weights and s.structure_constants == s0.structure_constants
-        for s in symbols[1:]
-    )
+    witness = ""
+    try:
+        frame_leads(zs)
+    except ValueError as exc:
+        witness = str(exc)
     items.append(
         check(
             "symbol:point-independence",
-            "weights and graded structure constants agree at origin + 3 samples",
-            same,
+            "zeta1..zeta24 is a global frame (triangular with constant pivots), so the"
+            " weights and the graded constants hold at every point",
+            not witness,
+            computed=witness,
         )
     )
-    return items, s0.weights
+    return items, weights
 
 
-def verify_suite(
-    seed: int = 0, samples: int = 5
-) -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[int, int]]]:
+def verify_suite() -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[int, int]]]:
     """All prolong checks; also the zeta system, its bracket table and the
-    symbol weights at the origin (None when ill-defined).
-
-    E's flag is evaluated once at each of the origin and max(samples, 3)
-    seeded points: growth reads the first samples + 1, the symbol the first 4."""
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    symbol weights (None when ill-defined). Every check holds on the whole
+    chart: none draws a point."""
     zs = build_zeta_generators()
     items: List[Item] = []
     items.extend(verify_pfaff_conditions(zs))
     table = compute_bracket_table(zs)
     items.extend(verify_bracket_table(zs, table))
     items.extend(static_discrepancy_items(zs))
-    points = sample_points(zs.chart, seed, max(samples, 3))
-    flags = [zs.distribution.at(p) for p in points]
-    items.extend(verify_growth(zs, flags[: samples + 1]))
-    symbol_items, weights = verify_symbol(zs, table, flags[:4])
+    items.extend(verify_growth(zs, table))
+    symbol_items, weights = verify_symbol(zs, table)
     items.extend(symbol_items)
     return items, zs, table, weights

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import by_id, discrepancies, failures
+from conftest import by_id, discrepancies, failures, seeded_points
 from f4prolong import cartan
 from f4prolong.cartan import (
     PAIRS,
@@ -18,7 +17,8 @@ from f4prolong.cartan import (
     verify_bracket_table,
     verify_duality,
 )
-from f4prolong.fields import derived_flag, lie_bracket, origin, pair, random_point
+from f4prolong.fields import VectorField, derived_flag, frobenius_check, lie_bracket, pair
+from f4prolong.poly import MultiPoly
 
 
 @pytest.fixture(scope="module")
@@ -65,25 +65,48 @@ def test_duality_225_pairings(model):
     assert mismatched == 0
 
 
-def test_growth_vector_8_15(model):
-    rng = random.Random(1)
-    for p in [origin(model.chart)] + [random_point(model.chart, rng) for _ in range(3)]:
+def test_growth_vector_8_15(model, cartan_run):
+    # the pointwise flag, an independent oracle for the global growth:D item
+    items, _ = cartan_run
+    assert by_id(items)["growth:D"].computed == "(8, 15)"
+    for p in seeded_points(model.chart, 1, 3):
         assert derived_flag(model.distribution, p).ranks == (8, 15)
 
 
-def test_f4_frame_check_evaluates_the_distribution_once_per_point(model, monkeypatch):
-    calls = []
-    real = cartan.span_at
-    monkeypatch.setattr(cartan, "span_at", lambda fs, p: calls.append(fs) or real(fs, p))
-    items = type_f4_frame_check(model.frame, model.distribution)
-    # the origin and 5 sample points, after the rank check of the frame
-    assert calls.count(model.distribution.generators) == 6
+def test_f4_frame_check_can_fail(model, monkeypatch):
+    items = type_f4_frame_check(model, model.frame)
     assert len(items) == 22
     assert not failures(items)
     # with Y1 and Y2 swapped, [X1, Y1] = 0 while [X3, Y3] = Z lies outside D
     swapped = dict(model.frame, Y1=model.frame["Y2"], Y2=model.frame["Y1"])
-    ids = by_id(type_f4_frame_check(swapped, model.distribution))
-    assert ids["f4:[X1,Y1]~[X3,Y3]"].status == "fail"
+    item = by_id(type_f4_frame_check(model, swapped))["f4:[X1,Y1]~[X3,Y3]"]
+    assert item.status == "fail"
+    assert item.computed == "<omega, v> = 1"
+    # with Y3 and Y4 swapped, [X1, X2] - [Y3, Y4] = 4 X12 leaves D along omega12
+    swapped = dict(model.frame, Y3=model.frame["Y4"], Y4=model.frame["Y3"])
+    item = by_id(type_f4_frame_check(model, swapped))["f4:[X1,X2]~[Y3,Y4]"]
+    assert (item.status, item.computed) == ("fail", "<omega12, v> = 4")
+    # a frame field with a coordinate that is not constant
+    scaled = dict(model.frame, X1=model.frame["X1"] * (1 + MultiPoly.variable(model.chart, "x2")))
+    item = by_id(type_f4_frame_check(model, scaled))["f4:induced-frame-rank"]
+    assert item.status == "fail"
+    assert item.computed.startswith("<dx1, X1> = ")
+    # dropping [Y1, X1] from the induced frame leaves rank 14
+    real = cartan.lie_bracket
+    monkeypatch.setattr(
+        cartan,
+        "lie_bracket",
+        lambda a, b: VectorField.zero(a.chart) if (a.name, b.name) == ("Y1", "X1") else real(a, b),
+    )
+    item = by_id(type_f4_frame_check(model, model.frame))["f4:induced-frame-rank"]
+    assert (item.status, item.computed) == ("fail", "14")
+
+
+def test_frobenius_check_names_the_obstruction(model):
+    # span(X1, X2) is not involutive: [X1, X2] = 2 X12 pairs to 2 with omega12
+    gens = [model.frame["X1"], model.frame["X2"]]
+    others = [model.coframe[n] for n in model.coframe_order if n not in ("dx1", "dx2")]
+    assert frobenius_check(gens, others) == ["<omega12, [X1, X2]> = 2"]
 
 
 def test_suite_green(cartan_run):

@@ -42,6 +42,20 @@ def test_identical_seeds_identical_json(capsys):
     assert d1 == d2
 
 
+def test_global_suites_ignore_seed_and_samples(capsys):
+    # cartan and prolong draw no point, so neither flag changes their reports
+    for suite in ("cartan", "prolong"):
+        reports = []
+        for seed, samples in (("0", "1"), ("7", "5")):
+            argv = ["verify", suite, "--json", "--seed", seed, "--samples", samples]
+            code, out, _ = _capture(capsys, argv)
+            assert code == 0
+            data = json.loads(out)
+            del data["seed"], data["elapsed_ms"]
+            reports.append(data)
+        assert reports[0] == reports[1]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])

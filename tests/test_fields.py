@@ -10,7 +10,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4prolong import fields
 from f4prolong.fields import (
     Distribution,
     OneForm,
@@ -21,9 +20,6 @@ from f4prolong.fields import (
     lie_bracket,
     origin,
     pair,
-    in_span_at,
-    random_point,
-    span_at,
     two_form_eval,
 )
 from f4prolong.poly import Chart, MultiPoly
@@ -111,20 +107,21 @@ def test_pair_and_two_form_on_contact_form():
 
 def test_heisenberg_growth_vector():
     one = MultiPoly.constant(CHART, 1)
-    fx = VectorField.from_dict(CHART, {"x": one, "z": v("y")})
-    fy = VectorField.coordinate(CHART, "y")
+    fx = VectorField.from_dict(CHART, {"x": one, "z": v("y")}, "X")
+    fy = VectorField.coordinate(CHART, "y", "Y")
     d = Distribution(CHART, [fx, fy])
     gv = derived_flag(d, origin(CHART))
     assert gv.ranks == (2, 3)
-    assert not frobenius_check(d, origin(CHART))
+    # [X, Y] = -d/dz leaves the kernel of dz - y dx
+    omega = OneForm.from_dict(CHART, {"z": one, "x": -v("y")}, "omega")
+    assert frobenius_check([fx, fy], [omega]) == ["<omega, [X, Y]> = -1"]
 
 
 def test_involutive_distribution_passes_frobenius():
     one = MultiPoly.constant(CHART, 1)
     fx = VectorField.coordinate(CHART, "x")
     fxy = VectorField.from_dict(CHART, {"x": v("x"), "y": one})
-    d = Distribution(CHART, [fx, fxy])
-    assert frobenius_check(d, origin(CHART))
+    assert frobenius_check([fx, fxy], [OneForm.differential(CHART, "z")]) == []
 
 
 def test_constant_combination():
@@ -138,28 +135,13 @@ def test_constant_combination():
     assert constant_combination(VectorField.from_dict(CHART, {"x": v("x")}), [a, b]) is None
 
 
-def test_span_membership():
-    rng = random.Random(0)
-    fx = VectorField.coordinate(CHART, "x")
-    fy = VectorField.coordinate(CHART, "y")
-    d = Distribution(CHART, [fx, fy])
-    p = random_point(CHART, rng)
-    span = span_at(d.generators, p)
-    assert in_span_at(span, fx * Fraction(5) + fy, p)
-    assert not in_span_at(span, VectorField.coordinate(CHART, "z"), p)
-
-
-def test_frobenius_check_evaluates_the_generators_once_per_point(monkeypatch):
-    # [d/dx, x^2 d/dx + d/dy] = 2x d/dx lies in the span at every point but is
-    # no constant combination, so every point is checked
+def test_frobenius_check_is_global():
+    # [d/dx, x^2 d/dx + d/dy] = 2x d/dx lies in the distribution at every
+    # point but is no constant combination of the generators
     fx = VectorField.coordinate(CHART, "x")
     g = VectorField.from_dict(CHART, {"x": v("x") * v("x"), "y": MultiPoly.constant(CHART, 1)})
-    d = Distribution(CHART, [fx, g])
-    calls = []
-    real = fields.span_at
-    monkeypatch.setattr(fields, "span_at", lambda fs, p: calls.append(p) or real(fs, p))
-    assert frobenius_check(d, origin(CHART))
-    assert len(calls) == 6  # the test point and 5 sample points
+    assert constant_combination(lie_bracket(fx, g), [fx, g]) is None
+    assert frobenius_check([fx, g], [OneForm.differential(CHART, "z")]) == []
 
 
 def test_distribution_requires_generators():

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4prolong.fields import FlagAt, VectorField, constant_combination
+from f4prolong.fields import VectorField, constant_combination
 from f4prolong.linalg import (
     Echelon,
     det_cofactor,
@@ -40,36 +40,6 @@ def _sympy_det(rows):
 @given(matrices(4, 5))
 def test_rank_matches_sympy(rows):
     assert mat_rank(rows) == sympy.Matrix(rows).rank()
-
-
-int_rows = st.lists(
-    st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=6
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(int_rows, st.data())
-def test_flag_at_ranks_and_weights_match_sympy(rows, data):
-    # stages are the row blocks ending at `ends`; v is a combination of the
-    # rows, moved off their span by `extra` unless it is 0
-    ends = sorted(set(data.draw(st.lists(st.integers(1, len(rows)), max_size=4))) | {len(rows)})
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
-    extra = data.draw(st.just([0] * 4) | st.lists(st.integers(-1, 1), min_size=4, max_size=4))
-    v = [sum(c * row[j] for c, row in zip(coeffs, rows)) + x for j, x in enumerate(extra)]
-    chart = Chart("abcd", ("a", "b", "c", "d"))
-    field = lambda row: VectorField(chart, [MultiPoly.constant(chart, x) for x in row])
-    stages = [[field(row) for row in rows[a:b]] for a, b in zip([0] + ends, ends)]
-    flag = FlagAt(stages, {x: Fraction(0) for x in chart.variables})
-    rank = lambda m: sympy.Matrix(m).rank()
-    growth = []
-    for n in ends:
-        if growth and rank(rows[:n]) == growth[-1]:
-            break
-        growth.append(rank(rows[:n]))
-    assert flag.ranks == tuple(growth)
-    holding = [d for d, n in enumerate(ends, 1) if rank(rows[:n] + [v]) == rank(rows[:n])]
-    assert flag.weight(field(v)) == (holding[0] if holding else None)
-    assert (flag.weight(field(v)) is None) == (rank(rows + [v]) > rank(rows))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,31 +2,30 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import by_id, discrepancies, failures
-from f4prolong import cartan, fields, linalg, prolong
-from f4prolong.fields import (
-    FlagAt,
-    derived_flag,
-    lie_bracket,
-    origin,
-    pair,
-    random_point,
-    sample_points,
-)
+from conftest import by_id, discrepancies, failures, seeded_points
+from f4prolong import cartan, f4roots, fields, linalg, prolong
+from f4prolong.fields import derived_flag, lie_bracket, origin, pair
+from f4prolong.linalg import Echelon, sparse
+from f4prolong.poly import MultiPoly
 from f4prolong.prolong import (
     DEFINING_BRACKETS,
     EXPECTED_GROWTH,
     PRINTED_TABLE,
     PROLONGED_VARIABLES,
+    BracketTable,
+    ZetaSystem,
     build_zeta_generators,
     compute_bracket_table,
     pfaff_forms,
-    symbol_structure,
+    graded_dimensions,
+    symbol_weights,
+    table_flag,
 )
 
 
@@ -57,94 +56,150 @@ def test_build_zeta_generators_returns_all_24():
     assert all(zs.zeta[k] is before[k] for k in before)
 
 
-def _count_flag_builds(monkeypatch):
-    calls = []
-    original = fields.derived_flag_fields
+def test_global_suites_build_no_flag_and_evaluate_no_field(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a global suite built a flag or evaluated a field")
 
-    def counting(d, *args, **kwargs):
-        calls.append(d)
-        return original(d, *args, **kwargs)
-
-    monkeypatch.setattr(fields, "derived_flag_fields", counting)
-    return calls
-
-
-def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
-    calls = _count_flag_builds(monkeypatch)
-    prolong.verify_suite(seed=1, samples=2)
-    assert len(calls) == 1
+    monkeypatch.setattr(fields, "derived_flag_fields", forbidden)
+    monkeypatch.setattr(fields.VectorField, "evaluate", forbidden)
+    assert not failures(cartan.verify_suite())
+    items, *_ = prolong.verify_suite()
+    assert not failures(items)
+    # roots alone builds the table and nothing else
+    assert not failures(f4roots.verify_suite())
 
 
-def test_prolong_suite_evaluates_the_flag_of_E_once_per_point(monkeypatch):
-    evaluated, rank_calls = [], []
-    real_evaluate = fields.VectorField.evaluate
-    monkeypatch.setattr(
-        fields.VectorField,
-        "evaluate",
-        lambda self, p: evaluated.append((self, p)) or real_evaluate(self, p),
-    )
-    real_rank = linalg.mat_rank
-    # also the copy a `from .linalg import mat_rank` would bind in prolong
-    for module in (linalg, prolong):
-        monkeypatch.setattr(
-            module,
-            "mat_rank",
-            lambda rows: rank_calls.append(rows) or real_rank(rows),
-            raising=False,
-        )
-    _, zs, _, _ = prolong.verify_suite(0, 5)
-    # the bracket fields of E's flag are evaluated nowhere else
-    brackets = [f for stage in zs.distribution.flag[1:] for f in stage]
-    assert len(brackets) == 20
-    for f in brackets:
-        points = [p for g, p in evaluated if g is f]
-        assert len(points) == 6
-        assert len({tuple(p.values()) for p in points}) == 6
-    assert rank_calls == []
+def test_the_E7_check_can_fail(prolong_run, monkeypatch):
+    _, zs, table, _ = prolong_run
+    # every lifted generator has weight exactly 7
+    assert set(prolong.lift_weights(zs, prolong.symbol_weights(table)).values()) == {7}
+    assert by_id(prolong.verify_growth(zs, table))["growth:pi-lift-in-E7"].status == "pass"
+    # weights shifted by one stage put the lifts in E^(8)
+    real = prolong.table_flag
+
+    def shifted(table):
+        growth, weights = real(table)
+        return growth, {k: w + 1 for k, w in weights.items()}
+
+    monkeypatch.setattr(prolong, "table_flag", shifted)
+    item = by_id(prolong.verify_growth(zs, table))["growth:pi-lift-in-E7"]
+    assert item.status == "fail"
+    assert item.computed.startswith("X1: 8, ")
 
 
-def test_the_E7_check_can_fail(prolong_run):
-    _, zs, _, _ = prolong_run
+def test_the_growth_check_can_fail(prolong_run):
+    _, zs, table, _ = prolong_run
+    assert by_id(prolong.verify_growth(zs, table))["growth:E"].status == "pass"
+    # [zeta1, zeta2] = 0 in both orders, or [zeta1, zeta23] = 0: zeta5 or zeta24 is never reached
+    for zeroed in ({(1, 2): {}, (2, 1): {}}, {(1, 23): {}}):
+        perturbed = BracketTable({**table.entries, **zeroed})
+        item = by_id(prolong.verify_growth(zs, perturbed))["growth:E"]
+        assert item.status == "fail"
+    # an entry the closure needs and the table lacks is named
+    perturbed = BracketTable({**table.entries, (2, 5): None})
+    item = by_id(prolong.verify_growth(zs, perturbed))["growth:E"]
+    assert item.status == "fail"
+    assert item.computed == "the table has no constant entry for [zeta2, zeta5]"
+
+
+def test_the_frame_check_can_fail(prolong_run):
+    _, zs, table, _ = prolong_run
+    items, _ = prolong.verify_symbol(zs, table)
+    assert by_id(items)["symbol:point-independence"].status == "pass"
+    # zeta24 * (1 + z31) keeps a frame, but its pivot is not constant
+    scaled = zs.zeta[24] * (1 + MultiPoly.variable(zs.chart, "z31"))
+    bent = ZetaSystem(zs.chart, {**zs.zeta, 24: scaled}, zs.distribution)
+    items, _ = prolong.verify_symbol(bent, table)
+    item = by_id(items)["symbol:point-independence"]
+    assert item.status == "fail"
+    assert item.computed.startswith("zeta24 ")
+    # zeta23 repeated as zeta24 is no frame
+    repeated = ZetaSystem(zs.chart, {**zs.zeta, 24: zs.zeta[23]}, zs.distribution)
+    items, _ = prolong.verify_symbol(repeated, table)
+    item = by_id(items)["symbol:point-independence"]
+    assert (item.status, item.computed) == ("fail", "zeta24 is 1/4 on the lead of zeta23")
+
+
+def _pointwise_weights(d, point, fields):
+    """The oracle for the weights of the table flag, the last-row rule on the
+    pointwise flag: the values of d's flag fields at the point go stage by
+    stage into one echelon, and the weight of v is the first stage whose span
+    holds v there (None when none does)."""
+    span, ends = Echelon(), []
+    for stage in d.flag:
+        for f in stage:
+            span.add(sparse(f.evaluate(point)))
+        ends.append(span.count)
+    weights = []
+    for v in fields:
+        combo = span.combination(sparse(v.evaluate(point)))
+        if combo is None:
+            weights.append(None)
+            continue
+        last = max((n for n, c in enumerate(combo) if c), default=-1)
+        weights.append(next(s for s, n in enumerate(ends, start=1) if n > last))
+    return weights
+
+
+def test_pointwise_weights_agree_with_the_table(prolong_run):
+    _, zs, table, _ = prolong_run
+    weights = prolong.symbol_weights(table)
+    lifts = prolong.lift_weights(zs, weights)
     frame = prolong.lifted_frame(zs.chart)
-    points = sample_points(zs.chart, 0, 5)
-    flags = [zs.distribution.at(p) for p in points]
-    # the lifted generators lie in E^(7) and not all of them in E^(6)
-    for flag in flags:
-        assert max(flag.weight(frame[n]) for n in cartan.GENERATOR_ORDER) == 7
-    assert flags[0].weight(frame["X1"]) == 7
-    assert by_id(prolong.verify_growth(zs, flags))["growth:pi-lift-in-E7"].status == "pass"
-    six = [FlagAt(zs.distribution.flag[:6], p) for p in points]
-    assert by_id(prolong.verify_growth(zs, six))["growth:pi-lift-in-E7"].status == "fail"
-    # splitting the first stage in two moves every later weight up by one
-    first, rest = zs.distribution.flag[0], zs.distribution.flag[1:]
-    split = [FlagAt([first[:2], first[2:]] + rest, p) for p in points]
-    assert split[0].weight(frame["X1"]) == 8
-    assert by_id(prolong.verify_growth(zs, split))["growth:pi-lift-in-E7"].status == "fail"
+    zetas = [zs.zeta[k] for k in range(1, 25)]
+    lifted = [frame[n] for n in cartan.GENERATOR_ORDER]
+    seen = []
+    for p in seeded_points(zs.chart, 2, 3):
+        assert _pointwise_weights(zs.distribution, p, zetas) == [weights[k] for k in range(1, 25)]
+        seen.append(_pointwise_weights(zs.distribution, p, lifted))
+    # a lift's coordinates of top weight may vanish at a point (at the origin
+    # only X1 keeps weight 7), never more than its global weight
+    assert [max(column) for column in zip(*seen)] == list(lifts.values())
 
 
-def test_symbol_items_do_not_depend_on_the_sample_count(prolong_run, monkeypatch):
-    items, _, _, _ = prolong_run
-    symbol = lambda items: [i for i in items if i.id.startswith("symbol:")]
-    assert len(symbol(items)) == 3
-    flags = []
-    real = prolong.symbol_structure
-    monkeypatch.setattr(
-        prolong, "symbol_structure", lambda zs, t, flag: flags.append(flag) or real(zs, t, flag)
-    )
-    for samples in (1, 2):
-        fewer, _, _, _ = prolong.verify_suite(0, samples)
-        assert symbol(fewer) == symbol(items)
-        # the symbol is read at the origin and 3 sample points whatever the count
-        assert len(flags) == 4
-        flags.clear()
-    with pytest.raises(ValueError):
-        prolong.verify_suite(0, -1)
+def _sympy_flag(entries):
+    """The oracle for table_flag: E^(s+1) = E^(s) + [zeta_1..zeta_4, E^(s)] by
+    the definition, each stage a sympy row space; the ranks until they stop
+    growing, and for each zeta_k the first stage that holds it (None if none
+    does)."""
+    n = len(PROLONGED_VARIABLES)
+
+    def bracket(i, row):
+        out = [0] * n
+        for j, c in enumerate(row, start=1):
+            for k, d in (entries[(i, j)] if c else {}).items():
+                out[k - 1] += c * d
+        return out
+
+    basis = [[int(k == j) for k in range(n)] for j in range(4)]  # of the first stage
+    ranks, weights = [], [None] * n
+    while not ranks or len(basis) > ranks[-1]:
+        ranks.append(len(basis))
+        # zeta_k is in the row space iff every null vector has a 0 at k
+        null = [list(x) for x in sympy.Matrix(basis).nullspace()]
+        for k in range(n):
+            if weights[k] is None and all(x[k] == 0 for x in null):
+                weights[k] = len(ranks)
+        new = [bracket(i, row) for i in range(1, 5) for row in basis]
+        basis = [list(row) for row in sympy.Matrix(basis + new).rowspace()]
+    return tuple(ranks), weights
 
 
-def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
-    calls = _count_flag_builds(monkeypatch)
-    cartan.verify_suite(seed=1, samples=2)
-    assert len(calls) == 1
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_table_flag_ranks_and_weights_match_sympy(data):
+    # [zeta_i, zeta_j] lands on zeta_k with k > j, k <= 23: the closure
+    # terminates without reaching zeta_24
+    entries = {}
+    for i in range(1, 5):
+        for j in range(1, 24):
+            targets = st.integers(max(j, 4) + 1, 23)
+            coefficients = st.sampled_from([-2, -1, 1, 2])
+            entries[(i, j)] = data.draw(
+                st.dictionaries(targets, coefficients, max_size=2) if j < 23 else st.just({})
+            )
+    ranks, weights = table_flag(BracketTable(entries))
+    assert (ranks, [weights.get(k) for k in range(1, 25)]) == _sympy_flag(entries)
 
 
 def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
@@ -179,10 +234,11 @@ def test_defining_brackets_reproduce_zetas(prolong_run):
 
 
 def test_growth_vector(prolong_run):
-    _, zs, _, _ = prolong_run
-    rng = random.Random(99)
-    assert derived_flag(zs.distribution, origin(zs.chart)).ranks == EXPECTED_GROWTH
-    assert derived_flag(zs.distribution, random_point(zs.chart, rng)).ranks == EXPECTED_GROWTH
+    # the pointwise flag, an independent oracle for the table flag
+    _, zs, table, _ = prolong_run
+    assert table_flag(table)[0] == EXPECTED_GROWTH
+    for p in seeded_points(zs.chart, 99, 3):
+        assert derived_flag(zs.distribution, p).ranks == EXPECTED_GROWTH
 
 
 def test_table_all_constant_with_rational_coefficients(prolong_run):
@@ -205,27 +261,31 @@ def test_table_spot_values(prolong_run):
 
 
 def test_symbol_algebra(prolong_run):
-    _, zs, table, _ = prolong_run
-    sym = symbol_structure(zs, table, zs.distribution.at(origin(zs.chart)))
-    assert sym.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
-    assert sym.weights[7] == 2
-    assert sym.weights[24] == 11
-    # graded structure constants retain the weight-additive part
-    assert sym.structure_constants[(1, 2)] == {5: Fraction(1)}
+    _, _, table, _ = prolong_run
+    weights = symbol_weights(table)
+    assert graded_dimensions(weights) == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
+    assert weights[7] == 2
+    assert weights[24] == 11
+    # the table is graded: every bracket lands on the sum of the weights
+    for (i, j), combo in table.entries.items():
+        assert all(weights[k] == weights[i] + weights[j] for k in combo)
 
 
 def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
-    _, zs, table, _ = prolong_run
+    _, _, table, _ = prolong_run
     # a wrong expected growth vector must not change or veto computed weights
     monkeypatch.setattr(prolong, "EXPECTED_GROWTH", (24,))
-    sym = symbol_structure(zs, table, zs.distribution.at(origin(zs.chart)))
-    assert sym.graded_dimensions == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
-    assert sym.weights[24] == 11
+    weights = symbol_weights(table)
+    assert graded_dimensions(weights) == (4, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1)
+    assert weights[24] == 11
 
 
 def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
-    (_, zs, _, weights), _ = prolong_suite
-    assert weights == prolong.symbol_weights(zs, zs.distribution.at(origin(zs.chart)))
+    (_, zs, table, weights), _ = prolong_suite
+    assert weights == prolong.symbol_weights(table)
+    zetas = [zs.zeta[k] for k in range(1, 25)]
+    pointwise = _pointwise_weights(zs.distribution, origin(zs.chart), zetas)
+    assert pointwise == [weights[k] for k in range(1, 25)]
 
 
 def test_verify_all_passes_the_prolong_weights_to_roots(monkeypatch):
