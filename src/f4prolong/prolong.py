@@ -4,7 +4,7 @@ bracket table, growth vector, and graded symbol structure."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -84,6 +84,11 @@ class BracketTable:
     # (i, j) -> constant expansion {k: coeff} of [zeta_i, zeta_j], or None
     # when no rational-constant expansion exists
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]]
+    # table_flag(self), kept by the first check that reads it; the entries
+    # must not change after that
+    flag: Optional[Tuple[Tuple[int, ...], Dict[int, int]]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -391,6 +396,13 @@ def table_flag(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
     return tuple(ranks), weights
 
 
+def _flag_of(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """table_flag(table), closed once per table: growth and symbol both read it."""
+    if table.flag is None:
+        table.flag = table_flag(table)
+    return table.flag
+
+
 def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[int]]:
     """The weight of each lifted base generator v: forward substitution on the
     leads writes v = sum c_k zeta_k with polynomial c_k, and v lies in E^(w)
@@ -421,7 +433,7 @@ def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
     growth = lifts = None
     witness = ""
     try:
-        growth, weights = table_flag(table)
+        growth, weights = _flag_of(table)
         lifts = lift_weights(zs, weights)
     except ValueError as exc:
         witness = str(exc)
@@ -446,7 +458,7 @@ def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
 def symbol_weights(table: BracketTable) -> Dict[int, int]:
     """Weight of each zeta_k: the first stage of E's flag, closed over the
     table, that holds it. Raises ValueError if the flag does not hold it."""
-    _, weights = table_flag(table)
+    _, weights = _flag_of(table)
     missing = [f"zeta{k}" for k in range(1, 25) if k not in weights]
     if missing:
         raise ValueError(f"{', '.join(missing)} not in the derived flag closed over the table")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from hypothesis import given, settings
@@ -56,15 +57,75 @@ def test_build_zeta_generators_returns_all_24():
     assert all(zs.zeta[k] is before[k] for k in before)
 
 
-def test_global_suites_build_no_flag_and_evaluate_no_field(monkeypatch):
+def _count_flag_builds(monkeypatch):
+    calls = []
+    original = fields.derived_flag_fields
+
+    def counting(d, *args, **kwargs):
+        calls.append(d)
+        return original(d, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "derived_flag_fields", counting)
+    return calls
+
+
+def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
+    calls = _count_flag_builds(monkeypatch)
+    closures = []
+    real = prolong.table_flag
+    monkeypatch.setattr(prolong, "table_flag", lambda t: closures.append(t) or real(t))
+    items, _, table, _ = prolong.verify_suite()
+    assert not failures(items)
+    # E's flag is closed over the table once, for growth and symbol alike;
+    # no flag of vector fields is built
+    assert closures == [table]
+    assert calls == []
+
+
+def test_prolong_suite_evaluates_the_flag_of_E_once_per_point(monkeypatch):
+    evaluated, rank_calls = [], []
+    real_evaluate = fields.VectorField.evaluate
+    monkeypatch.setattr(
+        fields.VectorField,
+        "evaluate",
+        lambda self, p: evaluated.append((self, p)) or real_evaluate(self, p),
+    )
+    real_rank = linalg.mat_rank
+    # also the copy a `from .linalg import mat_rank` would bind in prolong
+    for module in (linalg, prolong):
+        monkeypatch.setattr(
+            module,
+            "mat_rank",
+            lambda rows: rank_calls.append(rows) or real_rank(rows),
+            raising=False,
+        )
+    items, _, _, _ = prolong.verify_suite()
+    assert not failures(items)
+    # the global suite draws no point, so no field of E's flag is evaluated
+    assert evaluated == []
+    assert rank_calls == []
+
+
+def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
+    calls = _count_flag_builds(monkeypatch)
+    ranked = []
+    real = cartan.frame_rank
+    monkeypatch.setattr(cartan, "frame_rank", lambda m, f: ranked.append(list(f)) or real(m, f))
+    assert not failures(cartan.verify_suite())
+    # D's flag is D and D^(2) = D + [D, D], each ranked once in the frame
+    gens = list(cartan.GENERATOR_ORDER)
+    brackets = [f"[{a},{b}]" for a, b in combinations(gens, 2)]
+    assert ranked.count(gens) == 1
+    assert ranked.count(gens + brackets) == 1
+    assert calls == []
+
+
+def test_roots_suite_builds_no_flag_and_evaluates_no_field(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a global suite built a flag or evaluated a field")
+        raise AssertionError("the roots suite built a flag or evaluated a field")
 
     monkeypatch.setattr(fields, "derived_flag_fields", forbidden)
     monkeypatch.setattr(fields.VectorField, "evaluate", forbidden)
-    assert not failures(cartan.verify_suite())
-    items, *_ = prolong.verify_suite()
-    assert not failures(items)
     # roots alone builds the table and nothing else
     assert not failures(f4roots.verify_suite())
 
@@ -82,7 +143,8 @@ def test_the_E7_check_can_fail(prolong_run, monkeypatch):
         return growth, {k: w + 1 for k, w in weights.items()}
 
     monkeypatch.setattr(prolong, "table_flag", shifted)
-    item = by_id(prolong.verify_growth(zs, table))["growth:pi-lift-in-E7"]
+    # a fresh table, whose flag is closed by the patched table_flag
+    item = by_id(prolong.verify_growth(zs, BracketTable(table.entries)))["growth:pi-lift-in-E7"]
     assert item.status == "fail"
     assert item.computed.startswith("X1: 8, ")
 
