@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,15 @@ def test_verify_cartan_json(capsys):
     assert data["seed"] == 0
     assert len(data["items"]) == 141
     assert all(i["status"] == "pass" for i in data["items"])
+
+
+def test_verify_all_reproduces_the_golden_report(capsys):
+    # tests/data/verify_all_seed0.json is `verify all --json --seed 0` with
+    # elapsed_ms set to 0; regenerate it when a report text changes on purpose
+    code, out, _ = _capture(capsys, ["verify", "all", "--json", "--seed", "0"])
+    assert code == 0
+    golden = (Path(__file__).parent / "data" / "verify_all_seed0.json").read_text()
+    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden
 
 
 def test_verify_roots_human(capsys):
