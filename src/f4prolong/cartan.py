@@ -4,18 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
-from .fields import (
-    Distribution,
-    OneForm,
-    VectorField,
-    frobenius_check,
-    lie_bracket,
-    pair,
-    two_form_eval,
-)
+from .fields import Distribution, OneForm, VectorField, lie_bracket, pair
 from .linalg import det_cofactor, mat_rank
 from .poly import Chart, MultiPoly
 from .report import Item, check
@@ -53,18 +47,42 @@ def even_complement(i: int, j: int) -> Tuple[int, int]:
     return k, h
 
 
+Coordinates = Dict[str, MultiPoly]  # {frame field: coefficient}, frame order, no zeros
+
+
+@dataclass(frozen=True)
+class FrameTable:
+    fields: Dict[str, Coordinates]  # the frame coordinates of each named field
+    brackets: Dict[Tuple[str, str], Coordinates]  # of [a, b], a named before b
+
+    def bracket(self, a: str, b: str) -> Coordinates:
+        """The coordinates of [a, b], with [a, a] = 0 and [b, a] = -[a, b]."""
+        if a == b:
+            return {}
+        if (a, b) in self.brackets:
+            return self.brackets[(a, b)]
+        return {k: -c for k, c in self.brackets[(b, a)].items()}
+
+
 @dataclass(frozen=True)
 class CartanModel:
     chart: Chart
-    frame: Dict[str, VectorField]
+    frame: Mapping[str, VectorField]
     frame_order: Tuple[str, ...]
-    coframe: Dict[str, OneForm]
+    coframe: Mapping[str, OneForm]
     coframe_order: Tuple[str, ...]
     distribution: Distribution
 
+    @cached_property
+    def table(self) -> FrameTable:
+        """The frame table of the whole frame, computed on first use."""
+        return frame_table(self, {name: self.frame[name] for name in self.frame_order})
 
+
+@cache
 def build_model() -> CartanModel:
-    """Construct the model frame and coframe on the 15-variable chart.
+    """The model frame and coframe on the 15-variable chart, built once per
+    process and shared read-only.
 
     The (h, k) companion pair of each omega_ij is computed from permutation
     parity, then the frame is assembled so that duality with the coframe is an
@@ -135,6 +153,7 @@ def build_model() -> CartanModel:
         + [f"dy{i}" for i in range(1, 5)]
     )
     gens = [frame[f"X{i}"] for i in range(1, 5)] + [frame[f"Y{i}"] for i in range(1, 5)]
+    frame, coframe = MappingProxyType(frame), MappingProxyType(coframe)
     return CartanModel(
         chart, frame, frame_order, coframe, coframe_order, Distribution(chart, gens)
     )
@@ -142,54 +161,76 @@ def build_model() -> CartanModel:
 
 GENERATOR_ORDER = ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
 
+# the frame fields outside D: their coordinates of v vanish iff v = 0 mod D
+CENTER = ("Z",) + tuple(f"X{i}{j}" for i, j in PAIRS)
 
-def expected_bracket(m: CartanModel, a: str, b: str) -> VectorField:
-    """The bracket table's value for [a, b] over the full 15-field frame."""
-    center = {"Z"} | {f"X{i}{j}" for i, j in PAIRS}
-    if a in center or b in center:
-        return VectorField.zero(m.chart)
+
+def coordinates(m: CartanModel, v: VectorField) -> Coordinates:
+    """The frame coordinates of v: its pairings with the dual coframe, exact
+    on the whole chart because the frame is a global frame (duality:225)."""
+    out = {}
+    for field, form in zip(m.frame_order, m.coframe_order):
+        value = pair(m.coframe[form], v)
+        if not value.is_zero():
+            out[field] = value
+    return out
+
+
+def frame_table(m: CartanModel, fields: Mapping[str, VectorField]) -> FrameTable:
+    """The frame coordinates of each named field and of [a, b] for each a
+    named before b: the one place where frame fields are bracketed."""
+    names = list(fields)
+    return FrameTable(
+        {a: coordinates(m, fields[a]) for a in names},
+        {
+            (a, b): coordinates(m, lie_bracket(fields[a], fields[b]))
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+        },
+    )
+
+
+def expected_bracket(m: CartanModel, a: str, b: str) -> Coordinates:
+    """The bracket table's value for [a, b] over the full 15-field frame, as
+    frame coordinates."""
+    if a in CENTER or b in CENTER:
+        return {}
+    term = lambda name, c: {name: MultiPoly.constant(m.chart, c)}
     ta, ia = a[0], int(a[1])
     tb, ib = b[0], int(b[1])
-    if ta == "X" and tb == "X":
+    if ta == tb:
         if ia == ib:
-            return VectorField.zero(m.chart)
+            return {}
         i, j = min(ia, ib), max(ia, ib)
         sign = 1 if ia < ib else -1
-        return m.frame[f"X{i}{j}"] * (2 * sign)
-    if ta == "Y" and tb == "Y":
-        if ia == ib:
-            return VectorField.zero(m.chart)
-        i, j = min(ia, ib), max(ia, ib)
-        sign = 1 if ia < ib else -1
-        h, k = even_complement(i, j)
-        if h > k:
-            h, k = k, h
-            sign = -sign
-        return m.frame[f"X{h}{k}"] * (2 * sign)
+        # [X_i, X_j] = 2 X_ij and [Y_i, Y_j] = 2 X_hk, (h, k) the even complement
+        if ta == "Y":
+            i, j = even_complement(i, j)
+            if i > j:
+                i, j = j, i
+                sign = -sign
+        return term(f"X{i}{j}", 2 * sign)
     # mixed: [Y_i, X_i] = Z, zero otherwise
     if ia != ib:
-        return VectorField.zero(m.chart)
-    return m.frame["Z"] * (1 if ta == "Y" else -1)
+        return {}
+    return term("Z", 1 if ta == "Y" else -1)
 
 
 def verify_bracket_table(m: CartanModel) -> List[Item]:
     """Check every pairwise bracket of the 15 frame fields against the table."""
     items = []
-    names = list(m.frame_order)
-    for a_idx, a in enumerate(names):
-        for b in names[a_idx + 1 :]:
-            got = lie_bracket(m.frame[a], m.frame[b])
-            want = expected_bracket(m, a, b)
-            ok = got == want
-            items.append(
-                check(
-                    f"bracket:[{a},{b}]",
-                    f"[{a}, {b}] matches the model bracket table",
-                    ok,
-                    computed=repr(got) if not ok else "as expected",
-                    expected=repr(want) if not ok else "",
-                )
+    for (a, b), got in m.table.brackets.items():
+        want = expected_bracket(m, a, b)
+        ok = got == want
+        items.append(
+            check(
+                f"bracket:[{a},{b}]",
+                f"[{a}, {b}] matches the model bracket table",
+                ok,
+                computed=repr(got) if not ok else "as expected",
+                expected=repr(want) if not ok else "",
             )
+        )
     return items
 
 
@@ -206,34 +247,39 @@ def verify_duality(m: CartanModel) -> Tuple[int, int]:
     return checked, mismatched
 
 
-def frame_rank(m: CartanModel, fields: Dict[str, VectorField]) -> int:
-    """The rank of the fields' coordinates in the model frame, their pairings
-    with the dual coframe (a global frame by duality:225). Raises ValueError
-    naming the first coordinate that is not constant."""
-    rows = []
-    for label, v in fields.items():
-        row = []
-        for name in m.coframe_order:
-            value = pair(m.coframe[name], v)
+def frame_rank(m: CartanModel, rows: Mapping[str, Coordinates]) -> int:
+    """The rank of the rows of frame coordinates. Raises ValueError naming
+    the first coordinate that is not constant."""
+    dual = dict(zip(m.frame_order, m.coframe_order))
+    matrix = []
+    for label, row in rows.items():
+        values = []
+        for name in m.frame_order:
+            value = row.get(name, MultiPoly.zero(m.chart))
             if not value.is_constant():
-                raise ValueError(f"<{name}, {label}> = {value} is not constant")
-            row.append(value.constant_value())
-        rows.append(row)
-    return mat_rank(rows)
+                raise ValueError(f"<{dual[name]}, {label}> = {value} is not constant")
+            values.append(value.constant_value())
+        matrix.append(values)
+    return mat_rank(matrix)
 
 
 def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
-    """Integrability of D_ij plus nondegeneracy of the leaf contact form."""
+    """Integrability of D_ij plus nondegeneracy of its contact form, read
+    from the model's frame table."""
     if not (1 <= i < j <= 4):
         raise ValueError("need 1 <= i < j <= 4")
     h, k = even_complement(i, j)
     names = [f"X{i}", f"X{j}", f"Y{h}", f"Y{k}", f"X{i}{j}"]
-    gens = [m.frame[n] for n in names]
-    complement = gens[:4]
-    # the coframe forms dual to the other ten frame fields annihilate D_ij
     dual = dict(zip(m.frame_order, m.coframe_order))
-    annihilator = [m.coframe[dual[field]] for field in m.frame_order if field not in names]
-    obstructions = frobenius_check(gens, annihilator)
+    # Frobenius: D_ij is involutive iff no bracket of its generators has a
+    # coordinate along the other ten frame fields
+    obstructions = [
+        f"<{dual[n]}, [{a}, {b}]> = {x}"
+        for p, a in enumerate(names)
+        for b in names[p + 1 :]
+        for n, x in m.table.bracket(a, b).items()
+        if n not in names
+    ]
     items = [
         check(
             f"foliation:D{i}{j}:integrable",
@@ -243,18 +289,15 @@ def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
             expected="True",
         )
     ]
-    alpha = m.coframe[f"omega{i}{j}"]
-    mat = [[two_form_eval(alpha, a, b) for b in complement] for a in complement]
-    # restrict to the leaf through the origin: coordinates not moved by D_ij
-    # are frozen at 0
-    moving = {f"x{i}", f"x{j}", f"y{h}", f"y{k}", f"x{i}{j}"}
-    frozen = {
-        v: MultiPoly.zero(m.chart) for v in m.chart.variables if v not in moving
-    }
-    restricted = [[entry.substitute(frozen) for entry in row] for row in mat]
-    det = det_cofactor(
-        restricted, MultiPoly.zero(m.chart), MultiPoly.constant(m.chart, 1)
-    )
+    # <omega_ij, frame> is constant, so d(omega_ij)(a, b) = -<omega_ij, [a, b]>;
+    # a nonzero constant determinant on the chart is one on every leaf
+    zero = MultiPoly.zero(m.chart)
+    complement = names[:4]
+    mat = [
+        [-m.table.bracket(a, b).get(f"X{i}{j}", zero) for b in complement]
+        for a in complement
+    ]
+    det = det_cofactor(mat, zero, MultiPoly.constant(m.chart, 1))
     nondeg = det.is_constant() and det.constant_value() != 0
     items.append(
         check(
@@ -279,43 +322,42 @@ F4_SKEW_RELATIONS = [
 ]
 
 
-def type_f4_frame_check(m: CartanModel, frame: Dict[str, VectorField]) -> List[Item]:
+def type_f4_frame_check(m: CartanModel, table: FrameTable) -> List[Item]:
     """Check the defining congruences of a type-F4 adapted frame modulo D, the
-    distribution of the model m, on the whole chart: v = 0 mod D when omega
-    and every omega_ij pair to zero with v identically."""
-    X = {i: frame[f"X{i}"] for i in range(1, 5)}
-    Y = {i: frame[f"Y{i}"] for i in range(1, 5)}
-    annihilator = [m.coframe[name] for name in m.coframe_order if name.startswith("omega")]
-    congruences = []  # (item id, description, v that must be 0 mod D)
+    distribution of the model m, on the whole chart, from the frame table of
+    the adapted frame: v = 0 mod D when v has no Z or X_ij coordinate."""
+    br = table.bracket
+    congruences = []  # (item id, description, c, d, sign) with v = c - sign * d
     for (i, j), (a, b), sign in F4_SKEW_RELATIONS:
         minus = "" if sign == 1 else "-"
         congruences.append((
             f"f4:[X{i},X{j}]~{minus}[Y{a},Y{b}]",
             f"[X{i},X{j}] = {minus}[Y{a},Y{b}] mod D",
-            lie_bracket(X[i], X[j]) - lie_bracket(Y[a], Y[b]) * sign,
+            br(f"X{i}", f"X{j}"), br(f"Y{a}", f"Y{b}"), sign,
         ))
-    first = lie_bracket(X[1], Y[1])
     for i in range(2, 5):
         congruences.append((
             f"f4:[X1,Y1]~[X{i},Y{i}]",
             f"[X1,Y1] = [X{i},Y{i}] mod D",
-            first - lie_bracket(X[i], Y[i]),
+            br("X1", "Y1"), br(f"X{i}", f"Y{i}"), 1,
         ))
     for i in range(1, 5):
         for j in range(1, 5):
             if i != j:
                 congruences.append(
-                    (f"f4:[X{i},Y{j}]~0", f"[X{i},Y{j}] = 0 mod D", lie_bracket(X[i], Y[j]))
+                    (f"f4:[X{i},Y{j}]~0", f"[X{i},Y{j}] = 0 mod D", br(f"X{i}", f"Y{j}"), {}, 1)
                 )
+    dual = dict(zip(m.frame_order, m.coframe_order))
+    zero = MultiPoly.zero(m.chart)
     items = []
-    for item_id, description, v in congruences:
-        values = {form.name: pair(form, v) for form in annihilator}
-        witness = "; ".join(f"<{n}, v> = {x}" for n, x in values.items() if not x.is_zero())
+    for item_id, description, c, d, sign in congruences:
+        v = {n: c.get(n, zero) - d.get(n, zero) * sign for n in CENTER}
+        witness = "; ".join(f"<{dual[n]}, v> = {x}" for n, x in v.items() if not x.is_zero())
         items.append(check(item_id, description, not witness, computed=witness))
-    induced = {name: frame[name] for name in GENERATOR_ORDER}
+    induced = {name: table.fields[name] for name in GENERATOR_ORDER}
     for i, j in PAIRS:
-        induced[f"[X{i},X{j}]/2"] = lie_bracket(X[i], X[j]) * Fraction(1, 2)
-    induced["[Y1,X1]"] = lie_bracket(Y[1], X[1])
+        induced[f"[X{i},X{j}]/2"] = {n: x * Fraction(1, 2) for n, x in br(f"X{i}", f"X{j}").items()}
+    induced["[Y1,X1]"] = br("Y1", "X1")
     try:
         rank = frame_rank(m, induced)
         computed = str(rank)
@@ -335,7 +377,8 @@ def type_f4_frame_check(m: CartanModel, frame: Dict[str, VectorField]) -> List[I
 
 def verify_suite() -> List[Item]:
     """The full frame-level suite: brackets, duality, foliations, growth, F4
-    check. Every check holds on the whole chart: none draws a point."""
+    check. Every check reads the model's frame table and holds on the whole
+    chart: none draws a point."""
     m = build_model()
     items = verify_bracket_table(m)
     checked, mism = verify_duality(m)
@@ -352,9 +395,9 @@ def verify_suite() -> List[Item]:
         items.extend(contact_foliation_check(m, i, j))
     # D^(2) = D + [D, D]; at rank 15 it is the whole tangent space and the
     # flag stops
-    gens = {name: m.frame[name] for name in GENERATOR_ORDER}
+    gens = {name: m.table.fields[name] for name in GENERATOR_ORDER}
     pairs = combinations(GENERATOR_ORDER, 2)
-    brackets = {f"[{a},{b}]": lie_bracket(gens[a], gens[b]) for a, b in pairs}
+    brackets = {f"[{a},{b}]": m.table.bracket(a, b) for a, b in pairs}
     try:
         ranks = (frame_rank(m, gens), frame_rank(m, {**gens, **brackets}))
         computed = str(ranks)
@@ -369,5 +412,5 @@ def verify_suite() -> List[Item]:
             expected="(8, 15)",
         )
     )
-    items.extend(type_f4_frame_check(m, m.frame))
+    items.extend(type_f4_frame_check(m, m.table))
     return items

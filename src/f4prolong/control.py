@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
-from .fields import VectorField, lie_bracket
+from .fields import VectorField
 from .linalg import det_cofactor, mat_mul, mat_rank, mat_rank_kernel, pfaffian, transpose
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -259,7 +259,11 @@ def _pf_expr(chart: Chart) -> MultiPoly:
     return r12 * r34 - r13 * r24 + r14 * r23
 
 
-def verify_matrix_identities(seed: int = 0, rank_samples: int = 20) -> List[Item]:
+# control vectors drawn for each side of matrix:U-rank-dichotomy
+RANK_SAMPLES = 50
+
+
+def verify_matrix_identities(seed: int = 0) -> List[Item]:
     items: List[Item] = []
     cov = Chart("cov7", COV7_VARIABLES)
     zero = MultiPoly.zero(cov)
@@ -451,7 +455,7 @@ def verify_matrix_identities(seed: int = 0, rank_samples: int = 20) -> List[Item
 
     # rank dichotomy of U
     dichotomy_ok = True
-    for _ in range(rank_samples):
+    for _ in range(RANK_SAMPLES):
         w = _random_control(rng, null=False)
         rk = mat_rank(build_U(list(w.u), list(w.v)))
         want = 4 if form_Q(w) == 0 else 7
@@ -468,7 +472,7 @@ def verify_matrix_identities(seed: int = 0, rank_samples: int = 20) -> List[Item
             "matrix:U-rank-dichotomy",
             "rank(U) = 7 when Q != 0 and 4 when Q = 0 (w != 0), sampled",
             dichotomy_ok,
-            computed=f"{rank_samples}+{rank_samples} samples",
+            computed=f"{RANK_SAMPLES}+{RANK_SAMPLES} samples",
             expected="no exceptions",
         )
     )
@@ -477,15 +481,13 @@ def verify_matrix_identities(seed: int = 0, rank_samples: int = 20) -> List[Item
 
 def _exact_poly_div(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
     """num / den when the division is exact, else None (den a binomial etc.)."""
-    import itertools
-
     chart = num.chart
     # long division with a graded-lex leading term of den
     den_terms = sorted(den.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     lead_e, lead_c = den_terms[-1]
     quot = MultiPoly.zero(chart)
     rem = num
-    for _ in itertools.count():
+    while True:
         if rem.is_zero():
             return quot
         rem_terms = sorted(rem.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -496,7 +498,6 @@ def _exact_poly_div(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         mono = MultiPoly(chart, {diff: c / lead_c})
         quot = quot + mono
         rem = rem - mono * den
-    return None
 
 
 def _random_control(rng: random.Random, null: bool) -> ControlVector:
@@ -605,24 +606,35 @@ def hamilton_equations(h: MultiPoly) -> Dict[str, MultiPoly]:
     return out
 
 
+def bracket_lifts(chart: Chart) -> Dict[Tuple[str, str], MultiPoly]:
+    """H_[a,b] on the chart for each two generators: sum_k c_k H_{e_k}, with
+    c the frame coordinates of [a, b] in the model's table and H_{e_k} the
+    lifts of the 15 frame fields (a lift is linear over functions)."""
+    model = build_model()
+    lifts = {name: hamiltonian_lift(model.frame[name], chart).poly for name in model.frame_order}
+    out: Dict[Tuple[str, str], MultiPoly] = {}
+    for a in GENERATOR_ORDER:
+        for b in GENERATOR_ORDER:
+            terms = model.table.bracket(a, b).items()
+            out[(a, b)] = sum((extend_poly(c, chart) * lifts[n] for n, c in terms), MultiPoly.zero(chart))
+    return out
+
+
 def flow_rhs(chart: Chart, w: Mapping[str, object]) -> Dict[str, MultiPoly]:
     """sum_j w_j H_[xi_j, xi] for each generator xi, the right-hand side of
     the flow lemma d/dt H_xi = {H, H_xi}; zero weights are skipped."""
-    frame = build_model().frame
+    lifted = bracket_lifts(chart)
     out: Dict[str, MultiPoly] = {}
     for name in GENERATOR_ORDER:
         total = MultiPoly.zero(chart)
         for other in GENERATOR_ORDER:
-            if w[other] == 0:
-                continue
-            br = lie_bracket(frame[other], frame[name])
-            if not br.is_zero():
-                total = total + hamiltonian_lift(br, chart).poly * w[other]
+            if w[other] != 0:
+                total = total + lifted[(other, name)] * w[other]
         out[name] = total
     return out
 
 
-def verify_sharp_display(seed: int = 0) -> List[Item]:
+def verify_sharp_display() -> List[Item]:
     """Diff the published Hamiltonian-system display against the derivation."""
     chart = phase_control_chart()
     lifts = constraint_polys(chart)
@@ -693,18 +705,13 @@ def verify_sharp_display(seed: int = 0) -> List[Item]:
 
 def verify_poisson_lift_table() -> List[Item]:
     """{H_xi, H_eta} = H_[xi, eta] for all 28 generator pairs."""
-    model = build_model()
     chart = cotangent_chart()
     lifts = constraint_polys(chart)
+    lifted = bracket_lifts(chart)
     items = []
     for i, a in enumerate(GENERATOR_ORDER):
         for b in GENERATOR_ORDER[i + 1 :]:
-            br = lie_bracket(model.frame[a], model.frame[b])
-            want = (
-                MultiPoly.zero(chart)
-                if br.is_zero()
-                else hamiltonian_lift(br, chart).poly
-            )
+            want = lifted[(a, b)]
             got = poisson_bracket(lifts[a], lifts[b])
             items.append(
                 check(
@@ -833,10 +840,14 @@ def integrate_extremal(
     # the constant-control Hamiltonian's right-hand sides, in chart order
     h = hamiltonian(constraints, dict(zip(GENERATOR_ORDER, uv)))
     equations = hamilton_equations(h)
-    rhs = [equations[v] for v in chart.variables]
+    # the right-hand sides that are not the zero polynomial, by chart index
+    live = [(k, equations[v]) for k, v in enumerate(chart.variables) if not equations[v].is_zero()]
 
     def f(state: List[float]) -> List[float]:
-        return [p.evaluate_seq(state) for p in rhs]
+        out = [0.0] * len(state)
+        for k, p in live:
+            out[k] = p.evaluate_seq(state)
+        return out
 
     try:
         state = [float(init[v]) for v in chart.variables]
@@ -939,11 +950,11 @@ def verify_svc(seed: int = 0, samples: int = 200) -> List[Item]:
     ]
 
 
-def verify_suite(seed: int = 0, svc_samples: int = 200, rank_samples: int = 50) -> List[Item]:
+def verify_suite(seed: int = 0, svc_samples: int = 200) -> List[Item]:
     items: List[Item] = []
-    items.extend(verify_sharp_display(seed))
+    items.extend(verify_sharp_display())
     items.extend(verify_poisson_lift_table())
-    items.extend(verify_matrix_identities(seed, rank_samples))
+    items.extend(verify_matrix_identities(seed))
     items.extend(verify_svc(seed, svc_samples))
     items.extend(verify_flow_lemma_symbolic())
     init, controls = standard_initial_data()

@@ -136,24 +136,6 @@ class OneForm:
         z = MultiPoly.zero(chart)
         return cls(chart, [coeffs.get(v, z) for v in chart.variables], name)
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        if self.chart != other.chart:
-            raise ChartMismatchError("forms on different charts")
-        return OneForm(
-            self.chart, [a + b for a, b in zip(self.coefficients, other.coefficients)]
-        )
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-other)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.chart, [-c for c in self.coefficients])
-
-    def __mul__(self, scalar) -> "OneForm":
-        return OneForm(self.chart, [c * scalar for c in self.coefficients])
-
-    __rmul__ = __mul__
-
     def to_json(self) -> dict:
         return {
             "chart": list(self.chart.variables),
@@ -194,11 +176,6 @@ def pair(form: OneForm, field: VectorField) -> MultiPoly:
         if not (a.is_zero() or b.is_zero()):
             out = out + a * b
     return out
-
-
-def two_form_eval(form: OneForm, x: VectorField, y: VectorField) -> MultiPoly:
-    """d(form)(x, y) via the Cartan formula: x<a,y> - y<a,x> - <a,[x,y]>."""
-    return x.apply(pair(form, y)) - y.apply(pair(form, x)) - pair(form, lie_bracket(x, y))
 
 
 @dataclass(frozen=True)
@@ -306,22 +283,3 @@ def derived_flag(d: Distribution, point: Point) -> GrowthVector:
         ranks.append(span.rank)
     base = tuple(point[v] for v in d.chart.variables)
     return GrowthVector(tuple(ranks), base)
-
-
-def frobenius_check(generators: Sequence[VectorField], annihilator: Sequence[OneForm]) -> List[str]:
-    """The pairings <form, [g_a, g_b]> of the annihilator with the generator
-    brackets that do not vanish identically, as witnesses; empty iff the
-    distribution is involutive on the whole chart.
-
-    The forms must annihilate the generators and span the annihilator of
-    their distribution at every point (for a frame with its dual coframe:
-    the forms dual to the other frame fields)."""
-    witnesses = []
-    for a, x in enumerate(generators):
-        for y in generators[a + 1 :]:
-            br = lie_bracket(x, y)
-            for form in annihilator:
-                value = pair(form, br)
-                if not value.is_zero():
-                    witnesses.append(f"<{form.name}, [{x.name}, {y.name}]> = {value}")
-    return witnesses

@@ -238,22 +238,6 @@ class MultiPoly:
             total = total + t
         return total
 
-    def substitute(self, assign: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials (on the same chart) for some variables."""
-        result = MultiPoly.zero(self.chart)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.chart, c)
-            for name, k in zip(self.chart.variables, e):
-                if not k:
-                    continue
-                base = assign.get(name)
-                if base is None:
-                    base = MultiPoly.variable(self.chart, name)
-                for _ in range(k):
-                    term = term * base
-            result = result + term
-        return result
-
     # -- presentation / serialization ---------------------------------
 
     def sorted_terms(self):

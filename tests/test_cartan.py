@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,12 @@ from f4prolong.cartan import (
     build_model,
     even_complement,
     expected_bracket,
+    frame_table,
     type_f4_frame_check,
     verify_bracket_table,
     verify_duality,
 )
-from f4prolong.fields import VectorField, derived_flag, frobenius_check, lie_bracket, pair
+from f4prolong.fields import derived_flag, lie_bracket, pair
 from f4prolong.poly import MultiPoly
 
 
@@ -45,8 +47,10 @@ def test_distribution_annihilated_by_pfaff_forms(model):
 
 def test_spot_brackets(model):
     f = model.frame
-    assert lie_bracket(f["X1"], f["X2"]) == expected_bracket(model, "X1", "X2")
-    assert expected_bracket(model, "X1", "X2") == f["X12"] * Fraction(2)
+    two = {"X12": MultiPoly.constant(model.chart, 2)}
+    assert model.table.bracket("X1", "X2") == expected_bracket(model, "X1", "X2") == two
+    assert model.table.bracket("X2", "X1") == {"X12": MultiPoly.constant(model.chart, -2)}
+    assert lie_bracket(f["X1"], f["X2"]) == f["X12"] * Fraction(2)
     # [Y1, Y2] = 2 X_{hk} with (h, k) the even complement of (1, 2)
     assert lie_bracket(f["Y1"], f["Y2"]) == f["X34"] * Fraction(2)
     assert lie_bracket(f["Y1"], f["X1"]) == f["Z"]
@@ -73,40 +77,70 @@ def test_growth_vector_8_15(model, cartan_run):
         assert derived_flag(model.distribution, p).ranks == (8, 15)
 
 
-def test_f4_frame_check_can_fail(model, monkeypatch):
-    items = type_f4_frame_check(model, model.frame)
+def test_f4_frame_check_can_fail(model):
+    items = type_f4_frame_check(model, model.table)
     assert len(items) == 22
     assert not failures(items)
     # with Y1 and Y2 swapped, [X1, Y1] = 0 while [X3, Y3] = Z lies outside D
     swapped = dict(model.frame, Y1=model.frame["Y2"], Y2=model.frame["Y1"])
-    item = by_id(type_f4_frame_check(model, swapped))["f4:[X1,Y1]~[X3,Y3]"]
+    item = by_id(type_f4_frame_check(model, frame_table(model, swapped)))["f4:[X1,Y1]~[X3,Y3]"]
     assert item.status == "fail"
     assert item.computed == "<omega, v> = 1"
     # with Y3 and Y4 swapped, [X1, X2] - [Y3, Y4] = 4 X12 leaves D along omega12
     swapped = dict(model.frame, Y3=model.frame["Y4"], Y4=model.frame["Y3"])
-    item = by_id(type_f4_frame_check(model, swapped))["f4:[X1,X2]~[Y3,Y4]"]
+    item = by_id(type_f4_frame_check(model, frame_table(model, swapped)))["f4:[X1,X2]~[Y3,Y4]"]
     assert (item.status, item.computed) == ("fail", "<omega12, v> = 4")
     # a frame field with a coordinate that is not constant
     scaled = dict(model.frame, X1=model.frame["X1"] * (1 + MultiPoly.variable(model.chart, "x2")))
-    item = by_id(type_f4_frame_check(model, scaled))["f4:induced-frame-rank"]
+    item = by_id(type_f4_frame_check(model, frame_table(model, scaled)))["f4:induced-frame-rank"]
     assert item.status == "fail"
     assert item.computed.startswith("<dx1, X1> = ")
     # dropping [Y1, X1] from the induced frame leaves rank 14
-    real = cartan.lie_bracket
-    monkeypatch.setattr(
-        cartan,
-        "lie_bracket",
-        lambda a, b: VectorField.zero(a.chart) if (a.name, b.name) == ("Y1", "X1") else real(a, b),
-    )
-    item = by_id(type_f4_frame_check(model, model.frame))["f4:induced-frame-rank"]
+    table = replace(model.table, brackets={**model.table.brackets, ("X1", "Y1"): {}})
+    item = by_id(type_f4_frame_check(model, table))["f4:induced-frame-rank"]
     assert (item.status, item.computed) == ("fail", "14")
 
 
-def test_frobenius_check_names_the_obstruction(model):
-    # span(X1, X2) is not involutive: [X1, X2] = 2 X12 pairs to 2 with omega12
-    gens = [model.frame["X1"], model.frame["X2"]]
-    others = [model.coframe[n] for n in model.coframe_order if n not in ("dx1", "dx2")]
-    assert frobenius_check(gens, others) == ["<omega12, [X1, X2]> = 2"]
+def _suite_with(monkeypatch, model, brackets):
+    """cartan.verify_suite on a copy of the model whose frame table has the
+    given bracket entries replaced; the shared model is left as it is."""
+    copy = replace(model)
+    # the table is a cached property: fill the copy's in advance
+    vars(copy)["table"] = replace(model.table, brackets={**model.table.brackets, **brackets})
+    monkeypatch.setattr(cartan, "build_model", lambda: copy)
+    return by_id(cartan.verify_suite())
+
+
+def test_foliation_checks_can_fail(model, monkeypatch):
+    const = lambda c: MultiPoly.constant(model.chart, c)
+    # a Z coordinate of [X1, X2] leaves D_12
+    ids = _suite_with(monkeypatch, model, {("X1", "X2"): {"Z": const(1), "X12": const(2)}})
+    item = ids["foliation:D12:integrable"]
+    assert (item.status, item.computed) == ("fail", "<omega, [X1, X2]> = 1")
+    assert ids["foliation:D13:integrable"].status == "pass"
+    # without its X12 coordinate, [X1, X2] no longer pairs X1 with X2 under d(omega12)
+    item = _suite_with(monkeypatch, model, {("X1", "X2"): {}})["foliation:D12:contact"]
+    assert (item.status, item.computed) == ("fail", "0")
+
+
+def test_non_constant_bracket_fails_without_crashing(model, monkeypatch):
+    x1 = MultiPoly.variable(model.chart, "x1")
+    ids = _suite_with(monkeypatch, model, {("X1", "X2"): {"X12": x1 + 2}})
+    assert ids["bracket:[X1,X2]"].status == "fail"
+    assert ids["bracket:[X1,X3]"].status == "pass"
+    item = ids["growth:D"]
+    assert item.status == "fail"
+    assert item.computed == f"<omega12, [X1,X2]> = {x1 + 2} is not constant"
+    assert model.table.bracket("X1", "X2") == expected_bracket(model, "X1", "X2")
+
+
+def test_shared_model_is_read_only():
+    model = build_model()
+    assert build_model() is model
+    with pytest.raises(TypeError):
+        model.frame["Z"] = model.frame["X12"]
+    with pytest.raises(TypeError):
+        model.coframe["omega"] = model.coframe["omega12"]
 
 
 def test_suite_green(cartan_run):

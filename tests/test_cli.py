@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from f4prolong import cartan
 from f4prolong.cli import run
 
 
@@ -35,6 +36,16 @@ def test_verify_all_reproduces_the_golden_report(capsys):
     assert code == 0
     golden = (Path(__file__).parent / "data" / "verify_all_seed0.json").read_text()
     assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden
+
+
+def test_verify_all_builds_the_model_once(capsys, monkeypatch):
+    cartan.build_model.cache_clear()
+    built = []
+    real = cartan.CartanModel
+    monkeypatch.setattr(cartan, "CartanModel", lambda *fields: built.append(1) or real(*fields))
+    code, _, _ = _capture(capsys, ["verify", "all", "--json"])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_verify_roots_human(capsys):

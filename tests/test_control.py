@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from conftest import by_id, dense_evaluate, discrepancies, failures
+from f4prolong import cartan, control, fields
 from f4prolong.cartan import GENERATOR_ORDER, build_model
 from f4prolong.control import (
     R_NAMES,
@@ -292,6 +293,33 @@ def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
     assert [[x.hex() for x in st] for st in traj.states] == [[x.hex() for x in st] for st in want]
     if data == "seeded":
         assert traj.states[-1] != traj.states[0]
+
+
+def test_integrator_evaluates_no_zero_right_hand_side(monkeypatch):
+    zero_calls = []
+    real = MultiPoly.evaluate_seq
+
+    def evaluate_seq(p, values):
+        if p.is_zero():
+            zero_calls.append(p)
+        return real(p, values)
+
+    monkeypatch.setattr(MultiPoly, "evaluate_seq", evaluate_seq)
+    init, controls = _seeded_null_data(4)
+    integrate_extremal(init, controls, 1e-3, 0.01)
+    assert zero_calls == []
+
+
+def test_control_lifts_brackets_from_the_model_table(monkeypatch):
+    build_model().table  # filled on first use, here or by an earlier suite
+
+    def forbidden(*args):
+        raise AssertionError("control bracketed two frame fields")
+
+    monkeypatch.setattr(cartan, "lie_bracket", forbidden)
+    monkeypatch.setattr(fields, "lie_bracket", forbidden)
+    assert not failures(control.verify_poisson_lift_table())
+    assert not failures(control.verify_flow_lemma_symbolic())
 
 
 def test_constraints_vanish_on_standard_data():

@@ -16,11 +16,9 @@ from f4prolong.fields import (
     VectorField,
     constant_combination,
     derived_flag,
-    frobenius_check,
     lie_bracket,
     origin,
     pair,
-    two_form_eval,
 )
 from f4prolong.poly import Chart, MultiPoly
 
@@ -93,16 +91,13 @@ def test_bracket_matches_sympy():
 
 
 def test_pair_and_two_form_on_contact_form():
-    # omega = dz - y dx on (x, y, z); d(omega) = dx ^ dy evaluated on
-    # (d/dx + y d/dz, d/dy) gives 1
+    # omega = dz - y dx on (x, y, z) annihilates d/dx + y d/dz and d/dy
     one = MultiPoly.constant(CHART, 1)
     omega = OneForm.from_dict(CHART, {"z": one, "x": -v("y")})
     fx = VectorField.from_dict(CHART, {"x": one, "z": v("y")})
     fy = VectorField.coordinate(CHART, "y")
     assert pair(omega, fx).is_zero()
     assert pair(omega, fy).is_zero()
-    val = two_form_eval(omega, fx, fy)
-    assert val == MultiPoly.constant(CHART, 1)
 
 
 def test_heisenberg_growth_vector():
@@ -112,16 +107,6 @@ def test_heisenberg_growth_vector():
     d = Distribution(CHART, [fx, fy])
     gv = derived_flag(d, origin(CHART))
     assert gv.ranks == (2, 3)
-    # [X, Y] = -d/dz leaves the kernel of dz - y dx
-    omega = OneForm.from_dict(CHART, {"z": one, "x": -v("y")}, "omega")
-    assert frobenius_check([fx, fy], [omega]) == ["<omega, [X, Y]> = -1"]
-
-
-def test_involutive_distribution_passes_frobenius():
-    one = MultiPoly.constant(CHART, 1)
-    fx = VectorField.coordinate(CHART, "x")
-    fxy = VectorField.from_dict(CHART, {"x": v("x"), "y": one})
-    assert frobenius_check([fx, fxy], [OneForm.differential(CHART, "z")]) == []
 
 
 def test_constant_combination():
@@ -133,15 +118,6 @@ def test_constant_combination():
     assert coeffs == [Fraction(2), Fraction(-3, 2)]
     # x d/dx is not a constant combination of a and b
     assert constant_combination(VectorField.from_dict(CHART, {"x": v("x")}), [a, b]) is None
-
-
-def test_frobenius_check_is_global():
-    # [d/dx, x^2 d/dx + d/dy] = 2x d/dx lies in the distribution at every
-    # point but is no constant combination of the generators
-    fx = VectorField.coordinate(CHART, "x")
-    g = VectorField.from_dict(CHART, {"x": v("x") * v("x"), "y": MultiPoly.constant(CHART, 1)})
-    assert constant_combination(lie_bracket(fx, g), [fx, g]) is None
-    assert frobenius_check([fx, g], [OneForm.differential(CHART, "z")]) == []
 
 
 def test_distribution_requires_generators():

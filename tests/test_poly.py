@@ -56,12 +56,6 @@ def test_diff_and_evaluate():
     assert p.evaluate_seq([Fraction(2), Fraction(-1), Fraction(4)]) == Fraction(-2)
 
 
-def test_substitute():
-    p = v("a") * v("b")
-    q = p.substitute({"a": v("c") + 1})
-    assert q == v("c") * v("b") + v("b")
-
-
 def test_chart_mismatch_raises():
     other = Chart("t2", ("a", "b"))
     with pytest.raises(ChartMismatchError):
