@@ -5,12 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, sparse
 from .poly import Chart, ChartMismatchError, MultiPoly
 
 Point = Dict[str, Fraction]
+Terms = Dict[tuple, Fraction]
+# a field's nonzero components {k: terms of comp_k}, and for each k the
+# nonzero partials ((j, terms of d comp_k / d v_j), ...) over the support of comp_k
+Jacobian = Tuple[Dict[int, Terms], List[Tuple[Tuple[int, Terms], ...]]]
 
 
 def origin(chart: Chart) -> Point:
@@ -20,7 +25,7 @@ def origin(chart: Chart) -> Point:
 class VectorField:
     """First-order derivation with polynomial components, one per chart variable."""
 
-    __slots__ = ("chart", "components", "name")
+    __slots__ = ("chart", "components", "name", "_jacobian")  # _jacobian: set by jacobian()
 
     def __init__(self, chart: Chart, components: Sequence[MultiPoly], name: str = ""):
         components = tuple(components)
@@ -53,15 +58,14 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def apply(self, scalar: MultiPoly) -> MultiPoly:
-        """Directional derivative of a scalar: sum_j comp_j * d(scalar)/dv_j."""
-        if scalar.chart != self.chart:
-            raise ChartMismatchError("scalar on a different chart")
-        out = MultiPoly.zero(self.chart)
-        for v, comp in zip(self.chart.variables, self.components):
-            if not comp.is_zero():
-                out = out + comp * scalar.diff(v)
-        return out
+    def jacobian(self) -> Jacobian:
+        """The nonzero components and their nonzero partials, built by
+        `build_jacobian` on the first call and kept."""
+        try:
+            return self._jacobian
+        except AttributeError:
+            self._jacobian = build_jacobian(self)
+            return self._jacobian
 
     def evaluate(self, point: Point) -> Tuple[Fraction, ...]:
         return tuple(c.evaluate(point) for c in self.components)
@@ -92,13 +96,7 @@ class VectorField:
         )
 
     def __repr__(self) -> str:
-        label = self.name or "VectorField"
-        nz = [
-            f"({c})d/d{v}"
-            for v, c in zip(self.chart.variables, self.components)
-            if not c.is_zero()
-        ]
-        return f"{label}: " + (" + ".join(nz) if nz else "0")
+        return _display(self.name or "VectorField", self.chart, self.components, "d/d")
 
     def to_json(self) -> dict:
         return {
@@ -136,12 +134,21 @@ class OneForm:
         z = MultiPoly.zero(chart)
         return cls(chart, [coeffs.get(v, z) for v in chart.variables], name)
 
+    def __repr__(self) -> str:
+        return _display(self.name or "OneForm", self.chart, self.coefficients, "d")
+
     def to_json(self) -> dict:
         return {
             "chart": list(self.chart.variables),
             "name": self.name,
             "coefficients": [c.to_json() for c in self.coefficients],
         }
+
+
+def _display(label: str, chart: Chart, polys: Sequence[MultiPoly], basis: str) -> str:
+    """`label: (c)<basis>v + ...` over the nonzero polys, or `label: 0`."""
+    nz = [f"({c}){basis}{v}" for v, c in zip(chart.variables, polys) if not c.is_zero()]
+    return f"{label}: " + (" + ".join(nz) if nz else "0")
 
 
 def extend_field(f: VectorField, chart: Chart, name: str = "") -> VectorField:
@@ -156,15 +163,56 @@ def extend_field(f: VectorField, chart: Chart, name: str = "") -> VectorField:
     return VectorField.from_dict(chart, comps, name or f.name)
 
 
+def build_jacobian(f: VectorField) -> Jacobian:
+    """The nonzero components of f and, for each component, its partials in
+    the variables that it depends on, dropping the zero ones."""
+    variables = f.chart.variables
+    nonzero: Dict[int, Terms] = {}
+    partials: List[Tuple[Tuple[int, Terms], ...]] = []
+    for k, comp in enumerate(f.components):
+        if not comp.is_zero():
+            nonzero[k] = comp.terms
+        support = sorted({j for e in comp.terms for j, p in enumerate(e) if p})
+        partials.append(tuple((j, comp.diff(variables[j]).terms) for j in support))
+    return nonzero, partials
+
+
+def _add_products(acc: Terms, coeffs: Dict[int, Terms], partials, sign: int) -> None:
+    """acc += sign * sum_j coeffs_j * partial_j, over the j in both, term by term."""
+    for j, d in partials:
+        a = coeffs.get(j)
+        if a is None:
+            continue
+        for e1, c1 in a.items():
+            c1 = sign * c1
+            for e2, c2 in d.items():
+                e = tuple(map(add, e1, e2))
+                s = acc.get(e, 0) + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+
+
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator [x, y] of derivations, exact."""
+    """Commutator [x, y]_k = sum_j x_j d_j y_k - y_j d_j x_k of derivations,
+    exact, from the cached Jacobians: only nonzero partials are multiplied."""
     if x.chart != y.chart:
         raise ChartMismatchError("fields on different charts")
     chart = x.chart
+    x_nonzero, x_partials = x.jacobian()
+    y_nonzero, y_partials = y.jacobian()
     comps = []
     for k in range(chart.dimension):
-        comps.append(x.apply(y.components[k]) - y.apply(x.components[k]))
-    return VectorField(chart, comps)
+        acc: Terms = {}
+        _add_products(acc, x_nonzero, y_partials[k], 1)
+        _add_products(acc, y_nonzero, x_partials[k], -1)
+        comps.append(MultiPoly._trusted(chart, acc))
+    out = VectorField.__new__(VectorField)
+    out.chart = chart
+    out.components = tuple(comps)
+    out.name = ""
+    return out
 
 
 def pair(form: OneForm, field: VectorField) -> MultiPoly:

@@ -91,6 +91,15 @@ class MultiPoly:
         return cls(chart, {(0,) * chart.dimension: c})
 
     @classmethod
+    def _trusted(cls, chart: Chart, terms: dict) -> "MultiPoly":
+        """The polynomial with these terms, taken as they are: no copy, no check
+        that they fit the chart or are nonzero."""
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.terms = terms
+        return out
+
+    @classmethod
     def variable(cls, chart: Chart, name: str) -> "MultiPoly":
         exps = [0] * chart.dimension
         exps[chart.index(name)] = 1
@@ -130,18 +139,12 @@ class MultiPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.chart = self.chart
-        out.terms = terms
-        return out
+        return MultiPoly._trusted(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.chart = self.chart
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._trusted(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,10 +159,7 @@ class MultiPoly:
             c = _as_fraction(other)
             if c == 0:
                 return MultiPoly.zero(self.chart)
-            out = MultiPoly.__new__(MultiPoly)
-            out.chart = self.chart
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return MultiPoly._trusted(self.chart, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         terms: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -170,10 +170,7 @@ class MultiPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.chart = self.chart
-        out.terms = terms
-        return out
+        return MultiPoly._trusted(self.chart, terms)
 
     __rmul__ = __mul__
 

@@ -224,6 +224,17 @@ def test_integrate_csv_export(capsys, tmp_path):
     assert len(lines) == 1 + 5 + 1  # header + steps + initial state
 
 
+def test_export_model_text_shows_every_coefficient(capsys):
+    runs = [_capture(capsys, ["export-model"]) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 30  # 15 frame fields, then 15 coframe forms
+    assert not any("object at 0x" in line for line in lines)
+    assert "omega: (1)dz + (-y1)dx1 + (-y2)dx2 + (-y3)dx3 + (-y4)dx4" in lines
+
+
 def test_export_model_json(capsys):
     code, out, _ = _capture(capsys, ["export-model", "--json"])
     assert code == 0

@@ -292,6 +292,34 @@ def test_defining_brackets_reproduce_zetas(prolong_run):
         assert lie_bracket(zs.zeta[i], zs.zeta[j]) == zs.zeta[k]
 
 
+def test_cached_partials_leave_the_table_no_diff_or_product(prolong_run, monkeypatch):
+    _, zs, table, _ = prolong_run
+    for k in range(1, 25):
+        zs.zeta[k].jacobian()
+    calls = []
+    for name in ("diff", "__mul__"):
+        real = getattr(MultiPoly, name)
+        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(MultiPoly, name, spy)
+    assert compute_bracket_table(zs) == table
+    assert calls == []
+
+
+def test_each_field_builds_its_partials_once(monkeypatch):
+    built = []
+    real = fields.build_jacobian
+    monkeypatch.setattr(fields, "build_jacobian", lambda f: built.append(f) or real(f))
+    zs = build_zeta_generators()
+    table = compute_bracket_table(zs)
+    assert compute_bracket_table(zs) == table
+    model = cartan.build_model()
+    frame = {name: model.frame[name] for name in model.frame_order}
+    assert cartan.frame_table(model, frame) == cartan.frame_table(model, frame)
+    # built keeps every field alive, so equal ids mean one object built twice
+    assert len({id(f) for f in built}) == len(built)
+    assert {id(zs.zeta[k]) for k in range(1, 24)} <= {id(f) for f in built}
+
+
 def test_growth_vector(prolong_run):
     # the pointwise flag, an independent oracle for the table flag
     _, zs, table, _ = prolong_run
