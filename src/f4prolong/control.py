@@ -12,7 +12,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
-from .linalg import det_cofactor, mat_mul, mat_rank, mat_rank_kernel, pfaffian, transpose
+from .linalg import det_cofactor, mat_mul, mat_rank, mat_rank_kernel, mat_vec, pfaffian, transpose
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
 from .report import DISCREPANCY, Item, check
 
@@ -25,6 +25,8 @@ FIBER_VARIABLES = (
 COTANGENT_VARIABLES = BASE_VARIABLES + FIBER_VARIABLES
 CONTROL_VARIABLES = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4")
 R_NAMES = ("12", "13", "14", "23", "24", "34")
+# the fiber variables paired by A, U and R: lambda = (s, r12, ..., r34)
+COV7_VARIABLES = ("s",) + tuple(f"r{n}" for n in R_NAMES)
 
 
 def cotangent_chart() -> Chart:
@@ -128,17 +130,6 @@ def form_R(c: CovectorFiber) -> Fraction:
     return c.s * c.s - 4 * (r12 * r34 - r13 * r24 + r14 * r23)
 
 
-def bilinear_Q(a: Sequence, b: Sequence):
-    """Polarization of Q on 8-vectors (u1..u4, v1..v4), entries in any ring:
-    bilinear_Q(w, w) = Q(w)."""
-    acc = None
-    for i in range(4):
-        for x, y in ((a[i], b[4 + i]), (b[i], a[4 + i])):
-            term = x * y
-            acc = term if acc is None else acc + term
-    return acc * Fraction(1, 2)
-
-
 def gram_R() -> List[List[Fraction]]:
     """Gram matrix of R on the basis (ds, dr12, dr13, dr14, dr23, dr24, dr34)."""
     g = [[Fraction(0)] * 7 for _ in range(7)]
@@ -149,17 +140,24 @@ def gram_R() -> List[List[Fraction]]:
     return g
 
 
-# the nonzero entries (i, j, g_ij) of gram_R(), row by row
+# the nonzero Gram entries (i, j, g_ij) of Q on (u1..u4, v1..v4) and of R
+_GRAM_Q_TERMS = [(k, l, Fraction(1, 2)) for i in range(4) for k, l in ((i, 4 + i), (4 + i, i))]
 _GRAM_R_TERMS = [(i, j, g) for i, row in enumerate(gram_R()) for j, g in enumerate(row) if g]
+
+
+def _pairing(terms, a: Sequence, b: Sequence):
+    return sum(a[i] * b[j] * g for i, j, g in terms)
+
+
+def bilinear_Q(a: Sequence, b: Sequence):
+    """Polarization of Q on 8-vectors (u1..u4, v1..v4), entries in any ring:
+    bilinear_Q(w, w) = Q(w)."""
+    return _pairing(_GRAM_Q_TERMS, a, b)
 
 
 def bilinear_R(a: Sequence, b: Sequence):
     """Polarization of R on 7-vectors (s, r12, r13, r14, r23, r24, r34)."""
-    acc = None
-    for i, j, g in _GRAM_R_TERMS:
-        term = a[i] * b[j] * g
-        acc = term if acc is None else acc + term
-    return acc
+    return _pairing(_GRAM_R_TERMS, a, b)
 
 
 def build_A11(r: Sequence):
@@ -185,8 +183,10 @@ def build_A22(r: Sequence):
     ]
 
 
-def build_A(s, r) -> List[List]:
-    """The 8x8 skew constraint matrix [[A11, -sI], [sI, A22]]."""
+def build_A(lam: Sequence) -> List[List]:
+    """The 8x8 skew constraint matrix [[A11, -sI], [sI, A22]] of
+    lam = (s, r12, r13, r14, r23, r24, r34)."""
+    s, r = lam[0], lam[1:]
     a11 = build_A11(r)
     a22 = build_A22(r)
     z = s * 0
@@ -198,10 +198,10 @@ def build_A(s, r) -> List[List]:
     return out
 
 
-def build_U(u: Sequence, v: Sequence) -> List[List]:
-    """The 8x7 matrix with columns (s, r12, r13, r14, r23, r24, r34)."""
-    u1, u2, u3, u4 = u
-    v1, v2, v3, v4 = v
+def build_U(w: Sequence) -> List[List]:
+    """The 8x7 matrix of w = (u1..u4, v1..v4), with columns (s, r12, r13, r14,
+    r23, r24, r34)."""
+    u1, u2, u3, u4, v1, v2, v3, v4 = w
     z = u1 * 0
     return [
         [-v1, 2 * u2, 2 * u3, 2 * u4, z, z, z],
@@ -215,11 +215,11 @@ def build_U(u: Sequence, v: Sequence) -> List[List]:
     ]
 
 
-def twisted_gram(u: Sequence, v: Sequence) -> List[List]:
-    """The 7x7 product tU''·U' + tU'·U'' (U', U'' the upper/lower halves of U)."""
-    m = build_U(u, v)
+def twisted_gram(w: Sequence) -> List[List]:
+    """The 7x7 product tU''·U' + tU'·U'' (U', U'' the upper/lower halves of U(w))."""
+    m = build_U(w)
     upper, lower = m[:4], m[4:]
-    z = u[0] * 0
+    z = w[0] * 0
     a = mat_mul(transpose(lower), upper, z)
     b = mat_mul(transpose(upper), lower, z)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -236,7 +236,7 @@ def svc_membership(w: ControlVector) -> Tuple[bool, Optional[CovectorFiber]]:
     if w.is_zero():
         # degenerate: every covector works; return a canonical R-null one
         return True, CovectorFiber(Fraction(0), (Fraction(1),) + (Fraction(0),) * 5)
-    rank, basis = mat_rank_kernel(build_U(list(w.u), list(w.v)))
+    rank, basis = mat_rank_kernel(build_U(w.as_seq()))
     if not basis:
         raise ValueError("unexpected trivial kernel for a Q-null control vector")
     vec = basis[0]
@@ -246,8 +246,6 @@ def svc_membership(w: ControlVector) -> Tuple[bool, Optional[CovectorFiber]]:
 # ---------------------------------------------------------------------------
 # symbolic identity checks
 # ---------------------------------------------------------------------------
-
-COV7_VARIABLES = ("s", "r12", "r13", "r14", "r23", "r24", "r34")
 
 
 def _sym_r(chart: Chart) -> List[MultiPoly]:
@@ -309,7 +307,7 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
     )
     # (A squared) consequence: B A = R I8 with B = [[A22, sI], [-sI, A11]],
     # so a nontrivial kernel of A forces R = 0.
-    a_full = build_A(s, r)
+    a_full = build_A([s] + r)
     b_rows = []
     for i in range(4):
         b_rows.append(a22[i] + [(s if j == i else zero) for j in range(4)])
@@ -339,13 +337,7 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
         m22 = build_A22(rv)
         rk11 = mat_rank(m11)
         rk22 = mat_rank(m22)
-        cols_in_kernel = all(
-            all(
-                sum(m11[i][k] * m22[k][j] for k in range(4)) == 0
-                for i in range(4)
-            )
-            for j in range(4)
-        )
+        cols_in_kernel = all(x == 0 for row in mat_mul(m11, m22, Fraction(0)) for x in row)
         ok = rk11 == 2 and rk22 == 2 and cols_in_kernel
         rank_ok = rank_ok and ok
         if not ok:
@@ -364,10 +356,9 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
     ctrl = Chart("ctrl8", CONTROL_VARIABLES)
     zc = MultiPoly.zero(ctrl)
     oc = MultiPoly.constant(ctrl, 1)
-    u = [MultiPoly.variable(ctrl, f"u{i}") for i in range(1, 5)]
-    v = [MultiPoly.variable(ctrl, f"v{i}") for i in range(1, 5)]
-    q = u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-    tg = twisted_gram(u, v)
+    w = [MultiPoly.variable(ctrl, n) for n in CONTROL_VARIABLES]
+    q = w[0] * w[4] + w[1] * w[5] + w[2] * w[6] + w[3] * w[7]
+    tg = twisted_gram(w)
     expected_slots = {
         (0, 0): -2 * q,
         (1, 6): 4 * q, (6, 1): 4 * q,
@@ -387,20 +378,15 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
         )
     )
     det_tg = det_cofactor(tg, zc, oc)
-    # det must be c * Q^k; recover (c, k) by exact division
-    k = 0
-    rem = det_tg
-    c_val = None
-    while True:
-        if rem.is_constant():
-            c_val = rem.constant_value()
-            break
-        quot = _exact_poly_div(rem, q)
-        if quot is None:
-            break
-        rem = quot
-        k += 1
-    is_power = c_val is not None
+    # Q is homogeneous of degree 2, so det = c * Q^k forces k = deg(det) / 2,
+    # and one monomial of Q^k fixes c
+    k = max(map(sum, det_tg.terms), default=0) // 2
+    qk = oc
+    for _ in range(k):
+        qk = qk * q
+    e, coef = next(iter(qk.terms.items()))
+    c_val = det_tg.terms.get(e, 0) / coef
+    is_power = det_tg == c_val * qk
     items.append(
         check(
             "matrix:det-tUU-form",
@@ -437,19 +423,13 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
 
     # bilinear identity U(w)·(s,r) = A(s,r)·(u,v) in all 15 scalars
     big = Chart("uvsr15", CONTROL_VARIABLES + COV7_VARIABLES)
-    ub = [MultiPoly.variable(big, f"u{i}") for i in range(1, 5)]
-    vb = [MultiPoly.variable(big, f"v{i}") for i in range(1, 5)]
-    sb = MultiPoly.variable(big, "s")
-    rb = _sym_r(big)
-    sr = [sb] + rb
-    uv = ub + vb
-    lhs = [sum((row[j] * sr[j] for j in range(7)), MultiPoly.zero(big)) for row in build_U(ub, vb)]
-    rhs = [sum((row[j] * uv[j] for j in range(8)), MultiPoly.zero(big)) for row in build_A(sb, rb)]
+    uv = [MultiPoly.variable(big, n) for n in CONTROL_VARIABLES]
+    sr = [MultiPoly.variable(big, n) for n in COV7_VARIABLES]
     items.append(
         check(
             "matrix:U-A-bilinear",
             "U(u,v)·(s,r) = A(s,r)·(u,v) as a bilinear identity in 15 scalars",
-            lhs == rhs,
+            mat_vec(build_U(uv), sr) == mat_vec(build_A(sr), uv),
         )
     )
 
@@ -457,14 +437,14 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
     dichotomy_ok = True
     for _ in range(RANK_SAMPLES):
         w = _random_control(rng, null=False)
-        rk = mat_rank(build_U(list(w.u), list(w.v)))
+        rk = mat_rank(build_U(w.as_seq()))
         want = 4 if form_Q(w) == 0 else 7
         if w.is_zero():
             want = 0
         if rk != want:
             dichotomy_ok = False
         wn = _random_control(rng, null=True)
-        rkn = mat_rank(build_U(list(wn.u), list(wn.v)))
+        rkn = mat_rank(build_U(wn.as_seq()))
         if rkn != (0 if wn.is_zero() else 4):
             dichotomy_ok = False
     items.append(
@@ -477,27 +457,6 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
         )
     )
     return items
-
-
-def _exact_poly_div(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
-    """num / den when the division is exact, else None (den a binomial etc.)."""
-    chart = num.chart
-    # long division with a graded-lex leading term of den
-    den_terms = sorted(den.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    lead_e, lead_c = den_terms[-1]
-    quot = MultiPoly.zero(chart)
-    rem = num
-    while True:
-        if rem.is_zero():
-            return quot
-        rem_terms = sorted(rem.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        e, c = rem_terms[-1]
-        diff = tuple(a - b for a, b in zip(e, lead_e))
-        if any(d < 0 for d in diff):
-            return None
-        mono = MultiPoly(chart, {diff: c / lead_c})
-        quot = quot + mono
-        rem = rem - mono * den
 
 
 def _random_control(rng: random.Random, null: bool) -> ControlVector:
@@ -824,12 +783,9 @@ def integrate_extremal(
     fiber_vals = [init[v] for v in FIBER_VARIABLES]
     if all(x == 0 for x in fiber_vals):
         raise ValueError("covector must not vanish (abnormality)")
-    s0 = init["s"]
-    r0 = tuple(init[f"r{n}"] for n in R_NAMES)
-    amat = build_A(s0, list(r0))
+    sr0 = [init[v] for v in COV7_VARIABLES]
     uv = list(controls.as_seq())
-    resid = [sum(amat[i][j] * uv[j] for j in range(8)) for i in range(8)]
-    if any(x != 0 for x in resid):
+    if any(mat_vec(build_A(sr0), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
     constraints = constraint_polys(chart)
     for name, poly in constraints.items():
@@ -871,8 +827,8 @@ def integrate_extremal(
             raise ValueError(f"RK4 state is not finite at t = {times[-1]:.6g}")
         states.append(list(state))
 
-    sr_idx = [chart.index("s")] + [chart.index(f"r{n}") for n in R_NAMES]
-    sr_init = [float(s0)] + [float(x) for x in r0]
+    sr_idx = [chart.index(v) for v in COV7_VARIABLES]
+    sr_init = [float(x) for x in sr0]
     max_c = 0.0
     max_sr = 0.0
     cpolys = list(constraints.values())
@@ -932,11 +888,7 @@ def verify_svc(seed: int = 0, samples: int = 200) -> List[Item]:
             if form_R(witness) != 0:
                 bad += 1
                 continue
-            amat = build_A(witness.s, list(witness.r))
-            uv = list(w.as_seq())
-            if any(
-                sum(amat[i][j] * uv[j] for j in range(8)) != 0 for i in range(8)
-            ):
+            if any(mat_vec(build_A(witness.as_seq()), w.as_seq())):
                 bad += 1
             witnesses_checked += 1
     return [

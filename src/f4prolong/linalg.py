@@ -2,8 +2,8 @@
 kernel, solve and span membership; cofactor determinants and Pfaffians.
 
 Entries are Fractions (or ints) for the numeric routines; the cofactor
-determinant and the Pfaffian also accept any commutative-ring elements
-(e.g. MultiPoly).
+determinant, the Pfaffian and the matrix products also accept any
+commutative-ring elements (e.g. MultiPoly).
 """
 
 from __future__ import annotations
@@ -217,19 +217,13 @@ def solve_exact(
 
 
 def mat_mul(a, b, zero):
-    """Generic matrix product (entries: any ring elements)."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """Matrix product; entries in any ring, `zero` its additive identity."""
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def mat_vec(m, x):
+    """Matrix-vector product; entries in any ring."""
+    return [sum(a * b for a, b in zip(row, x)) for row in m]
 
 
 def transpose(a):

@@ -7,15 +7,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .control import bilinear_Q, bilinear_R, build_A
-from .linalg import mat_rank, mat_rank_kernel, solve_exact
+from .linalg import mat_rank, mat_rank_kernel, mat_vec
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
 
 FREE_COORDS = ("z11", "z13", "z14", "z15", "z16", "z21", "z24", "z25", "z31")
-DEPENDENT_COORDS = ("z35", "z36", "z26", "z37", "z27", "z17")
+# f1, f2, f3 over (s, r12, r13, r14, r23, r24, r34): each slot holds a z-name,
+# or the constant 1 or 0 of the echelon patch
+FLAG_LAYOUT = (
+    ("z11", 1, "z13", "z14", "z15", "z16", "z17"),
+    ("z21", 0, 1, "z24", "z25", "z26", "z27"),
+    ("z31", 0, 0, 1, "z35", "z36", "z37"),
+)
+# each dependent coordinate with the flag vector whose pairing with its own
+# vector solves for it, in triangular order: (f3|f3), (f2|f3), (f2|f2), ...
+NULLITY_EQUATIONS = (("z35", 2), ("z36", 1), ("z26", 1), ("z37", 0), ("z27", 0), ("z17", 0))
+DEPENDENT_COORDS = tuple(name for name, _ in NULLITY_EQUATIONS)
+# z-name -> (flag vector, slot)
+_SLOTS = {
+    x: (i, k) for i, row in enumerate(FLAG_LAYOUT) for k, x in enumerate(row) if isinstance(x, str)
+}
 
 
 @dataclass(frozen=True)
@@ -44,44 +58,42 @@ def _ring_units(sample):
     return Fraction(0), Fraction(1)
 
 
+def _flag_vectors(values: Mapping[str, object], zero, one) -> List[list]:
+    """f1, f2, f3 as lists, with the z-slots of FLAG_LAYOUT read from values."""
+    return [
+        [values[x] if isinstance(x, str) else (one if x else zero) for x in row]
+        for row in FLAG_LAYOUT
+    ]
+
+
 def complete_null_flag(coords: Mapping[str, object]) -> LambdaFlagFrame:
     """Solve the six nullity equations (f_i | f_j) = 0 for the dependent coords.
 
     The equations are evaluated through the R-bilinear form itself, not the
     published expansions. Each is affine in its unknown with a constant
-    nonzero coefficient, so the triangular order (f3|f3), (f2|f3), (f2|f2),
-    (f1|f3), (f1|f2), (f1|f1) solves them one at a time. Works over exact
-    rationals or polynomial coefficients alike.
+    nonzero coefficient, so the triangular order of NULLITY_EQUATIONS solves
+    them one at a time. Works over exact rationals or polynomial coefficients
+    alike.
     """
     c = dict(coords)
     zero, one = _ring_units(c[FREE_COORDS[0]])
     for name in FREE_COORDS:
         if name not in c:
             raise KeyError(f"missing free coordinate {name}")
-    f1 = [c["z11"], one, c["z13"], c["z14"], c["z15"], c["z16"], zero]
-    f2 = [c["z21"], zero, one, c["z24"], c["z25"], zero, zero]
-    f3 = [c["z31"], zero, zero, one, zero, zero, zero]
-
-    def solve(va: list, vb: list, slot: int) -> object:
+    c.update(dict.fromkeys(DEPENDENT_COORDS, zero))
+    f = _flag_vectors(c, zero, one)
+    for name, partner in NULLITY_EQUATIONS:
+        i, slot = _SLOTS[name]
+        vb = f[i]
         vb[slot] = zero
-        v0 = bilinear_R(va, vb)
+        v0 = bilinear_R(f[partner], vb)
         vb[slot] = one
-        v1 = bilinear_R(va, vb)
-        coef = v1 - v0
+        coef = bilinear_R(f[partner], vb) - v0
         cc = coef if isinstance(coef, Fraction) else coef.constant_value()
         if cc == 0:
             raise ArithmeticError("nullity equation is not affine in its unknown")
-        val = v0 * (Fraction(-1) / cc)
-        vb[slot] = val
-        return val
-
-    c["z35"] = solve(f3, f3, 4)
-    c["z36"] = solve(f2, f3, 5)
-    c["z26"] = solve(f2, f2, 5)
-    c["z37"] = solve(f1, f3, 6)
-    c["z27"] = solve(f1, f2, 6)
-    c["z17"] = solve(f1, f1, 6)
-    return LambdaFlagFrame(tuple(f1), tuple(f2), tuple(f3), c)
+        vb[slot] = c[name] = v0 * (Fraction(-1) / cc)
+    return LambdaFlagFrame(*map(tuple, f), c)
 
 
 def eta_frames(coords: Mapping[str, object]) -> VFlagFrame:
@@ -123,66 +135,47 @@ def eta_frames(coords: Mapping[str, object]) -> VFlagFrame:
     return VFlagFrame(eta1, eta2, eta3, eta4)
 
 
-def _apply_A(lam: Sequence, w: Sequence):
-    """A(lambda) applied to an 8-vector; lam = (s, r12, r13, r14, r23, r24, r34)."""
-    amat = build_A(lam[0], list(lam[1:]))
-    out = []
-    for row in amat:
-        acc = None
-        for x, y in zip(row, w):
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _normalized(basis: List[Tuple[Fraction, ...]], constraints) -> Tuple[Fraction, ...]:
-    """The unique combination of the basis meeting the (index, value) constraints."""
-    rows = [[b[idx] for b in basis] for idx, _ in constraints]
-    rhs = [val for _, val in constraints]
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise ValueError("flag lies outside the echelon normalization patch")
-    n = len(basis[0])
-    out = [Fraction(0)] * n
-    for c, b in zip(sol, basis):
-        for k in range(n):
-            out[k] += c * b[k]
-    # the constraint system can be underdetermined only through a bug upstream
-    for idx, val in constraints:
-        if out[idx] != val:
-            raise ValueError("normalization constraints are inconsistent")
-    return tuple(out)
+# the columns of A(lambda) in the order (u1, u2, v3, v4, u3, v2, u4, v1): the
+# published pivots of eta1..eta4 come last, so the canonical kernel bases of
+# mat_rank_kernel carry the published normalization
+PIVOT_ORDER = (0, 1, 6, 7, 2, 5, 3, 4)
+_FROM_PIVOT_ORDER = tuple(PIVOT_ORDER.index(k) for k in range(8))
 
 
 def lambda_to_v(frame: LambdaFlagFrame) -> VFlagFrame:
-    """Kernel-solve A(lambda)(u, v) = 0 for the nested flag and normalize.
+    """Kernel-solve A(lambda)(u, v) = 0 for the nested flag.
 
     V4 = ker A(f1) (dim 4), V2 = ker of the stacked f1, f2 system (dim 2),
-    V1 = ker of all three (dim 1). Bases are normalized to the published
-    pivot pattern: eta1 has v1 = 1; eta2 has u4 = 1, v1 = 0; eta3 has
-    u3 = 1, u4 = v1 = v2 = 0; eta4 has v2 = 1, u3 = u4 = v1 = 0.
+    V1 = ker of all three (dim 1). With the columns in PIVOT_ORDER each
+    canonical basis vector has 1 on its own free column and 0 on the others,
+    and on the echelon patch the free columns are the last ones; that is the
+    published pivot pattern: eta1 = V1[0] has v1 = 1; eta2 = V2[0] has u4 = 1,
+    v1 = 0; eta3 = V4[0] has u3 = 1, u4 = v1 = v2 = 0; eta4 = V4[1] has
+    v2 = 1, u3 = u4 = v1 = 0.
     """
     for f in (frame.f1, frame.f2, frame.f3):
-        val = bilinear_R(list(f), list(f))
+        val = bilinear_R(f, f)
         if val != 0:
             raise ValueError("flag frame is not R-null")
-    rows1 = build_A(frame.f1[0], list(frame.f1[1:]))
-    rows2 = rows1 + build_A(frame.f2[0], list(frame.f2[1:]))
-    rows3 = rows2 + build_A(frame.f3[0], list(frame.f3[1:]))
-    _, b4 = mat_rank_kernel(rows1)
-    _, b2 = mat_rank_kernel(rows2)
-    _, b1 = mat_rank_kernel(rows3)
+    rows = [
+        [row[j] for j in PIVOT_ORDER]
+        for f in (frame.f1, frame.f2, frame.f3)
+        for row in build_A(f)
+    ]
+    _, b4 = mat_rank_kernel(rows[:8])
+    _, b2 = mat_rank_kernel(rows[:16])
+    _, b1 = mat_rank_kernel(rows)
     if (len(b4), len(b2), len(b1)) != (4, 2, 1):
         raise ValueError(
             f"unexpected kernel dimensions {(len(b4), len(b2), len(b1))}; expected (4, 2, 1)"
         )
-    one = Fraction(1)
-    zero = Fraction(0)
-    eta1 = _normalized(b1, [(4, one)])
-    eta2 = _normalized(b2, [(3, one), (4, zero)])
-    eta3 = _normalized(b4, [(2, one), (3, zero), (4, zero), (5, zero)])
-    eta4 = _normalized(b4, [(2, zero), (3, zero), (4, zero), (5, one)])
+    for basis in (b4, b2, b1):
+        d = len(basis)
+        if any(b[8 - d:] != tuple(int(m == k) for m in range(d)) for k, b in enumerate(basis)):
+            raise ValueError("flag lies outside the echelon normalization patch")
+    eta1, eta2, eta3, eta4 = (
+        tuple(b[p] for p in _FROM_PIVOT_ORDER) for b in (b1[0], b2[0], b4[0], b4[1])
+    )
     return VFlagFrame(eta1, eta2, eta3, eta4)
 
 
@@ -242,13 +235,7 @@ def verify_printed_expansions() -> List[Item]:
     """Compare the published (f_i | f_j) expansions with the form itself."""
     chart = Chart("flag15", ALL_Z)
     zv = {n: MultiPoly.variable(chart, n) for n in chart.variables}
-    one = MultiPoly.constant(chart, 1)
-    zero = MultiPoly.zero(chart)
-    f = {
-        "f1": [zv["z11"], one, zv["z13"], zv["z14"], zv["z15"], zv["z16"], zv["z17"]],
-        "f2": [zv["z21"], zero, one, zv["z24"], zv["z25"], zv["z26"], zv["z27"]],
-        "f3": [zv["z31"], zero, zero, one, zv["z35"], zv["z36"], zv["z37"]],
-    }
+    f = dict(zip(("f1", "f2", "f3"), _flag_vectors(zv, *_ring_units(zv["z11"]))))
     items = []
     for (a, b), terms in PRINTED_NULL_EXPANSIONS.items():
         computed = bilinear_R(f[a], f[b])
@@ -287,7 +274,7 @@ def verify_symbolic_etas() -> List[Item]:
     frame = complete_null_flag(coords)
     items = []
     null_ok = all(
-        bilinear_R(list(a), list(b)).is_zero()
+        bilinear_R(a, b).is_zero()
         for a in (frame.f1, frame.f2, frame.f3)
         for b in (frame.f1, frame.f2, frame.f3)
     )
@@ -305,7 +292,7 @@ def verify_symbolic_etas() -> List[Item]:
         (frame.f3, v.etas[:1], "A(f3) kills eta1"),
     ]
     for lam, etas, desc in kills:
-        ok = all(all(x.is_zero() for x in _apply_A(lam, e)) for e in etas)
+        ok = all(all(x.is_zero() for x in mat_vec(build_A(lam), e)) for e in etas)
         items.append(check(f"symbolic:{desc.split()[0]}-kernel", desc + " identically", ok))
     q_ok = all(
         bilinear_Q(v.etas[a], v.etas[b]).is_zero() for a in range(4) for b in range(a, 4)
@@ -373,7 +360,7 @@ def verify_samples(seed: int = 0, samples: int = 100) -> List[Item]:
         frame = complete_null_flag(coords)
         for a in (frame.f1, frame.f2, frame.f3):
             for b in (frame.f1, frame.f2, frame.f3):
-                if bilinear_R(list(a), list(b)) != 0:
+                if bilinear_R(a, b) != 0:
                     null_bad += 1
         try:
             v = lambda_to_v(frame)

@@ -34,7 +34,7 @@ from f4prolong.control import (
     svc_membership,
     twisted_gram,
 )
-from f4prolong.linalg import mat_rank
+from f4prolong.linalg import mat_rank, mat_vec
 from f4prolong.poly import MultiPoly
 
 
@@ -65,9 +65,36 @@ def test_A11_A22_commute_to_scalar_sympy_oracle():
 def test_det_twisted_gram_sympy_oracle():
     u = sympy.symbols("u1 u2 u3 u4")
     v = sympy.symbols("v1 v2 v3 v4")
-    g = sympy.Matrix(twisted_gram(list(u), list(v)))
+    g = sympy.Matrix(twisted_gram(list(u + v)))
     q = sum(a * b for a, b in zip(u, v))
     assert sympy.expand(g.det() - 8192 * q**7) == 0
+
+
+def _diagonal_gram(entry):
+    """A stand-in for twisted_gram: diag(entry(w), 1, 1, 1, 1, 1, 1)."""
+
+    def gram(w):
+        one = MultiPoly.constant(w[0].chart, 1)
+        diag = [entry(w)] + [one] * 6
+        return [[diag[i] if i == j else one * 0 for j in range(7)] for i in range(7)]
+
+    return gram
+
+
+@pytest.mark.parametrize(
+    "entry, status, computed",
+    [
+        # det = u1 v1 has the degree of Q and the coefficient of Q's first
+        # monomial, yet it is not c * Q^k
+        (lambda w: w[0] * w[4], "fail", "u1*v1"),
+        (lambda w: w[0] * 0, "pass", "c = 0, k = 0"),
+    ],
+    ids=["not-a-power-of-Q", "zero-determinant"],
+)
+def test_det_form_item_reads_the_determinant(monkeypatch, entry, status, computed):
+    monkeypatch.setattr(control, "twisted_gram", _diagonal_gram(entry))
+    item = by_id(control.verify_matrix_identities())["matrix:det-tUU-form"]
+    assert (item.status, item.computed) == (status, computed)
 
 
 def test_gram_R_matches_form():
@@ -126,8 +153,8 @@ def test_rank_dichotomy_examples():
     u = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     v_on = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
     v_off = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    assert mat_rank(build_U(u, v_on)) == 4
-    assert mat_rank(build_U(u, v_off)) == 7
+    assert mat_rank(build_U(u + v_on)) == 4
+    assert mat_rank(build_U(u + v_off)) == 7
 
 
 def test_svc_membership_and_witness():
@@ -141,11 +168,7 @@ def test_svc_membership_and_witness():
         if member and not w.is_zero():
             assert witness is not None
             assert form_R(witness) == 0
-            amat = build_A(witness.s, list(witness.r))
-            uv = list(w.as_seq())
-            assert all(
-                sum(amat[i][j] * uv[j] for j in range(8)) == 0 for i in range(8)
-            )
+            assert not any(mat_vec(build_A(witness.as_seq()), w.as_seq()))
 
 
 def test_bilinear_Q_polarizes():

@@ -17,11 +17,12 @@ from f4prolong.linalg import (
     mat_mul,
     mat_rank,
     mat_rank_kernel,
+    mat_vec,
     pfaffian,
     solve_exact,
     transpose,
 )
-from f4prolong.poly import Chart, MultiPoly
+from f4prolong.poly import Chart, MultiPoly, from_terms
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -199,3 +200,13 @@ def test_mat_mul_and_transpose():
     oracle = sympy.Matrix(a) * sympy.Matrix(b)
     assert sympy.Matrix(prod) == oracle
     assert transpose(a) == [list(r) for r in sympy.Matrix(a).T.tolist()]
+    x = [Fraction(1, 2), Fraction(-3), Fraction(2, 3)]
+    assert sympy.Matrix(mat_vec(a, x)) == sympy.Matrix(a) * sympy.Matrix(x)
+    chart = Chart("xy", ("x", "y"))
+    px, py = MultiPoly.variable(chart, "x"), MultiPoly.variable(chart, "y")
+    m = [[px, py, 2 * px], [py * py, px * 0, px * py]]
+    w = [py, px, py - 1]
+    assert mat_vec(m, w) == [
+        from_terms(chart, {("x", "y"): 4, ("x",): -2}),
+        from_terms(chart, {("y", "y", "y"): 1, ("x", "y", "y"): 1, ("x", "y"): -1}),
+    ]

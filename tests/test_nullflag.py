@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import by_id, discrepancies, failures
 from f4prolong.control import bilinear_Q, bilinear_R
 from f4prolong.nullflag import (
     DEPENDENT_COORDS,
     FREE_COORDS,
+    LambdaFlagFrame,
     complete_null_flag,
     eta_frames,
     lambda_to_v,
@@ -63,13 +66,40 @@ def test_base_point_etas():
     assert v.eta4 == e(5)
 
 
-def test_closed_form_matches_kernel_solve():
-    rng = random.Random(13)
-    for _ in range(20):
-        coords = _coords(rng)
-        v = lambda_to_v(complete_null_flag(coords))
-        closed = eta_frames(coords)
-        assert v.etas == closed.etas
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=9, max_size=9))
+def test_closed_form_matches_kernel_solve(vals):
+    coords = dict(zip(FREE_COORDS, vals))
+    v = lambda_to_v(complete_null_flag(coords))
+    # the published pivots over (u1, u2, u3, u4, v1, v2, v3, v4)
+    assert v.eta1[4] == 1
+    assert (v.eta2[3], v.eta2[4]) == (1, 0)
+    assert (v.eta3[2], v.eta3[3], v.eta3[4], v.eta3[5]) == (1, 0, 0, 0)
+    assert (v.eta4[2], v.eta4[3], v.eta4[4], v.eta4[5]) == (0, 0, 0, 1)
+    assert v.etas == eta_frames(coords).etas
+
+
+def _unit(k):
+    return tuple(Fraction(int(i == k)) for i in range(7))
+
+
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        # f1 = f2 = f3 = r34: the kernels do not shrink
+        ((6, 6, 6), "unexpected kernel dimensions"),
+        # (r34, r24, r14) is a totally R-null flag, but not in the echelon patch
+        ((6, 5, 3), "outside the echelon normalization patch"),
+    ],
+    ids=["kernels-do-not-shrink", "outside-the-patch"],
+)
+def test_lambda_to_v_rejects_a_frame_off_the_patch(slots, message):
+    frame = LambdaFlagFrame(*(_unit(k) for k in slots), {})
+    for a in (frame.f1, frame.f2, frame.f3):
+        for b in (frame.f1, frame.f2, frame.f3):
+            assert bilinear_R(a, b) == 0
+    with pytest.raises(ValueError, match=message):
+        lambda_to_v(frame)
 
 
 def test_nullity_report_passes():
