@@ -113,8 +113,10 @@ def _emit_report(report: Report, as_json: bool) -> None:
 
 
 def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
-    if samples is not None and samples < 1:
-        raise CliError(f"--samples must be at least 1, got {samples}")
+    if samples is not None and not 1 <= samples <= control.MAX_SAMPLES:
+        raise CliError(
+            f"--samples must be at least 1 and at most {control.MAX_SAMPLES}, got {samples}"
+        )
     n = lambda default: default if samples is None else samples
     t0 = time.monotonic()
     report = Report(name, seed=seed)

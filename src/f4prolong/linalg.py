@@ -1,6 +1,10 @@
 """Exact linear algebra: one incremental fraction-free echelon for rank,
 kernel, solve and span membership; cofactor determinants and Pfaffians.
 
+`integer_vector` clears the denominators of a rational vector once; the
+echelon reduces those integer rows, and the sampled checks pair and eliminate
+such integer representatives of their vectors.
+
 Entries are Fractions (or ints) for the numeric routines; the cofactor
 determinant, the Pfaffian and the matrix products also accept any
 commutative-ring elements (e.g. MultiPoly).
@@ -11,10 +15,16 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 # sparse integer vector: key -> nonzero int
 Vec = Dict[Hashable, int]
+
+
+def integer_vector(seq: Collection[Fraction]) -> Tuple[List[int], int]:
+    """Integers n and the lcm d of the denominators with seq[i] == n[i] / d."""
+    d = lcm(*(x.denominator for x in seq))
+    return [x.numerator * (d // x.denominator) for x in seq], d
 
 
 def _axpy(a: int, x: Vec, b: int, y: Vec) -> Vec:
@@ -56,8 +66,8 @@ class Echelon:
     def _reduce(self, vec: Mapping[Hashable, Fraction]) -> Tuple[Vec, Vec]:
         """vec as an integer row with tag {self.count: scale}, reduced against
         every stored pivot; the row comes back empty iff vec is in the span."""
-        m = lcm(*(x.denominator for x in vec.values()))
-        row = {k: x.numerator * (m // x.denominator) for k, x in vec.items() if x}
+        ints, m = integer_vector(vec.values())
+        row = {k: n for k, n in zip(vec, ints) if n}
         tag = {self.count: m}
         for p in self._pivots:
             b = row.get(p)

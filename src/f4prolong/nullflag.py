@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .control import bilinear_Q, bilinear_R, build_A
-from .linalg import mat_rank, mat_rank_kernel, mat_vec
+from .linalg import integer_vector, mat_rank, mat_rank_kernel, mat_vec
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
 
@@ -151,17 +151,13 @@ def lambda_to_v(frame: LambdaFlagFrame) -> VFlagFrame:
     and on the echelon patch the free columns are the last ones; that is the
     published pivot pattern: eta1 = V1[0] has v1 = 1; eta2 = V2[0] has u4 = 1,
     v1 = 0; eta3 = V4[0] has u3 = 1, u4 = v1 = v2 = 0; eta4 = V4[1] has
-    v2 = 1, u3 = u4 = v1 = 0.
+    v2 = 1, u3 = u4 = v1 = 0. Nullity and the kernels are unchanged by
+    scaling each f_i, so they are computed on integer multiples.
     """
-    for f in (frame.f1, frame.f2, frame.f3):
-        val = bilinear_R(f, f)
-        if val != 0:
-            raise ValueError("flag frame is not R-null")
-    rows = [
-        [row[j] for j in PIVOT_ORDER]
-        for f in (frame.f1, frame.f2, frame.f3)
-        for row in build_A(f)
-    ]
+    fs = [integer_vector(f)[0] for f in (frame.f1, frame.f2, frame.f3)]
+    if any(bilinear_R(f, f) != 0 for f in fs):
+        raise ValueError("flag frame is not R-null")
+    rows = [[row[j] for j in PIVOT_ORDER] for f in fs for row in build_A(f)]
     _, b4 = mat_rank_kernel(rows[:8])
     _, b2 = mat_rank_kernel(rows[:16])
     _, b1 = mat_rank_kernel(rows)
@@ -358,19 +354,16 @@ def verify_samples(seed: int = 0, samples: int = 100) -> List[Item]:
     for _ in range(samples):
         coords = random_coords(rng)
         frame = complete_null_flag(coords)
-        for a in (frame.f1, frame.f2, frame.f3):
-            for b in (frame.f1, frame.f2, frame.f3):
-                if bilinear_R(a, b) != 0:
-                    null_bad += 1
+        # pairings vanish or not alike on integer multiples of the vectors
+        fs = [integer_vector(f)[0] for f in (frame.f1, frame.f2, frame.f3)]
+        null_bad += sum(bilinear_R(a, b) != 0 for a in fs for b in fs)
         try:
             v = lambda_to_v(frame)
         except ValueError:
             dim_bad += 1
             continue
-        for a in range(4):
-            for b in range(a, 4):
-                if bilinear_Q(v.etas[a], v.etas[b]) != 0:
-                    pairing_bad += 1
+        etas = [integer_vector(e)[0] for e in v.etas]
+        pairing_bad += sum(bilinear_Q(etas[a], etas[b]) != 0 for a in range(4) for b in range(a, 4))
         closed = eta_frames(coords)
         for got, want in zip(v.etas, closed.etas):
             mismatches += sum(1 for x, y in zip(got, want) if x != y)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from f4prolong import cartan
+from f4prolong import cartan, control, nullflag
 from f4prolong.cli import run
 
 
@@ -176,6 +176,28 @@ def test_samples_below_one_exit_2(capsys, samples):
     assert code == 2
     assert "--samples must be at least 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["control", "nullflag", "all"])
+@pytest.mark.parametrize("samples", ["100001", "1000000000"])
+def test_samples_above_the_cap_exit_2(capsys, monkeypatch, suite, samples):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran with an over-cap sample count")
+
+    for module in (cartan, control, nullflag):
+        monkeypatch.setattr(module, "verify_suite", never)
+    code, out, err = _capture(capsys, ["verify", suite, "--samples", samples])
+    assert code == 2
+    assert f"at most {control.MAX_SAMPLES}, got {samples}" in err
+    assert out == ""
+
+
+def test_samples_at_the_cap_are_accepted(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(nullflag, "verify_suite", lambda seed, n: seen.append(n) or [])
+    code, _, _ = _capture(capsys, ["verify", "nullflag", "--samples", str(control.MAX_SAMPLES)])
+    assert code == 0
+    assert seen == [100_000]
 
 
 @pytest.mark.parametrize(

@@ -7,16 +7,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import by_id, dense_evaluate, discrepancies, failures
 from f4prolong import cartan, control, fields
 from f4prolong.cartan import GENERATOR_ORDER, build_model
 from f4prolong.control import (
+    CONTROL_VARIABLES,
     R_NAMES,
     ControlVector,
     CovectorFiber,
     _random_control,
     bilinear_Q,
+    bilinear_R,
     build_A,
     build_A11,
     build_A22,
@@ -34,8 +38,8 @@ from f4prolong.control import (
     svc_membership,
     twisted_gram,
 )
-from f4prolong.linalg import mat_rank, mat_vec
-from f4prolong.poly import MultiPoly
+from f4prolong.linalg import integer_vector, mat_rank, mat_rank_kernel, mat_vec
+from f4prolong.poly import Chart, MultiPoly
 
 
 def _sym_skew_blocks():
@@ -186,6 +190,48 @@ def test_bilinear_Q_polarizes():
     )
     # polarization identity: Q(w1 + w2) = Q(w1) + 2 (w1, w2) + Q(w2)
     assert form_Q(s) == form_Q(w1) + 2 * bilinear_Q(w1.as_seq(), w2.as_seq()) + form_Q(w2)
+    # and over polynomials, with the 1/2 of the integer Gram terms applied once
+    chart = Chart("ctrl8", CONTROL_VARIABLES)
+    w = [MultiPoly.variable(chart, n) for n in CONTROL_VARIABLES]
+    assert bilinear_Q(w, w) == form_Q(ControlVector(tuple(w[:4]), tuple(w[4:])))
+
+
+rationals = st.fractions(-4, 4, max_denominator=6)
+nonzero_ints = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=8, max_size=8), st.lists(rationals, min_size=8, max_size=8))
+def test_pairings_of_integer_representatives(a, b):
+    for form, n in ((bilinear_R, 7), (bilinear_Q, 8)):
+        (ia, da), (ib, db) = integer_vector(a[:n]), integer_vector(b[:n])
+        assert form(a[:n], b[:n]) == Fraction(form(ia, ib)) / (da * db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=7, max_size=7), nonzero_ints)
+def test_kernel_of_A_is_unchanged_by_scaling(lam, c):
+    # move lam onto the cone R = 0 through r34, where ker A has dimension 4
+    s, r12, r13, r14, r23, r24, _ = lam
+    if r12:
+        lam[6] = (s * s / 4 + r13 * r24 - r14 * r23) / r12
+    rank, basis = mat_rank_kernel(build_A(lam))
+    assert len(basis) == 4 or not r12
+    assert mat_rank_kernel(build_A([c * x for x in lam])) == (rank, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=8, max_size=8), nonzero_ints)
+def test_svc_witness_is_unchanged_by_scaling(x, c):
+    u, y = x[:4], x[4:]
+    uu = sum(a * a for a in u)
+    dot = sum(a * b for a, b in zip(u, y))
+    v = [b - dot / uu * a for a, b in zip(u, y)] if uu else y
+    w = ControlVector(tuple(u), tuple(v))
+    scaled = ControlVector(tuple(c * a for a in u), tuple(c * a for a in v))
+    member, witness = svc_membership(w)
+    assert member and witness is not None and form_R(witness) == 0
+    assert svc_membership(scaled) == (member, witness)
 
 
 def test_integrator_standard_data_zero_drift():
@@ -367,3 +413,58 @@ def test_suite_statuses(control_run):
     assert ids["matrix:U-rank-dichotomy"].status == "pass"
     assert ids["svc:samples"].status == "pass"
     assert ids["integrate:drift"].status == "pass"
+
+
+def _svc_membership_with(fiber):
+    """svc_membership with every witness replaced by this covector fiber."""
+    real = control.svc_membership
+    return lambda w: (real(w)[0], fiber)
+
+
+@pytest.mark.parametrize(
+    "fiber, zero_A",
+    [
+        # R(s = 1) = 1; a witness in ker A is R-null, so only with every A
+        # zero does the R check alone have to see it
+        (CovectorFiber(Fraction(1), (Fraction(0),) * 6), True),
+        # R-null, but A(r12 = 1/3) kills only the w with u1 = u2 = v3 = v4 = 0
+        (CovectorFiber(Fraction(0), (Fraction(1, 3),) + (Fraction(0),) * 5), False),
+    ],
+    ids=["not-R-null", "not-in-ker-A"],
+)
+def test_svc_samples_check_can_fail(monkeypatch, fiber, zero_A):
+    monkeypatch.setattr(control, "svc_membership", _svc_membership_with(fiber))
+    if zero_A:
+        monkeypatch.setattr(control, "build_A", lambda lam: [[0] * 8] * 8)
+    (item,) = control.verify_svc(seed=0, samples=20)
+    assert item.status == "fail"
+    assert int(item.computed.split()[0]) > 0
+
+
+@pytest.mark.parametrize(
+    "defect, exceptions",
+    [
+        # numerators without the common denominator: not a multiple of the
+        # Q-null samples, whose v has denominators
+        (lambda seq: ([x.numerator for x in seq], 1), range(1, 101)),
+        # the zero vector: rank 0 on both sides, so all 50 + 50 samples count
+        (lambda seq: ([0] * len(seq), 1), [100]),
+    ],
+    ids=["numerators-only", "zero-vector"],
+)
+def test_U_rank_dichotomy_check_can_fail(monkeypatch, defect, exceptions):
+    monkeypatch.setattr(control, "integer_vector", defect)
+    item = by_id(control.verify_matrix_identities())["matrix:U-rank-dichotomy"]
+    assert item.status == "fail"
+    assert int(item.computed.split(", ")[1].split()[0]) in exceptions
+
+
+def test_s0_rank_A11_check_can_fail(monkeypatch):
+    # r34 off by 1 moves every sample off the locus, where A11 is invertible
+    real = control.build_A11
+    monkeypatch.setattr(control, "build_A11", lambda r: real(tuple(r[:5]) + (r[5] + 1,)))
+    item = by_id(control.verify_matrix_identities())["matrix:s0-rank-A11"]
+    assert item.status == "fail"
+    details = item.computed.split("; ")
+    assert len(details) == 10
+    assert all("rank(A11)=4" in d for d in details)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from f4prolong.fields import VectorField, constant_combination
 from f4prolong.linalg import (
     Echelon,
     det_cofactor,
+    integer_vector,
     mat_mul,
     mat_rank,
     mat_rank_kernel,
@@ -35,6 +37,16 @@ def matrices(rows, cols):
 
 def _sympy_det(rows):
     return Fraction(sympy.Rational(sympy.Matrix(rows).det()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fracs, max_size=9))
+def test_integer_vector_clears_the_denominators(seq):
+    ints, d = integer_vector(seq)
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, d) for n in ints] == seq
+    assert d == math.lcm(*(x.denominator for x in seq))
+    assert integer_vector(ints) == (ints, 1)
 
 
 @settings(max_examples=40, deadline=None)

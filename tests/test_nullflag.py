@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import by_id, discrepancies, failures
+from f4prolong import nullflag
 from f4prolong.control import bilinear_Q, bilinear_R
 from f4prolong.nullflag import (
     DEPENDENT_COORDS,
     FREE_COORDS,
     LambdaFlagFrame,
+    VFlagFrame,
     complete_null_flag,
     eta_frames,
     lambda_to_v,
@@ -132,3 +134,41 @@ def test_suite_statuses(nullflag_run):
     assert ids["dim:lambda-fiber"].status == "pass"
     assert ids["dim:v-fiber"].status == "pass"
     assert ids["samples:closed-form-crosscheck"].computed.startswith("0 ")
+
+
+def _z17_off_by_one(real):
+    """complete_null_flag with the dependent coordinate z17 off by 1."""
+
+    def complete(coords):
+        f = real(coords)
+        return LambdaFlagFrame(f.f1[:-1] + (f.f1[-1] + 1,), f.f2, f.f3, f.coords)
+
+    return complete
+
+
+def _eta1_plus_u1(real):
+    """lambda_to_v with e_u1 added to eta1: Q(eta1, eta1) = v1 = 1, while
+    eta2..eta4 have v1 = 0 and stay Q-orthogonal to it."""
+
+    def to_v(frame):
+        v = real(frame)
+        return VFlagFrame((v.eta1[0] + 1,) + v.eta1[1:], v.eta2, v.eta3, v.eta4)
+
+    return to_v
+
+
+@pytest.mark.parametrize(
+    "name, defect, item_id, computed",
+    [
+        # (f1|f1) picks up -4 at every sample, the other pairings do not move
+        ("complete_null_flag", _z17_off_by_one, "samples:r-null", "5 nonzero pairings"),
+        ("lambda_to_v", _eta1_plus_u1, "samples:q-null", "5 nonzero pairings"),
+        # every kernel of the zero matrix is everything
+        ("build_A", lambda real: lambda lam: [[0] * 8] * 8, "samples:dims", "5 failures"),
+    ],
+    ids=["r-null", "q-null", "dims"],
+)
+def test_sampled_checks_can_fail(monkeypatch, name, defect, item_id, computed):
+    monkeypatch.setattr(nullflag, name, defect(getattr(nullflag, name)))
+    item = by_id(nullflag.verify_samples(seed=3, samples=5))[item_id]
+    assert (item.status, item.computed) == ("fail", computed)
