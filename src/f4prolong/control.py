@@ -5,17 +5,16 @@ and the RK4 integrator for abnormal bi-extremals."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
-from .linalg import det_cofactor, integer_vector, mat_mul, mat_rank, mat_rank_kernel
+from .linalg import adjugate, det_cofactor, integer_vector, mat_mul, mat_rank_kernel
 from .linalg import mat_vec, pfaffian, transpose
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
-from .report import DISCREPANCY, Item, check
+from .report import DISCREPANCY, PASS, Item, check
 
 FIBER_VARIABLES = (
     "s",
@@ -260,11 +259,17 @@ def _pf_expr(chart: Chart) -> MultiPoly:
     return r12 * r34 - r13 * r24 + r14 * r23
 
 
-# control vectors drawn for each side of matrix:U-rank-dichotomy
-RANK_SAMPLES = 50
+# for each coordinate x of w = (u1..u4, v1..v4): the rows and columns of U(w)
+# whose 4x4 minor is sign * 8 x^4, so that rank(U) >= 4 wherever w != 0
+U_MINORS = (
+    ("u1", (1, 2, 3, 4), (0, 1, 2, 3), 8), ("u2", (0, 2, 3, 5), (0, 1, 4, 5), -8),
+    ("u3", (0, 1, 3, 6), (0, 2, 4, 6), 8), ("u4", (0, 1, 2, 7), (0, 3, 5, 6), -8),
+    ("v1", (0, 5, 6, 7), (0, 4, 5, 6), 8), ("v2", (1, 4, 6, 7), (0, 2, 3, 6), -8),
+    ("v3", (2, 4, 5, 7), (0, 1, 3, 5), 8), ("v4", (3, 4, 5, 6), (0, 1, 2, 4), -8),
+)  # fmt: skip
 
 
-def verify_matrix_identities(seed: int = 0) -> List[Item]:
+def verify_matrix_identities() -> List[Item]:
     items: List[Item] = []
     cov = Chart("cov7", COV7_VARIABLES)
     zero = MultiPoly.zero(cov)
@@ -327,31 +332,30 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
         )
     )
 
-    # rank structure at s = 0 on the degenerate locus (Pf-expr = 0, r != 0)
-    rng = random.Random(seed)
-    rank_ok = True
-    details = []
-    for _ in range(10):
-        r12 = rng.choice([x for x in range(-3, 4) if x])
-        r13, r14, r23, r24 = (rng.randint(-3, 3) for _ in range(4))
-        # r12 times the locus point with r34 = (r13 r24 - r14 r23) / r12
-        rv = (r12 * r12, r12 * r13, r12 * r14, r12 * r23, r12 * r24, r13 * r24 - r14 * r23)
-        m11 = build_A11(rv)
-        m22 = build_A22(rv)
-        rk11 = mat_rank(m11)
-        rk22 = mat_rank(m22)
-        cols_in_kernel = all(x == 0 for row in mat_mul(m11, m22, 0) for x in row)
-        ok = rk11 == 2 and rk22 == 2 and cols_in_kernel
-        rank_ok = rank_ok and ok
-        if not ok:
-            details.append(f"r={rv}: rank(A11)={rk11}, rank(A22)={rk22}")
+    # rank structure at s = 0 on the degenerate locus p = 0, r != 0: with
+    # adj(A11) = -4p A22 and adj(A22) = -4p A11 every 3x3 minor vanishes there,
+    # and a nonzero entry a of either skew block gives the principal 2x2 minor
+    # a^2, so both ranks are 2, and A11 A22 = -4p I puts im(A22) in ker(A11)
+    defects = []
+    for name, m, other in (("A11", a11, a22), ("A22", a22, a11)):
+        adj = adjugate(m, zero, one)
+        defects += [
+            f"adj({name})[{i}][{j}] = {adj[i][j]}"
+            for i in range(4) for j in range(4) if adj[i][j] != -4 * p * other[i][j]
+        ]  # fmt: skip
+        defects += [
+            f"{name} is not skew at {(i, j)}"
+            for i in range(4) for j in range(i, 4) if m[i][j] != -m[j][i]
+        ]  # fmt: skip
+    if prod1 != target:
+        defects.append("premise matrix:A11A22-scalar fails")
     items.append(
         check(
             "matrix:s0-rank-A11",
             "at s=0 on the degenerate locus: rank(A11) = 2 and ker(A11) = im(A22)",
-            rank_ok,
-            computed="; ".join(details) or "10 samples pass",
-            expected="rank 2, im(A22) in ker(A11) of matching dimension",
+            not defects,
+            computed=defects[0] if defects else "adj(A11) = -4p A22 and adj(A22) = -4p A11",
+            expected="adjugates -4p times the other block, both blocks skew",
         )
     )
 
@@ -399,30 +403,29 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
             expected="c * Q^k",
         )
     )
-    if is_power:
-        if k == 8 and c_val == 8192:
-            items.append(
-                check(
-                    "matrix:det-tUU-exponent",
-                    "det(tUU) exponent matches the published value 2^13 Q^8",
-                    True,
-                    computed=f"{c_val} Q^{k}",
-                    expected="8192 Q^8",
-                )
+    if is_power and k == 8 and c_val == 8192:
+        items.append(
+            check(
+                "matrix:det-tUU-exponent",
+                "det(tUU) exponent matches the published value 2^13 Q^8",
+                True,
+                computed=f"{c_val} Q^{k}",
+                expected="8192 Q^8",
             )
-        else:
-            items.append(
-                Item(
-                    "matrix:det-tUU-exponent",
-                    "det(tUU) compared with the published 2^13 Q^8",
-                    DISCREPANCY,
-                    computed=f"{c_val} Q^{k}",
-                    expected="8192 Q^8 (published)",
-                    note="computed determinant disagrees with the published"
-                    " exponent; the 7x7 matrix has entries linear in Q, so"
-                    " Q^7 is forced",
-                )
+        )
+    elif is_power:
+        items.append(
+            Item(
+                "matrix:det-tUU-exponent",
+                "det(tUU) compared with the published 2^13 Q^8",
+                DISCREPANCY,
+                computed=f"{c_val} Q^{k}",
+                expected="8192 Q^8 (published)",
+                note="computed determinant disagrees with the published"
+                " exponent; the 7x7 matrix has entries linear in Q, so"
+                " Q^7 is forced",
             )
+        )
 
     # bilinear identity U(w)·(s,r) = A(s,r)·(u,v) in all 15 scalars
     big = Chart("uvsr15", CONTROL_VARIABLES + COV7_VARIABLES)
@@ -436,40 +439,30 @@ def verify_matrix_identities(seed: int = 0) -> List[Item]:
         )
     )
 
-    # rank dichotomy of U, on w scaled to integers
-    bad = 0
-    for _ in range(RANK_SAMPLES):
-        w = _random_control(rng, null=False)
-        want = 0 if w.is_zero() else 4 if form_Q(w) == 0 else 7
-        bad += mat_rank(build_U(integer_vector(w.as_seq())[0])) != want
-        wn = _random_control(rng, null=True)
-        bad += mat_rank(build_U(integer_vector(wn.as_seq())[0])) != (0 if wn.is_zero() else 4)
+    # rank dichotomy of U: tU J U (J = [[0, I], [I, 0]]) is the twisted Gram
+    # Q K with det(K) != 0, so Q != 0 gives rank 7; Q = 0 makes im(U)
+    # J-isotropic, and J has Witt index 4; the minors give rank >= 4 at w != 0
+    u_sym = build_U(w)
+    defects = []
+    for x, rows, cols, sign in U_MINORS:
+        minor = det_cofactor([[u_sym[i][j] for j in cols] for i in rows], zc, oc)
+        xv = MultiPoly.variable(ctrl, x)
+        if minor != sign * xv * xv * xv * xv:
+            defects.append(f"minor on rows {rows}, cols {cols} = {minor}")
+    if not shape_ok:
+        defects.append("premise matrix:tUU-shape fails")
+    if not (is_power and c_val):
+        defects.append("premise matrix:det-tUU-form gives no nonzero c")
     items.append(
         check(
             "matrix:U-rank-dichotomy",
-            "rank(U) = 7 when Q != 0 and 4 when Q = 0 (w != 0), sampled",
-            bad == 0,
-            computed=f"{RANK_SAMPLES}+{RANK_SAMPLES} samples"
-            + (f", {bad} exceptions" if bad else ""),
-            expected="no exceptions",
+            "rank(U) = 7 when Q != 0 and 4 when Q = 0 (w != 0), on the whole chart",
+            not defects,
+            computed=defects[0] if defects else "8 minors +-8x^4; tU J U = Q K, det(K) != 0",
+            expected="a +-8x^4 minor for each coordinate x",
         )
     )
     return items
-
-
-def _random_control(rng: random.Random, null: bool) -> ControlVector:
-    """A random rational control vector; when null, with Q = 0 exactly."""
-    while True:
-        u = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
-        w = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
-        if not null:
-            return ControlVector(u, w)
-        uu = sum(a * a for a in u)
-        if uu == 0:
-            continue
-        dot = sum(a * b for a, b in zip(u, w))
-        v = tuple(b - dot / uu * a for a, b in zip(u, w))
-        return ControlVector(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +614,7 @@ def verify_sharp_display() -> List[Item]:
         if got == want:
             items.append(check(f"sharp:{var}-dot", f"published {var}-dot equation matches dH derivation", True))
         else:
-            note = ""
-            if var == "z":
-                note = (
-                    'published z-dot ends "u4 u4"; the Hamiltonian derivation'
-                    " gives u4 y4"
-                )
+            note = 'published z-dot ends "u4 u4"; the Hamiltonian derivation gives u4 y4'
             items.append(
                 Item(
                     f"sharp:{var}-dot",
@@ -634,7 +622,7 @@ def verify_sharp_display() -> List[Item]:
                     DISCREPANCY,
                     computed=str(got),
                     expected=str(want),
-                    note=note,
+                    note=note if var == "z" else "",
                 )
             )
     items.append(
@@ -759,7 +747,7 @@ def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
 
 # every RK4 state is kept (about 1 KB per step), so the step count is capped
 MAX_STEPS = 100_000
-# a sampled suite runs in time linear in its sample count, which is capped too
+# the largest `verify --samples` the command line accepts; no suite draws samples
 MAX_SAMPLES = 100_000
 
 
@@ -870,46 +858,34 @@ def verify_flow_lemma_numeric(traj: Trajectory, tol: float = 1e-6) -> List[Item]
     ]
 
 
-def verify_svc(seed: int = 0, samples: int = 200) -> List[Item]:
-    """Membership iff Q = 0 plus exact witness validation on seeded samples."""
-    rng = random.Random(seed)
-    bad = 0
-    witnesses_checked = 0
-    for k in range(samples):
-        w = _random_control(rng, null=(k % 2 == 0))
-        member, witness = svc_membership(w)
-        if member != (form_Q(w) == 0):
-            bad += 1
-            continue
-        if member:
-            if witness is None or witness.is_zero():
-                bad += 1
-                continue
-            # both checks are homogeneous, so they run on integer multiples
-            c, _ = integer_vector(witness.as_seq())
-            if bilinear_R(c, c) != 0:
-                bad += 1
-                continue
-            if any(mat_vec(build_A(c), integer_vector(w.as_seq())[0])):
-                bad += 1
-            witnesses_checked += 1
+# the matrix items that svc:samples rests on
+SVC_PREMISES = ("matrix:U-rank-dichotomy", "matrix:U-A-bilinear", "matrix:BA-R-identity")
+
+
+def verify_svc(matrix_items: Sequence[Item]) -> List[Item]:
+    """Membership iff Q = 0, with R-null witnesses in ker A, from the matrix
+    items: Q != 0 gives rank U = 7, so no lam has A(lam)·w = U(w)·lam = 0; Q = 0
+    and w != 0 give dim ker U = 3, and B A(lam) w = R(lam) w = 0 forces R = 0."""
+    status = {item.id: item.status for item in matrix_items}
+    failing = [name for name in SVC_PREMISES if status.get(name) != PASS]
     return [
         check(
             "svc:samples",
-            f"SVC membership iff Q = 0 with exact R-null witnesses on {samples} samples",
-            bad == 0,
-            computed=f"{bad} exceptions, {witnesses_checked} witnesses validated",
-            expected="0 exceptions",
+            "SVC membership iff Q = 0 with R-null witnesses in ker A, on the whole chart",
+            not failing,
+            computed=f"failing premise: {failing[0]}" if failing else ", ".join(SVC_PREMISES),
+            expected="all premises pass",
         )
     ]
 
 
-def verify_suite(seed: int = 0, svc_samples: int = 200) -> List[Item]:
+def verify_suite() -> List[Item]:
     items: List[Item] = []
     items.extend(verify_sharp_display())
     items.extend(verify_poisson_lift_table())
-    items.extend(verify_matrix_identities(seed))
-    items.extend(verify_svc(seed, svc_samples))
+    matrix = verify_matrix_identities()
+    items.extend(matrix)
+    items.extend(verify_svc(matrix))
     items.extend(verify_flow_lemma_symbolic())
     init, controls = standard_initial_data()
     traj, drift = integrate_extremal(init, controls, 1e-3, 1.0)

@@ -2,12 +2,12 @@
 kernel, solve and span membership; cofactor determinants and Pfaffians.
 
 `integer_vector` clears the denominators of a rational vector once; the
-echelon reduces those integer rows, and the sampled checks pair and eliminate
-such integer representatives of their vectors.
+echelon reduces those integer rows, and `svc_membership` and `lambda_to_v`
+eliminate such integer representatives of their vectors.
 
 Entries are Fractions (or ints) for the numeric routines; the cofactor
-determinant, the Pfaffian and the matrix products also accept any
-commutative-ring elements (e.g. MultiPoly).
+determinant, the adjugate, the Pfaffian and the matrix products also accept
+any commutative-ring elements (e.g. MultiPoly).
 """
 
 from __future__ import annotations
@@ -182,6 +182,13 @@ def det_cofactor(rows, zero, one):
         return acc
 
     return rec([list(r) for r in rows])
+
+
+def adjugate(rows, zero, one):
+    """adj(M)[i][j] = (-1)^(i+j) det(M without row j and column i), any ring."""
+    minor = lambda i, j: [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
+    n = range(len(rows))
+    return [[det_cofactor(minor(i, j), zero, one) * (-1) ** (i + j) for j in n] for i in n]
 
 
 def pfaffian(rows, zero, one):

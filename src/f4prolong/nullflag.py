@@ -4,15 +4,14 @@ explicit eta-frames."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .control import bilinear_Q, bilinear_R, build_A
-from .linalg import integer_vector, mat_rank, mat_rank_kernel, mat_vec
+from .linalg import det_cofactor, integer_vector, mat_rank, mat_rank_kernel, mat_vec
 from .poly import Chart, MultiPoly, from_terms
-from .report import DISCREPANCY, Item, check
+from .report import DISCREPANCY, FAIL, PASS, Item, check
 
 FREE_COORDS = ("z11", "z13", "z14", "z15", "z16", "z21", "z24", "z25", "z31")
 # f1, f2, f3 over (s, r12, r13, r14, r23, r24, r34): each slot holds a z-name,
@@ -175,23 +174,25 @@ def lambda_to_v(frame: LambdaFlagFrame) -> VFlagFrame:
     return VFlagFrame(eta1, eta2, eta3, eta4)
 
 
+def _nonzero_pairings(form, vectors, name: str) -> List[Tuple[str, object]]:
+    """(name formatted with a + 1, b + 1; value) of each nonzero form(v_a, v_b), a <= b."""
+    n = len(vectors)
+    values = [(a, b, form(vectors[a], vectors[b])) for a in range(n) for b in range(a, n)]
+    return [(name.format(a + 1, b + 1), x) for a, b, x in values if x != 0]
+
+
 def verify_flag_nullity(v: VFlagFrame) -> List[Item]:
     """All ten Q-pairings vanish and the flag containments hold."""
-    items = []
-    bad = []
-    for a in range(4):
-        for b in range(a, 4):
-            if bilinear_Q(v.etas[a], v.etas[b]) != 0:
-                bad.append((a + 1, b + 1))
-    items.append(
+    bad = [name for name, _ in _nonzero_pairings(bilinear_Q, v.etas, "Q(eta{}, eta{})")]
+    items = [
         check(
             "nullity:q-pairings",
             "Q(eta_a, eta_b) = 0 for all ten pairs",
             not bad,
-            computed=f"nonzero pairs: {bad}" if bad else "all 10 zero",
+            computed=f"nonzero pairs: {', '.join(bad)}" if bad else "all 10 zero",
             expected="all zero",
         )
-    )
+    ]
     r1 = mat_rank([list(v.eta1)])
     r2 = mat_rank([list(v.eta1), list(v.eta2)])
     r4 = mat_rank([list(e) for e in v.etas])
@@ -227,23 +228,24 @@ PRINTED_NULL_EXPANSIONS = {
 ALL_Z = FREE_COORDS + ("z17", "z26", "z27", "z35", "z36", "z37")
 
 
-def verify_printed_expansions() -> List[Item]:
-    """Compare the published (f_i | f_j) expansions with the form itself."""
+def _flag15_vectors() -> List[list]:
+    """f1, f2, f3 with all fifteen z-slots as variables of the flag15 chart."""
     chart = Chart("flag15", ALL_Z)
     zv = {n: MultiPoly.variable(chart, n) for n in chart.variables}
-    f = dict(zip(("f1", "f2", "f3"), _flag_vectors(zv, *_ring_units(zv["z11"]))))
+    return _flag_vectors(zv, *_ring_units(zv["z11"]))
+
+
+def verify_printed_expansions() -> List[Item]:
+    """Compare the published (f_i | f_j) expansions with the form itself."""
+    f = dict(zip(("f1", "f2", "f3"), _flag15_vectors()))
+    chart = f["f1"][0].chart
     items = []
     for (a, b), terms in PRINTED_NULL_EXPANSIONS.items():
         computed = bilinear_R(f[a], f[b])
         printed = from_terms(chart, terms)
         if computed == printed:
-            items.append(
-                check(
-                    f"expansion:({a}|{b})",
-                    f"published ({a}|{b}) expansion matches the bilinear form",
-                    True,
-                )
-            )
+            desc = f"published ({a}|{b}) expansion matches the bilinear form"
+            items.append(check(f"expansion:({a}|{b})", desc, True))
         else:
             items.append(
                 Item(
@@ -259,29 +261,22 @@ def verify_printed_expansions() -> List[Item]:
     return items
 
 
-def flag_chart() -> Chart:
-    return Chart("flag9", FREE_COORDS)
-
-
-def verify_symbolic_etas() -> List[Item]:
-    """Exact polynomial checks of the closed-form frames over all 9 coordinates."""
-    chart = flag_chart()
+def symbolic_flag() -> Tuple[LambdaFlagFrame, VFlagFrame]:
+    """The completion and the closed-form eta frame, over the flag9 chart."""
+    chart = Chart("flag9", FREE_COORDS)
     coords = {n: MultiPoly.variable(chart, n) for n in FREE_COORDS}
-    frame = complete_null_flag(coords)
-    items = []
-    null_ok = all(
-        bilinear_R(a, b).is_zero()
-        for a in (frame.f1, frame.f2, frame.f3)
-        for b in (frame.f1, frame.f2, frame.f3)
-    )
-    items.append(
+    return complete_null_flag(coords), eta_frames(coords)
+
+
+def verify_symbolic_etas(frame: LambdaFlagFrame, v: VFlagFrame) -> List[Item]:
+    """Exact polynomial checks of the closed-form frames over all 9 coordinates."""
+    items = [
         check(
             "symbolic:flag-null",
             "completed flag satisfies all six (f_i|f_j) = 0 identically",
-            null_ok,
+            not _nonzero_pairings(bilinear_R, (frame.f1, frame.f2, frame.f3), "(f{}|f{})"),
         )
-    )
-    v = eta_frames(coords)
+    ]
     kills = [
         (frame.f1, v.etas, "A(f1) kills eta1..eta4"),
         (frame.f2, v.etas[:2], "A(f2) kills eta1, eta2"),
@@ -290,14 +285,11 @@ def verify_symbolic_etas() -> List[Item]:
     for lam, etas, desc in kills:
         ok = all(all(x.is_zero() for x in mat_vec(build_A(lam), e)) for e in etas)
         items.append(check(f"symbolic:{desc.split()[0]}-kernel", desc + " identically", ok))
-    q_ok = all(
-        bilinear_Q(v.etas[a], v.etas[b]).is_zero() for a in range(4) for b in range(a, 4)
-    )
     items.append(
         check(
             "symbolic:eta-q-null",
             "closed-form etas are pairwise Q-null identically",
-            q_ok,
+            not _nonzero_pairings(bilinear_Q, v.etas, "Q(eta{}, eta{})"),
         )
     )
     return items
@@ -305,26 +297,32 @@ def verify_symbolic_etas() -> List[Item]:
 
 def verify_dimensions() -> List[Item]:
     """Fiber-dimension bookkeeping for the two flag bundles (9 and 11)."""
-    items = []
-    items.append(
+    # the nullity equations cut the 15 z-slots; their Jacobian in the
+    # dependent coordinates has a nonzero constant determinant, so they have
+    # rank 6 everywhere and the fiber is a graph over the rest
+    f = _flag15_vectors()
+    eqs = [bilinear_R(f[partner], f[_SLOTS[name][0]]) for name, partner in NULLITY_EQUATIONS]
+    slots = sum(isinstance(x, str) for row in FLAG_LAYOUT for x in row)
+    if len(eqs) != len(DEPENDENT_COORDS):
+        computed = f"{len(eqs)} equations in {len(DEPENDENT_COORDS)} dependent coordinates"
+    else:
+        jac = [[e.diff(x) for x in DEPENDENT_COORDS] for e in eqs]
+        det = det_cofactor(jac, *_ring_units(f[0][0]))
+        ok = det.is_constant() and not det.is_zero()
+        computed = str(slots - len(eqs)) if ok else f"{slots} slots, Jacobian det {det}"
+    items = [
         check(
             "dim:lambda-fiber",
-            "the Lambda-flag chart has 9 free coordinates",
-            len(FREE_COORDS) == 9,
-            computed=str(len(FREE_COORDS)),
+            "the Lambda-flag fiber: 15 z-slots minus the rank of the six nullity equations",
+            computed == "9",
+            computed=computed,
             expected="9",
         )
-    )
+    ]
     # null 4-spaces through the graph patch v = S u: Q-nullity forces S + tS = 0
-    rows = []
-    for a in range(4):
-        for b in range(a, 4):
-            row = [Fraction(0)] * 16
-            row[4 * a + b] += 1
-            row[4 * b + a] += 1
-            rows.append(row)
-    rank, kernel = mat_rank_kernel(rows)
-    dim_v4 = len(kernel)
+    pairs = [(a, b) for a in range(4) for b in range(a, 4)]
+    rows = [[int(k in (4 * a + b, 4 * b + a)) for k in range(16)] for a, b in pairs]
+    dim_v4 = len(mat_rank_kernel(rows)[1])
     gr24 = 2 * (4 - 2)
     gr12 = 1 * (2 - 1)
     total = dim_v4 + gr24 + gr12
@@ -340,79 +338,100 @@ def verify_dimensions() -> List[Item]:
     return items
 
 
-def random_coords(rng: random.Random) -> Dict[str, Fraction]:
-    return {n: Fraction(rng.randint(-2, 2)) for n in FREE_COORDS}
+# rows of the stacked A(f1; f2; f3), columns in PIVOT_ORDER, whose minor on
+# the first 4, 6 and 7 columns is a nonzero constant on the whole chart: the
+# kernels of A(f1), A(f1; f2) and A(f1; f2; f3) have dimension at most 4, 2, 1
+PROFILE_MINORS = ((0, 1, 6, 7), (0, 1, 6, 7, 8, 15), (0, 1, 6, 7, 8, 15, 16))
+# the stack (index into PROFILE_MINORS) and free column of eta1..eta4, as
+# lambda_to_v reads them: eta1 = V1[0], eta2 = V2[0], eta3 = V4[0], eta4 = V4[1]
+ETA_KERNELS = ((2, 0), (1, 0), (0, 0), (0, 1))
 
 
-def verify_samples(seed: int = 0, samples: int = 100) -> List[Item]:
-    """Random-coordinate property checks, including the closed-form cross-check."""
-    rng = random.Random(seed)
-    null_bad = 0
-    dim_bad = 0
-    pairing_bad = 0
-    mismatches = 0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        frame = complete_null_flag(coords)
-        # pairings vanish or not alike on integer multiples of the vectors
-        fs = [integer_vector(f)[0] for f in (frame.f1, frame.f2, frame.f3)]
-        null_bad += sum(bilinear_R(a, b) != 0 for a in fs for b in fs)
-        try:
-            v = lambda_to_v(frame)
-        except ValueError:
-            dim_bad += 1
-            continue
-        etas = [integer_vector(e)[0] for e in v.etas]
-        pairing_bad += sum(bilinear_Q(etas[a], etas[b]) != 0 for a in range(4) for b in range(a, 4))
-        closed = eta_frames(coords)
-        for got, want in zip(v.etas, closed.etas):
-            mismatches += sum(1 for x, y in zip(got, want) if x != y)
-    items = [
+def kernel_frame(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[str, List[list]]:
+    """The eta frame that lambda_to_v solves for, on the whole chart and in
+    PIVOT_ORDER, and a witness that is empty when the certificate holds.
+
+    With each minor a nonzero constant c, the kernel vector of a stack with
+    the unit free part of its eta is unique: the closed form with that free
+    part, less M^-1 y on the pivot columns (M the minor's block, y the
+    residual on its rows) by Cramer's rule over c. It must lie in the kernel
+    of the whole stack; the unit free parts make the profile (4, 2, 1)."""
+    zero, one = _ring_units(frame.f1[0])
+    rows = [[r[j] for j in PIVOT_ORDER] for f in (frame.f1, frame.f2, frame.f3) for r in build_A(f)]
+    blocks = [[rows[i][: len(ix)] for i in ix] for ix in PROFILE_MINORS]
+    minors = [det_cofactor(block, zero, one) for block in blocks]
+    for ix, det in zip(PROFILE_MINORS, minors):
+        if not det.is_constant() or det.is_zero():
+            return f"minor on rows {ix} = {det}", []
+    out = []
+    for k, ((stack, col), eta) in enumerate(zip(ETA_KERNELS, v.etas), 1):
+        n = len(PROFILE_MINORS[stack])
+        t = [eta[j] for j in PIVOT_ORDER[:n]] + [one if m == col else zero for m in range(8 - n)]
+        y = mat_vec([rows[i] for i in PROFILE_MINORS[stack]], t)
+        if any(x != 0 for x in y):
+            c = Fraction(1) / minors[stack].constant_value()
+            cramer = lambda j: [r[:j] + [b] + r[j + 1 :] for r, b in zip(blocks[stack], y)]
+            t[:n] = [t[j] - det_cofactor(cramer(j), zero, one) * c for j in range(n)]
+        out.append(t)
+        bad = [(i, x) for i, x in enumerate(mat_vec(rows[: 8 * stack + 8], t)) if x != 0]
+        if bad:
+            return f"eta{k} leaves the kernel: row {bad[0][0]} = {bad[0][1]}", out
+    return "", out
+
+
+def _pairings(bad) -> str:
+    """The count of nonzero pairings, with the first as its witness."""
+    return f"{len(bad)} nonzero pairings" + "".join(f"; {name} = {x}" for name, x in bad[:1])
+
+
+def verify_chart_frames(frame: LambdaFlagFrame, v: VFlagFrame) -> List[Item]:
+    """R-nullity, the kernel profile, Q-nullity and the closed-form cross-check
+    of the null flags, each on the whole chart."""
+    r_bad = _nonzero_pairings(bilinear_R, (frame.f1, frame.f2, frame.f3), "(f{}|f{})")
+    witness, solved = kernel_frame(frame, v)
+    etas = [tuple(t[p] for p in _FROM_PIVOT_ORDER) for t in solved]
+    q_bad = [] if witness else _nonzero_pairings(bilinear_Q, etas, "Q(eta{}, eta{})")
+    mismatches = sum(x != y for got, want in zip(etas, v.etas) for x, y in zip(got, want))
+    cross = FAIL if witness else DISCREPANCY if mismatches else PASS
+    note = "nonzero count indicates published coefficient typos" if cross == DISCREPANCY else ""
+    return [
         check(
             "samples:r-null",
-            f"{samples} random flags complete to exactly R-null frames",
-            null_bad == 0,
-            computed=f"{null_bad} nonzero pairings",
+            "the completed flag is exactly R-null on the whole chart",
+            not r_bad,
+            computed=_pairings(r_bad),
             expected="0",
         ),
         check(
             "samples:dims",
-            "kernel dimension profile (4, 2, 1) at every sample",
-            dim_bad == 0,
-            computed=f"{dim_bad} failures",
-            expected="0",
+            "kernel dimension profile (4, 2, 1) on the whole chart",
+            not witness,
+            computed=witness or f"constant minors on rows {', '.join(map(str, PROFILE_MINORS))}",
+            expected="nonzero constant minors, kernels holding the unit-pivot etas",
         ),
         check(
             "samples:q-null",
-            "every sampled V-flag is exactly Q-null",
-            pairing_bad == 0,
-            computed=f"{pairing_bad} nonzero pairings",
+            "the kernel-solved V-flag is exactly Q-null on the whole chart",
+            not witness and not q_bad,
+            computed=witness or _pairings(q_bad),
             expected="0",
         ),
-        check(
+        Item(
             "samples:closed-form-crosscheck",
-            "kernel-solved frames agree with the published closed forms",
-            True,  # a nonzero count is reported, not failed
-            computed=f"{mismatches} coefficient mismatches",
+            "kernel-solved frames vs the published closed forms, on the whole chart",
+            cross,
+            computed=witness or f"{mismatches} coefficient mismatches",
             expected="0",
+            note=note,
         ),
     ]
-    if mismatches:
-        items[-1] = Item(
-            "samples:closed-form-crosscheck",
-            "kernel-solved frames vs the published closed forms",
-            DISCREPANCY,
-            computed=f"{mismatches} coefficient mismatches",
-            expected="0",
-            note="nonzero count indicates published coefficient typos",
-        )
-    return items
 
 
-def verify_suite(seed: int = 0, samples: int = 100) -> List[Item]:
+def verify_suite() -> List[Item]:
     items: List[Item] = []
     items.extend(verify_printed_expansions())
-    items.extend(verify_symbolic_etas())
+    frame, closed = symbolic_flag()
+    items.extend(verify_symbolic_etas(frame, closed))
     items.extend(verify_dimensions())
     # base-point sanity: all free coordinates zero
     zero_coords = {n: Fraction(0) for n in FREE_COORDS}
@@ -429,5 +448,5 @@ def verify_suite(seed: int = 0, samples: int = 100) -> List[Item]:
         )
     )
     items.extend(verify_flag_nullity(v0))
-    items.extend(verify_samples(seed, samples))
+    items.extend(verify_chart_frames(frame, closed))
     return items

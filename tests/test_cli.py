@@ -65,8 +65,8 @@ def test_identical_seeds_identical_json(capsys):
 
 
 def test_global_suites_ignore_seed_and_samples(capsys):
-    # cartan and prolong draw no point, so neither flag changes their reports
-    for suite in ("cartan", "prolong"):
+    # no suite draws a point, so neither flag changes a report
+    for suite in ("cartan", "control", "nullflag", "prolong", "all"):
         reports = []
         for seed, samples in (("0", "1"), ("7", "5")):
             argv = ["verify", suite, "--json", "--seed", seed, "--samples", samples]
@@ -194,10 +194,11 @@ def test_samples_above_the_cap_exit_2(capsys, monkeypatch, suite, samples):
 
 def test_samples_at_the_cap_are_accepted(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr(nullflag, "verify_suite", lambda seed, n: seen.append(n) or [])
+    monkeypatch.setattr(nullflag, "verify_suite", lambda: seen.append("ran") or [])
     code, _, _ = _capture(capsys, ["verify", "nullflag", "--samples", str(control.MAX_SAMPLES)])
+    assert control.MAX_SAMPLES == 100_000
     assert code == 0
-    assert seen == [100_000]
+    assert seen == ["ran"]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from f4prolong.control import (
     R_NAMES,
     ControlVector,
     CovectorFiber,
-    _random_control,
     bilinear_Q,
     bilinear_R,
     build_A,
@@ -159,6 +158,50 @@ def test_rank_dichotomy_examples():
     v_off = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     assert mat_rank(build_U(u + v_on)) == 4
     assert mat_rank(build_U(u + v_off)) == 7
+
+
+def _random_control(rng: random.Random, null: bool) -> ControlVector:
+    """A random rational control vector; when null, with Q = 0 exactly."""
+    while True:
+        u = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
+        w = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
+        if not null:
+            return ControlVector(u, w)
+        uu = sum(a * a for a in u)
+        if uu == 0:
+            continue
+        dot = sum(a * b for a, b in zip(u, w))
+        v = tuple(b - dot / uu * a for a, b in zip(u, w))
+        return ControlVector(u, v)
+
+
+def test_U_rank_dichotomy_on_seeded_controls():
+    # the oracle of matrix:U-rank-dichotomy: rank 7 off the cone, 4 on it and
+    # 0 at w = 0, on w scaled to integers
+    rng = random.Random(0)
+    for k in range(100):
+        w = _random_control(rng, null=k % 2 == 0)
+        want = 0 if w.is_zero() else 4 if form_Q(w) == 0 else 7
+        assert mat_rank(build_U(integer_vector(w.as_seq())[0])) == want
+    assert mat_rank(build_U([0] * 8)) == 0
+
+
+def test_svc_witnesses_on_seeded_controls():
+    # the oracle of svc:samples: membership iff Q = 0, and every witness is a
+    # nonzero R-null covector in ker A(witness)·w, checked on integer multiples
+    rng = random.Random(0)
+    witnesses = 0
+    for k in range(200):
+        w = _random_control(rng, null=k % 2 == 0)
+        member, witness = svc_membership(w)
+        assert member == (form_Q(w) == 0)
+        if member:
+            assert witness is not None and not witness.is_zero()
+            c, _ = integer_vector(witness.as_seq())
+            assert bilinear_R(c, c) == 0
+            assert not any(mat_vec(build_A(c), integer_vector(w.as_seq())[0]))
+            witnesses += 1
+    assert witnesses >= 100
 
 
 def test_svc_membership_and_witness():
@@ -415,56 +458,64 @@ def test_suite_statuses(control_run):
     assert ids["integrate:drift"].status == "pass"
 
 
-def _svc_membership_with(fiber):
-    """svc_membership with every witness replaced by this covector fiber."""
-    real = control.svc_membership
-    return lambda w: (real(w)[0], fiber)
-
-
 @pytest.mark.parametrize(
-    "fiber, zero_A",
-    [
-        # R(s = 1) = 1; a witness in ker A is R-null, so only with every A
-        # zero does the R check alone have to see it
-        (CovectorFiber(Fraction(1), (Fraction(0),) * 6), True),
-        # R-null, but A(r12 = 1/3) kills only the w with u1 = u2 = v3 = v4 = 0
-        (CovectorFiber(Fraction(0), (Fraction(1, 3),) + (Fraction(0),) * 5), False),
-    ],
+    "premise",
+    # an R-null witness rests on B A = R I8, a witness in ker A on U(w)·lam =
+    # A(lam)·w
+    ["matrix:BA-R-identity", "matrix:U-A-bilinear"],
     ids=["not-R-null", "not-in-ker-A"],
 )
-def test_svc_samples_check_can_fail(monkeypatch, fiber, zero_A):
-    monkeypatch.setattr(control, "svc_membership", _svc_membership_with(fiber))
-    if zero_A:
-        monkeypatch.setattr(control, "build_A", lambda lam: [[0] * 8] * 8)
-    (item,) = control.verify_svc(seed=0, samples=20)
-    assert item.status == "fail"
-    assert int(item.computed.split()[0]) > 0
+def test_svc_samples_check_can_fail(premise):
+    items = control.verify_matrix_identities()
+    by_id(items)[premise].status = "fail"
+    (item,) = control.verify_svc(items)
+    assert (item.status, item.computed) == ("fail", f"failing premise: {premise}")
+
+
+def test_svc_samples_reads_a_defect_of_A(monkeypatch):
+    # the upper-right -sI block of A with a flipped sign: U(w)·lam = A(lam)·w fails
+    real = control.build_A
+
+    def build_A(lam):
+        return [[-x if i < 4 <= j else x for j, x in enumerate(r)] for i, r in enumerate(real(lam))]
+
+    monkeypatch.setattr(control, "build_A", build_A)
+    (item,) = control.verify_svc(control.verify_matrix_identities())
+    assert (item.status, item.computed) == ("fail", "failing premise: matrix:U-A-bilinear")
+
+
+def _U_with_entry_1_1_plus_v2(real):
+    def build_U(w):
+        m = real(w)
+        m[1][1] = m[1][1] + w[5]
+        return m
+
+    return build_U
 
 
 @pytest.mark.parametrize(
-    "defect, exceptions",
+    "defect, computed",
     [
-        # numerators without the common denominator: not a multiple of the
-        # Q-null samples, whose v has denominators
-        (lambda seq: ([x.numerator for x in seq], 1), range(1, 101)),
-        # the zero vector: rank 0 on both sides, so all 50 + 50 samples count
-        (lambda seq: ([0] * len(seq), 1), [100]),
+        # -2 u1 + v2 in row 1, column 1: the minor of u1 picks up a v2 term
+        (_U_with_entry_1_1_plus_v2, "minor on rows (1, 2, 3, 4), cols (0, 1, 2, 3) = "),
+        # U of the zero vector at every w: every minor is 0
+        (lambda real: lambda w: [[w[0] * 0] * 7 for _ in range(8)],
+         "minor on rows (1, 2, 3, 4), cols (0, 1, 2, 3) = 0"),
     ],
-    ids=["numerators-only", "zero-vector"],
+    ids=["one-entry-changed", "zero-vector"],
 )
-def test_U_rank_dichotomy_check_can_fail(monkeypatch, defect, exceptions):
-    monkeypatch.setattr(control, "integer_vector", defect)
+def test_U_rank_dichotomy_check_can_fail(monkeypatch, defect, computed):
+    monkeypatch.setattr(control, "build_U", defect(control.build_U))
     item = by_id(control.verify_matrix_identities())["matrix:U-rank-dichotomy"]
     assert item.status == "fail"
-    assert int(item.computed.split(", ")[1].split()[0]) in exceptions
+    assert item.computed.startswith(computed)
 
 
 def test_s0_rank_A11_check_can_fail(monkeypatch):
-    # r34 off by 1 moves every sample off the locus, where A11 is invertible
-    real = control.build_A11
-    monkeypatch.setattr(control, "build_A11", lambda r: real(tuple(r[:5]) + (r[5] + 1,)))
+    # A22 with a flipped sign: adj(A11) = -4p A22 fails in its first
+    # off-diagonal entry
+    real = control.build_A22
+    monkeypatch.setattr(control, "build_A22", lambda r: [[-x for x in row] for row in real(r)])
     item = by_id(control.verify_matrix_identities())["matrix:s0-rank-A11"]
     assert item.status == "fail"
-    details = item.computed.split("; ")
-    assert len(details) == 10
-    assert all("rank(A11)=4" in d for d in details)
+    assert item.computed.startswith("adj(A11)[0][1] = ")

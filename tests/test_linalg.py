@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from f4prolong.fields import VectorField, constant_combination
 from f4prolong.linalg import (
     Echelon,
+    adjugate,
     det_cofactor,
     integer_vector,
     mat_mul,
@@ -60,6 +61,14 @@ def test_rank_matches_sympy(rows):
 def test_det_matches_sympy_and_cofactor(rows):
     d = det_cofactor(rows, Fraction(0), Fraction(1))
     assert d == _sympy_det(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(4, 4))
+def test_adjugate_matches_sympy(rows):
+    oracle = sympy.Matrix(rows).adjugate().tolist()
+    want = [[Fraction(sympy.Rational(x)) for x in r] for r in oracle]
+    assert adjugate(rows, Fraction(0), Fraction(1)) == want
 
 
 @settings(max_examples=40, deadline=None)

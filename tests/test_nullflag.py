@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import by_id, discrepancies, failures
 from f4prolong import nullflag
-from f4prolong.control import bilinear_Q, bilinear_R
+from f4prolong.control import bilinear_Q, bilinear_R, build_A
+from f4prolong.linalg import mat_rank
 from f4prolong.nullflag import (
     DEPENDENT_COORDS,
     FREE_COORDS,
@@ -20,13 +21,29 @@ from f4prolong.nullflag import (
     complete_null_flag,
     eta_frames,
     lambda_to_v,
-    random_coords,
     verify_flag_nullity,
 )
 
 
 def _coords(rng):
-    return random_coords(rng)
+    return {n: Fraction(rng.randint(-2, 2)) for n in FREE_COORDS}
+
+
+def test_seeded_flags_agree_with_the_chart_certificates():
+    # the oracle of the samples:* items: each seeded flag completes to an
+    # R-null frame whose kernels have the profile (4, 2, 1), and the frame
+    # lambda_to_v solves is the Q-null closed form
+    rng = random.Random(0)
+    for _ in range(100):
+        coords = _coords(rng)
+        frame = complete_null_flag(coords)
+        fs = (frame.f1, frame.f2, frame.f3)
+        assert all(bilinear_R(a, b) == 0 for a in fs for b in fs)
+        rows = [row for f in fs for row in build_A(f)]
+        assert [8 - mat_rank(rows[:n]) for n in (8, 16, 24)] == [4, 2, 1]
+        v = lambda_to_v(frame)
+        assert v.etas == eta_frames(coords).etas
+        assert all(bilinear_Q(a, b) == 0 for a in v.etas for b in v.etas)
 
 
 def test_completion_is_r_null():
@@ -147,28 +164,65 @@ def _z17_off_by_one(real):
 
 
 def _eta1_plus_u1(real):
-    """lambda_to_v with e_u1 added to eta1: Q(eta1, eta1) = v1 = 1, while
-    eta2..eta4 have v1 = 0 and stay Q-orthogonal to it."""
+    """kernel_frame with e_u1 added to eta1 (u1 leads PIVOT_ORDER): Q(eta1,
+    eta1) = v1 = 1, while eta2..eta4 have v1 = 0 and stay Q-orthogonal to it."""
 
-    def to_v(frame):
-        v = real(frame)
-        return VFlagFrame((v.eta1[0] + 1,) + v.eta1[1:], v.eta2, v.eta3, v.eta4)
+    def solve(frame, v):
+        witness, etas = real(frame, v)
+        return witness, [[etas[0][0] + 1] + etas[0][1:]] + etas[1:]
 
-    return to_v
+    return solve
 
 
 @pytest.mark.parametrize(
     "name, defect, item_id, computed",
     [
-        # (f1|f1) picks up -4 at every sample, the other pairings do not move
-        ("complete_null_flag", _z17_off_by_one, "samples:r-null", "5 nonzero pairings"),
-        ("lambda_to_v", _eta1_plus_u1, "samples:q-null", "5 nonzero pairings"),
-        # every kernel of the zero matrix is everything
-        ("build_A", lambda real: lambda lam: [[0] * 8] * 8, "samples:dims", "5 failures"),
+        # (f1|f1) picks up -4, the other pairings do not move
+        ("complete_null_flag", _z17_off_by_one, "samples:r-null",
+         "1 nonzero pairings; (f1|f1) = -4"),
+        ("kernel_frame", _eta1_plus_u1, "samples:q-null",
+         "1 nonzero pairings; Q(eta1, eta1) = 1"),
+        # every minor of the zero matrix is 0
+        ("build_A", lambda real: lambda lam: [[0] * 8] * 8, "samples:dims",
+         "minor on rows (0, 1, 6, 7) = 0"),
     ],
     ids=["r-null", "q-null", "dims"],
 )
 def test_sampled_checks_can_fail(monkeypatch, name, defect, item_id, computed):
     monkeypatch.setattr(nullflag, name, defect(getattr(nullflag, name)))
-    item = by_id(nullflag.verify_samples(seed=3, samples=5))[item_id]
+    item = by_id(nullflag.verify_chart_frames(*nullflag.symbolic_flag()))[item_id]
+    assert (item.status, item.computed) == ("fail", computed)
+
+
+@pytest.mark.parametrize("eta, slot", [(0, 0), (0, 7), (1, 6), (3, 2)])
+def test_a_closed_form_typo_is_counted(monkeypatch, eta, slot):
+    # one coefficient of one published eta off by 1: the kernel-solved frame
+    # does not move, so only the cross-check sees it, as one mismatch
+    real = nullflag.eta_frames
+
+    def typo(coords):
+        etas = [list(e) for e in real(coords).etas]
+        etas[eta][slot] = etas[eta][slot] + 1
+        return VFlagFrame(*map(tuple, etas))
+
+    monkeypatch.setattr(nullflag, "eta_frames", typo)
+    items = by_id(nullflag.verify_chart_frames(*nullflag.symbolic_flag()))
+    assert [items[f"samples:{n}"].status for n in ("r-null", "dims", "q-null")] == ["pass"] * 3
+    cross = items["samples:closed-form-crosscheck"]
+    assert (cross.status, cross.computed) == ("paper-discrepancy", "1 coefficient mismatches")
+
+
+@pytest.mark.parametrize(
+    "name, value, computed",
+    [
+        ("NULLITY_EQUATIONS", nullflag.NULLITY_EQUATIONS[:5],
+         "5 equations in 6 dependent coordinates"),
+        # z35 twice: two equal Jacobian columns
+        ("DEPENDENT_COORDS", ("z35",) + DEPENDENT_COORDS[:5], "15 slots, Jacobian det 0"),
+    ],
+    ids=["dropped-equation", "duplicated-coordinate"],
+)
+def test_lambda_fiber_check_can_fail(monkeypatch, name, value, computed):
+    monkeypatch.setattr(nullflag, name, value)
+    item = by_id(nullflag.verify_dimensions())["dim:lambda-fiber"]
     assert (item.status, item.computed) == ("fail", computed)
