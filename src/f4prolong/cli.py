@@ -38,7 +38,9 @@ def _fraction_csv(text: str, expect: int, what: str) -> List[Fraction]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="reported only; no check reads it")
+    # --seed only where a report or an output records it
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="reported only; no check reads it")
     parser = argparse.ArgumentParser(
         prog="f4prolong",
         description="Exact verification of the rank-8 model distribution, its"
@@ -47,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[seeded], help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument(
         "--samples", type=int, default=None, help="checked against 1..100000; no suite samples"
     )
 
     p_int = sub.add_parser(
-        "integrate", parents=[common], help="RK4 on the constrained Hamiltonian system"
+        "integrate", parents=[seeded], help="RK4 on the constrained Hamiltonian system"
     )
     p_int.add_argument("--step", type=float, default=1e-3)
     p_int.add_argument("--tmax", type=float, default=1.0)
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--csv", type=str, default=None, help="write the trajectory as CSV")
 
     p_flag = sub.add_parser(
-        "flag", parents=[common], help="complete and check a null flag from free coordinates"
+        "flag", parents=[seeded], help="complete and check a null flag from free coordinates"
     )
     p_flag.add_argument(
         "--coords",
@@ -129,14 +131,15 @@ def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
         items, *_ = prolong.verify_suite()
         report.extend(items)
     elif name == "roots":
-        report.extend(f4roots.verify_suite())
+        table = prolong.compute_bracket_table(prolong.build_zeta_generators())
+        report.extend(f4roots.verify_suite(table))
     elif name == "all":
         report.extend(_prefixed("cartan", cartan.verify_suite()))
         report.extend(_prefixed("control", control.verify_suite()))
         report.extend(_prefixed("nullflag", nullflag.verify_suite()))
-        items, _, table, weights = prolong.verify_suite()
+        items, _, table = prolong.verify_suite()
         report.extend(_prefixed("prolong", items))
-        report.extend(_prefixed("roots", f4roots.verify_suite(table, weights)))
+        report.extend(_prefixed("roots", f4roots.verify_suite(table)))
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 

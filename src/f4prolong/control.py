@@ -27,6 +27,8 @@ CONTROL_VARIABLES = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4")
 R_NAMES = ("12", "13", "14", "23", "24", "34")
 # the fiber variables paired by A, U and R: lambda = (s, r12, ..., r34)
 COV7_VARIABLES = ("s",) + tuple(f"r{n}" for n in R_NAMES)
+# the (fiber, base) conjugate variable pairs
+CONJUGATE_PAIRS = tuple(zip(FIBER_VARIABLES, BASE_VARIABLES))
 
 
 def cotangent_chart() -> Chart:
@@ -38,29 +40,7 @@ def phase_control_chart() -> Chart:
     return Chart("phase38", COTANGENT_VARIABLES + CONTROL_VARIABLES)
 
 
-def conjugate_pairs(chart: Chart) -> List[Tuple[str, str]]:
-    """The (fiber, base) variable pairs, validated against the chart."""
-    pairs = list(zip(FIBER_VARIABLES, BASE_VARIABLES))
-    for fib, base in pairs:
-        chart.index(fib)
-        chart.index(base)
-    return pairs
-
-
-@dataclass(frozen=True)
-class HamiltonianLift:
-    generator_name: str
-    poly: MultiPoly
-
-    def __post_init__(self):
-        chart = self.poly.chart
-        fiber_idx = [chart.index(v) for v in FIBER_VARIABLES]
-        for e in self.poly.terms:
-            if sum(e[k] for k in fiber_idx) != 1:
-                raise ValueError("lift is not linear in the fiber variables")
-
-
-def hamiltonian_lift(field: VectorField, chart: Optional[Chart] = None) -> HamiltonianLift:
+def hamiltonian_lift(field: VectorField, chart: Optional[Chart] = None) -> MultiPoly:
     """H_xi = <p, xi>: pair each component with its conjugate fiber variable."""
     if tuple(field.chart.variables) != BASE_VARIABLES:
         raise ChartMismatchError("field must live on the 15-variable base chart")
@@ -69,22 +49,18 @@ def hamiltonian_lift(field: VectorField, chart: Optional[Chart] = None) -> Hamil
     for fib, comp in zip(FIBER_VARIABLES, field.components):
         if not comp.is_zero():
             total = total + MultiPoly.variable(chart, fib) * extend_poly(comp, chart)
-    return HamiltonianLift(field.name, total)
+    return total
 
 
-def poisson_bracket(
-    f: MultiPoly, g: MultiPoly, pairs: Optional[Sequence[Tuple[str, str]]] = None
-) -> MultiPoly:
+def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """{f, g} = sum_a (df/dfiber_a dg/dbase_a - df/dbase_a dg/dfiber_a).
 
     The sign convention is pinned by {H_X1, H_X2} = 2 r12 = H_[X1,X2].
     """
     if f.chart != g.chart:
         raise ChartMismatchError("arguments on different charts")
-    if pairs is None:
-        pairs = conjugate_pairs(f.chart)
     out = MultiPoly.zero(f.chart)
-    for fib, base in pairs:
+    for fib, base in CONJUGATE_PAIRS:
         out = out + f.diff(fib) * g.diff(base) - f.diff(base) * g.diff(fib)
     return out
 
@@ -523,7 +499,7 @@ def constraint_polys(chart: Optional[Chart] = None) -> Dict[str, MultiPoly]:
     chart = chart or cotangent_chart()
     model = build_model()
     return {
-        name: hamiltonian_lift(model.frame[name], chart).poly
+        name: hamiltonian_lift(model.frame[name], chart)
         for name in GENERATOR_ORDER
     }
 
@@ -550,7 +526,7 @@ def hamilton_equations(h: MultiPoly) -> Dict[str, MultiPoly]:
     """The right-hand side of each variable: base' = dH/dfiber,
     fiber' = -dH/dbase."""
     out: Dict[str, MultiPoly] = {}
-    for fib, base in conjugate_pairs(h.chart):
+    for fib, base in CONJUGATE_PAIRS:
         out[base] = h.diff(fib)
         out[fib] = -h.diff(base)
     return out
@@ -561,7 +537,7 @@ def bracket_lifts(chart: Chart) -> Dict[Tuple[str, str], MultiPoly]:
     c the frame coordinates of [a, b] in the model's table and H_{e_k} the
     lifts of the 15 frame fields (a lift is linear over functions)."""
     model = build_model()
-    lifts = {name: hamiltonian_lift(model.frame[name], chart).poly for name in model.frame_order}
+    lifts = {name: hamiltonian_lift(model.frame[name], chart) for name in model.frame_order}
     out: Dict[Tuple[str, str], MultiPoly] = {}
     for a in GENERATOR_ORDER:
         for b in GENERATOR_ORDER:
@@ -677,14 +653,13 @@ def verify_flow_lemma_symbolic() -> List[Item]:
     w = control_variables(chart)
     h = hamiltonian(lifts, w)
     rhs = flow_rhs(chart, w)
-    pairs = conjugate_pairs(chart)
     items: List[Item] = []
     for name in GENERATOR_ORDER:
         items.append(
             check(
                 f"flow:H_{name}",
                 f"{{H, H_{name}}} = sum_j w_j H_[xi_j, {name}] in 38 variables",
-                poisson_bracket(h, lifts[name], pairs) == rhs[name],
+                poisson_bracket(h, lifts[name]) == rhs[name],
             )
         )
     items.append(
@@ -721,7 +696,6 @@ class DriftReport:
     max_sr_drift: float
     step: float
     t_max: float
-    seed: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -730,7 +704,6 @@ class DriftReport:
             "max_sr_drift": self.max_sr_drift,
             "step": self.step,
             "t_max": self.t_max,
-            "seed": self.seed,
         }
 
 
@@ -832,7 +805,7 @@ def integrate_extremal(
     return traj, DriftReport(max_c, max_sr, step, t_max)
 
 
-def verify_flow_lemma_numeric(traj: Trajectory, tol: float = 1e-6) -> List[Item]:
+def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     """Central-difference check of the flow lemma along a trajectory."""
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
@@ -850,10 +823,10 @@ def verify_flow_lemma_numeric(traj: Trajectory, tol: float = 1e-6) -> List[Item]
     return [
         check(
             "flow:numeric",
-            f"central-difference flow-lemma deviation < {tol}",
-            max_dev < tol,
+            "central-difference flow-lemma deviation < 1e-06",
+            max_dev < 1e-6,
             computed=f"{max_dev:.3e}",
-            expected=f"< {tol}",
+            expected="< 1e-06",
         )
     ]
 

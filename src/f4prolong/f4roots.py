@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from .prolong import DEFINING_BRACKETS, BracketTable, symbol_weights
 from .report import DISCREPANCY, Item, check
 
 Root = Tuple[int, int, int, int]
@@ -23,8 +24,10 @@ CARTAN_MATRIX: Tuple[Tuple[int, ...], ...] = (
 
 HIGHEST_ROOT: Root = (2, 3, 4, 2)
 
+SIMPLE_ROOTS: Tuple[Root, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
 # the published zeta_k <-> -(root) assignment; zeta_17 repeats the zeta_14
-# value in print, repaired mechanically by bijectivity
+# value in print, where the defining bracket [zeta2, zeta14] gives (1, 2, 2, 1)
 PRINTED_ASSIGNMENT: Dict[int, Root] = {
     1: (1, 0, 0, 0), 2: (0, 1, 0, 0), 3: (0, 0, 1, 0), 4: (0, 0, 0, 1),
     5: (1, 1, 0, 0), 6: (0, 1, 1, 0), 7: (0, 0, 1, 1),
@@ -57,16 +60,15 @@ def generate_positive_roots() -> List[Root]:
     q = p - <beta, alpha_j^vee> where p is the largest k with beta - k alpha_j
     a root; beta + alpha_j is a root iff q > 0.
     """
-    simple = [tuple(1 if i == j else 0 for i in range(4)) for j in range(4)]
-    roots = set(simple)
-    level = list(simple)
+    roots = set(SIMPLE_ROOTS)
+    level = list(SIMPLE_ROOTS)
     # breadth-first by height: every root of height h+1 is beta + alpha_j for
     # some root beta of height h, and the down-string of beta involves only
     # lower heights, all already known
     while level:
         nxt = []
         for beta in level:
-            for j, alpha in enumerate(simple):
+            for j, alpha in enumerate(SIMPLE_ROOTS):
                 p = 0
                 down = beta
                 while True:
@@ -98,46 +100,18 @@ def alpha4_grading(roots: List[Root]) -> Tuple[int, ...]:
 
 
 def repaired_assignment() -> Tuple[Dict[int, Root], List[int]]:
-    """The printed assignment with duplicates repaired to a bijection.
+    """The root of each zeta_k read off its construction, and the k where the
+    printed assignment differs.
 
-    A repair is possible only when each duplicated value and each missing root
-    pair off uniquely via the additivity forced by the defining brackets; here
-    the single repair is zeta_17.
+    zeta_1..zeta_4 carry the simple roots, and each zeta_k = [zeta_i, zeta_j]
+    of DEFINING_BRACKETS carries root(i) + root(j); here only zeta_17 differs
+    from print.
     """
-    from .prolong import DEFINING_BRACKETS
-
-    roots = generate_positive_roots()
-    values = list(PRINTED_ASSIGNMENT.values())
-    missing = [r for r in roots if r not in values]
-    duplicated = sorted({r for r in values if values.count(r) > 1})
-    assignment = dict(PRINTED_ASSIGNMENT)
-    repaired: List[int] = []
-    if not missing and not duplicated:
-        return assignment, repaired
-    if len(missing) != len(duplicated):
-        raise ValueError("printed assignment is not repairable to a bijection")
-    for dup in duplicated:
-        holders = [k for k, r in assignment.items() if r == dup]
-        # keep the holder whose defining bracket is additive, repair the rest
-        keep = [
-            k
-            for k in holders
-            if k <= 4
-            or _add(assignment[DEFINING_BRACKETS[k][0]], assignment[DEFINING_BRACKETS[k][1]]) == dup
-        ]
-        if len(keep) != 1:
-            raise ValueError(f"ambiguous repair for duplicated root {dup}")
-        for k in holders:
-            if k == keep[0]:
-                continue
-            i, j = DEFINING_BRACKETS[k]
-            forced = _add(assignment[i], assignment[j])
-            if forced not in missing:
-                raise ValueError(f"repair of zeta{k} not forced onto a missing root")
-            assignment[k] = forced
-            missing.remove(forced)
-            repaired.append(k)
-    return assignment, sorted(repaired)
+    assignment = dict(enumerate(SIMPLE_ROOTS, start=1))
+    for k, (i, j) in sorted(DEFINING_BRACKETS.items()):
+        assignment[k] = _add(assignment[i], assignment[j])
+    repaired = [k for k in sorted(assignment) if assignment[k] != PRINTED_ASSIGNMENT[k]]
+    return assignment, repaired
 
 
 def verify_root_system() -> List[Item]:
@@ -201,19 +175,10 @@ def verify_root_system() -> List[Item]:
     return items
 
 
-def verify_root_correspondence(table=None, weights=None) -> List[Item]:
-    """Bijectivity (after repair), additivity on the computed bracket table,
-    non-roots on the computed zeros, and heights equal to the frame weights
-    that the derived flag of E, closed over the table, assigns
-    (`prolong.symbol_weights`).
-
-    The table and the weights are computed here when not given."""
-    from .prolong import build_zeta_generators, compute_bracket_table, symbol_weights
-
-    if table is None:
-        table = compute_bracket_table(build_zeta_generators())
-    if weights is None:
-        weights = symbol_weights(table)
+def verify_root_correspondence(table: BracketTable, weights: Dict[int, int]) -> List[Item]:
+    """Bijectivity of the derived assignment, additivity on the computed
+    bracket table, non-roots on the computed zeros, and heights equal to the
+    given frame weights."""
     items: List[Item] = []
     roots = generate_positive_roots()
     root_set = set(roots)
@@ -229,11 +194,14 @@ def verify_root_correspondence(table=None, weights=None) -> List[Item]:
                 note="repair forced by additivity of the defining brackets",
             )
         )
+    # 24 fields and 24 roots: onto is one-to-one
+    missing = [r for r in roots if r not in assignment.values()]
     items.append(
         check(
             "roots:bijection",
             "repaired assignment is a bijection onto the positive roots",
-            sorted(assignment.values()) == sorted(roots) and len(assignment) == 24,
+            not missing and len(assignment) == 24,
+            computed=", ".join(f"{r} unassigned" for r in missing),
         )
     )
     bad_height = [
@@ -281,5 +249,8 @@ def verify_root_correspondence(table=None, weights=None) -> List[Item]:
     return items
 
 
-def verify_suite(table=None, weights=None) -> List[Item]:
-    return verify_root_system() + verify_root_correspondence(table, weights)
+def verify_suite(table: BracketTable) -> List[Item]:
+    """The root system, and its correspondence with the table and with the
+    weights that E's flag, closed over the table, assigns
+    (`prolong.symbol_weights`)."""
+    return verify_root_system() + verify_root_correspondence(table, symbol_weights(table))

@@ -4,7 +4,8 @@ bracket table, growth vector, and graded symbol structure."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -84,11 +85,11 @@ class BracketTable:
     # (i, j) -> constant expansion {k: coeff} of [zeta_i, zeta_j], or None
     # when no rational-constant expansion exists
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]]
-    # table_flag(self), kept by the first check that reads it; the entries
-    # must not change after that
-    flag: Optional[Tuple[Tuple[int, ...], Dict[int, int]]] = field(
-        default=None, compare=False, repr=False
-    )
+
+    @cached_property
+    def flag(self) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+        """table_flag(self), closed once: growth and symbol both read it."""
+        return table_flag(self)
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -396,13 +397,6 @@ def table_flag(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
     return tuple(ranks), weights
 
 
-def _flag_of(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """table_flag(table), closed once per table: growth and symbol both read it."""
-    if table.flag is None:
-        table.flag = table_flag(table)
-    return table.flag
-
-
 def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[int]]:
     """The weight of each lifted base generator v: forward substitution on the
     leads writes v = sum c_k zeta_k with polynomial c_k, and v lies in E^(w)
@@ -433,7 +427,7 @@ def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
     growth = lifts = None
     witness = ""
     try:
-        growth, weights = _flag_of(table)
+        growth, weights = table.flag
         lifts = lift_weights(zs, weights)
     except ValueError as exc:
         witness = str(exc)
@@ -458,7 +452,7 @@ def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
 def symbol_weights(table: BracketTable) -> Dict[int, int]:
     """Weight of each zeta_k: the first stage of E's flag, closed over the
     table, that holds it. Raises ValueError if the flag does not hold it."""
-    _, weights = _flag_of(table)
+    _, weights = table.flag
     missing = [f"zeta{k}" for k in range(1, 25) if k not in weights]
     if missing:
         raise ValueError(f"{', '.join(missing)} not in the derived flag closed over the table")
@@ -471,19 +465,13 @@ def graded_dimensions(weights: Dict[int, int]) -> Tuple[int, ...]:
     return tuple(counts[w] for w in sorted(counts))
 
 
-def verify_symbol(
-    zs: ZetaSystem, table: BracketTable
-) -> Tuple[List[Item], Optional[Dict[int, int]]]:
-    """Symbol checks on E's flag closed over the table, and the weights (None
-    when ill-defined)."""
+def verify_symbol(zs: ZetaSystem, table: BracketTable) -> List[Item]:
+    """Symbol checks on E's flag closed over the table."""
     items = []
     try:
         weights = symbol_weights(table)
     except ValueError as exc:
-        items.append(
-            check("symbol:weights", "weight assignment well-defined", False, computed=str(exc))
-        )
-        return items, None
+        return [check("symbol:weights", "weight assignment well-defined", False, computed=str(exc))]
     items.append(
         check(
             "symbol:graded-dims",
@@ -516,13 +504,13 @@ def verify_symbol(
             computed=witness,
         )
     )
-    return items, weights
+    return items
 
 
-def verify_suite() -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[int, int]]]:
-    """All prolong checks; also the zeta system, its bracket table and the
-    symbol weights (None when ill-defined). Every check holds on the whole
-    chart: none draws a point."""
+def verify_suite() -> Tuple[List[Item], ZetaSystem, BracketTable]:
+    """All prolong checks; also the zeta system and its bracket table, whose
+    flag (`BracketTable.flag`) is closed by then. Every check holds on the
+    whole chart: none draws a point."""
     zs = build_zeta_generators()
     items: List[Item] = []
     items.extend(verify_pfaff_conditions(zs))
@@ -530,6 +518,5 @@ def verify_suite() -> Tuple[List[Item], ZetaSystem, BracketTable, Optional[Dict[
     items.extend(verify_bracket_table(zs, table))
     items.extend(static_discrepancy_items(zs))
     items.extend(verify_growth(zs, table))
-    symbol_items, weights = verify_symbol(zs, table)
-    items.extend(symbol_items)
-    return items, zs, table, weights
+    items.extend(verify_symbol(zs, table))
+    return items, zs, table

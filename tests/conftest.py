@@ -68,7 +68,7 @@ def nullflag_run():
 
 @pytest.fixture(scope="session")
 def prolong_suite():
-    """prolong.verify_suite's (items, zs, table, weights) and its wall time."""
+    """prolong.verify_suite's (items, zs, table) and its wall time."""
     t0 = time.monotonic()
     result = prolong.verify_suite()
     return result, time.monotonic() - t0
@@ -76,13 +76,13 @@ def prolong_suite():
 
 @pytest.fixture(scope="session")
 def prolong_run(prolong_suite):
-    (items, zs, table, _), elapsed = prolong_suite
+    (items, zs, table), elapsed = prolong_suite
     return items, zs, table, elapsed
 
 
 @pytest.fixture(scope="session")
 def roots_run(prolong_suite):
-    (_, _, table, weights), _ = prolong_suite
+    (_, _, table), _ = prolong_suite
     t0 = time.monotonic()
-    items = f4roots.verify_suite(table, weights)
+    items = f4roots.verify_suite(table)
     return items, time.monotonic() - t0

@@ -216,6 +216,13 @@ def test_samples_belongs_to_verify_only(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["roots"], ["export-model"]])
+def test_seed_is_refused_where_nothing_reads_it(argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "flags", [["--step", "1e-9", "--tmax", "1"], ["--step", "1e-300", "--tmax", "1e300"]]
 )

@@ -14,7 +14,9 @@ from conftest import by_id, dense_evaluate, discrepancies, failures
 from f4prolong import cartan, control, fields
 from f4prolong.cartan import GENERATOR_ORDER, build_model
 from f4prolong.control import (
+    CONJUGATE_PAIRS,
     CONTROL_VARIABLES,
+    FIBER_VARIABLES,
     R_NAMES,
     ControlVector,
     CovectorFiber,
@@ -24,7 +26,6 @@ from f4prolong.control import (
     build_A11,
     build_A22,
     build_U,
-    conjugate_pairs,
     constraint_polys,
     cotangent_chart,
     form_Q,
@@ -118,9 +119,20 @@ def test_gram_R_matches_form():
 def test_poisson_pins_convention():
     chart = cotangent_chart()
     model = build_model()
-    h1 = hamiltonian_lift(model.frame["X1"], chart).poly
-    h2 = hamiltonian_lift(model.frame["X2"], chart).poly
+    h1 = hamiltonian_lift(model.frame["X1"], chart)
+    h2 = hamiltonian_lift(model.frame["X2"], chart)
     assert poisson_bracket(h1, h2) == MultiPoly.variable(chart, "r12") * 2
+
+
+def test_lifts_are_linear_in_the_fiber():
+    chart = cotangent_chart()
+    model = build_model()
+    fiber = [chart.index(v) for v in FIBER_VARIABLES]
+    assert len(model.frame_order) == 15
+    for name in model.frame_order:
+        h = hamiltonian_lift(model.frame[name], chart)
+        assert not h.is_zero()
+        assert all(sum(e[k] for k in fiber) == 1 for e in h.terms), name
 
 
 def test_poisson_bracket_sympy_oracle():
@@ -140,8 +152,8 @@ def test_poisson_bracket_sympy_oracle():
         return out
 
     for a, b in [("X1", "Y1"), ("Y2", "Y3"), ("X3", "Y4")]:
-        f = hamiltonian_lift(model.frame[a], chart).poly
-        g = hamiltonian_lift(model.frame[b], chart).poly
+        f = hamiltonian_lift(model.frame[a], chart)
+        g = hamiltonian_lift(model.frame[b], chart)
         fs, gs = to_sympy(f), to_sympy(g)
         oracle = sum(
             sympy.diff(fs, syms[fv]) * sympy.diff(gs, syms[bv])
@@ -355,9 +367,9 @@ def _reference_rk4(init, controls, step, n_steps):
     model = build_model()
     h = MultiPoly.zero(chart)
     for name, c in zip(GENERATOR_ORDER, controls.as_seq()):
-        h = h + hamiltonian_lift(model.frame[name], chart).poly * c
+        h = h + hamiltonian_lift(model.frame[name], chart) * c
     by_var = {}
-    for fib, base in conjugate_pairs(chart):
+    for fib, base in CONJUGATE_PAIRS:
         by_var[base] = h.diff(fib)
         by_var[fib] = -h.diff(base)
     rhs = [by_var[v] for v in chart.variables]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import by_id, discrepancies, failures
+from f4prolong import f4roots
 from f4prolong.f4roots import (
     CARTAN_MATRIX,
     HIGHEST_ROOT,
@@ -17,6 +18,7 @@ from f4prolong.f4roots import (
     repaired_assignment,
     verify_root_correspondence,
 )
+from f4prolong.prolong import DEFINING_BRACKETS, symbol_weights
 
 
 def euclidean_positive_roots():
@@ -123,3 +125,18 @@ def test_heights_are_judged_against_the_given_weights(prolong_run):
     item = by_id(verify_root_correspondence(table, wrong))["roots:heights-are-weights"]
     assert item.status == "fail"
     assert "zeta5: height 2, weight 1" in item.computed
+
+
+def test_a_changed_defining_bracket_fails_the_correspondence(prolong_run, monkeypatch):
+    _, _, table, _ = prolong_run
+    weights = symbol_weights(table)
+    # zeta17 built as [zeta3, zeta14] would carry (1, 1, 3, 1), which is no root
+    monkeypatch.setattr(f4roots, "DEFINING_BRACKETS", {**DEFINING_BRACKETS, 17: (3, 14)})
+    assignment, repaired = repaired_assignment()
+    assert assignment[17] == (1, 1, 3, 1)
+    assert 17 in repaired
+    items = by_id(verify_root_correspondence(table, weights))
+    bijection, additivity = items["roots:bijection"], items["roots:additivity"]
+    assert (bijection.status, additivity.status) == ("fail", "fail")
+    assert "(1, 2, 2, 1) unassigned" in bijection.computed
+    assert "[z2,z14]->z17" in additivity.computed

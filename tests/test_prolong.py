@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import by_id, discrepancies, failures, seeded_points
-from f4prolong import cartan, f4roots, fields, linalg, prolong
+from f4prolong import cartan, fields, linalg, prolong
 from f4prolong.fields import derived_flag, lie_bracket, origin, pair
 from f4prolong.linalg import Echelon, sparse
 from f4prolong.poly import MultiPoly
@@ -73,7 +73,7 @@ def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
     closures = []
     real = prolong.table_flag
     monkeypatch.setattr(prolong, "table_flag", lambda t: closures.append(t) or real(t))
-    items, _, table, _ = prolong.verify_suite()
+    items, _, table = prolong.verify_suite()
     assert not failures(items)
     # E's flag is closed over the table once, for growth and symbol alike;
     # no flag of vector fields is built
@@ -98,7 +98,7 @@ def test_prolong_suite_evaluates_the_flag_of_E_once_per_point(monkeypatch):
             lambda rows: rank_calls.append(rows) or real_rank(rows),
             raising=False,
         )
-    items, _, _, _ = prolong.verify_suite()
+    items, _, _ = prolong.verify_suite()
     assert not failures(items)
     # the global suite draws no point, so no field of E's flag is evaluated
     assert evaluated == []
@@ -118,13 +118,20 @@ def test_cartan_suite_builds_the_flag_of_D_once(monkeypatch):
 
 
 def test_roots_suite_builds_no_flag_and_evaluates_no_field(monkeypatch):
+    from f4prolong import cli
+
     def forbidden(*args):
         raise AssertionError("the roots suite built a flag or evaluated a field")
 
     monkeypatch.setattr(fields, "derived_flag_fields", forbidden)
     monkeypatch.setattr(fields.VectorField, "evaluate", forbidden)
-    # roots alone builds the table and nothing else
-    assert not failures(f4roots.verify_suite())
+    # roots alone builds the table once and nothing else
+    tables = []
+    real = prolong.compute_bracket_table
+    monkeypatch.setattr(prolong, "compute_bracket_table", lambda zs: tables.append(zs) or real(zs))
+    report = cli._run_suite("roots", 0, None)
+    assert report.ok and report.counts()["pass"] == 9
+    assert len(tables) == 1
 
 
 def test_the_E7_check_can_fail(prolong_run, monkeypatch):
@@ -163,18 +170,18 @@ def test_the_growth_check_can_fail(prolong_run):
 
 def test_the_frame_check_can_fail(prolong_run):
     _, zs, table, _ = prolong_run
-    items, _ = prolong.verify_symbol(zs, table)
+    items = prolong.verify_symbol(zs, table)
     assert by_id(items)["symbol:point-independence"].status == "pass"
     # zeta24 * (1 + z31) keeps a frame, but its pivot is not constant
     scaled = zs.zeta[24] * (1 + MultiPoly.variable(zs.chart, "z31"))
     bent = ZetaSystem(zs.chart, {**zs.zeta, 24: scaled}, zs.distribution)
-    items, _ = prolong.verify_symbol(bent, table)
+    items = prolong.verify_symbol(bent, table)
     item = by_id(items)["symbol:point-independence"]
     assert item.status == "fail"
     assert item.computed.startswith("zeta24 ")
     # zeta23 repeated as zeta24 is no frame
     repeated = ZetaSystem(zs.chart, {**zs.zeta, 24: zs.zeta[23]}, zs.distribution)
-    items, _ = prolong.verify_symbol(repeated, table)
+    items = prolong.verify_symbol(repeated, table)
     item = by_id(items)["symbol:point-independence"]
     assert (item.status, item.computed) == ("fail", "zeta24 is 1/4 on the lead of zeta23")
 
@@ -368,8 +375,11 @@ def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
 
 
 def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
-    (_, zs, table, weights), _ = prolong_suite
-    assert weights == prolong.symbol_weights(table)
+    (_, zs, table), _ = prolong_suite
+    # the suite closed the table's flag, and the weights are read off it
+    assert "flag" in vars(table)
+    weights = prolong.symbol_weights(table)
+    assert weights == table.flag[1]
     zetas = [zs.zeta[k] for k in range(1, 25)]
     pointwise = _pointwise_weights(zs.distribution, origin(zs.chart), zetas)
     assert pointwise == [weights[k] for k in range(1, 25)]
@@ -380,12 +390,13 @@ def test_verify_all_passes_the_prolong_weights_to_roots(monkeypatch):
 
     for module in (cartan, control, nullflag):
         monkeypatch.setattr(module, "verify_suite", lambda *a, **k: [])
-    monkeypatch.setattr(prolong, "verify_suite", lambda *a: ([], None, "table", {1: 1}))
-    monkeypatch.setattr(prolong, "symbol_weights", None)  # must not be called
+    # the weights travel with the prolong table; roots builds no table of its own
+    monkeypatch.setattr(prolong, "verify_suite", lambda *a: ([], None, "table"))
+    monkeypatch.setattr(prolong, "compute_bracket_table", None)  # must not be called
     seen = []
     monkeypatch.setattr(f4roots, "verify_suite", lambda *a: seen.append(a) or [])
     cli._run_suite("all", 0, None)
-    assert seen == [("table", {1: 1})]
+    assert seen == [("table",)]
 
 
 def test_suite_statuses(prolong_run):
