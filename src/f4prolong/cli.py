@@ -92,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("export-model", parents=[common], help="emit the frame and coframe")
 
-    p_roots = sub.add_parser("roots", parents=[common], help="positive root utilities")
-    p_roots.add_argument("--list", action="store_true", dest="list_roots")
+    sub.add_parser("roots", parents=[common], help="positive root utilities")
 
     return parser
 
@@ -195,10 +194,13 @@ def _cmd_integrate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("time," + ",".join(traj.chart.variables) + "\n")
-            for t, st in zip(traj.times, traj.states):
-                fh.write(f"{t!r}," + ",".join(repr(x) for x in st) + "\n")
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write("time," + ",".join(traj.chart.variables) + "\n")
+                for t, st in zip(traj.times, traj.states):
+                    fh.write(f"{t!r}," + ",".join(repr(x) for x in st) + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write --csv {args.csv}: {exc.strerror or exc}") from exc
     if args.json:
         out = drift.to_json()
         out["seed"] = args.seed

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
@@ -724,6 +724,28 @@ MAX_STEPS = 100_000
 MAX_SAMPLES = 100_000
 
 
+def rk4_step(rhs: Sequence[MultiPoly], h: float) -> Tuple[Callable, List[int]]:
+    """One RK4 step of x' = rhs(x) as straight-line float code, and its live
+    slots: the indices whose right-hand side is not the zero polynomial. A live
+    slot rounds as a list-based step would: stages x + h/2 k1, x + h/2 k2,
+    x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which
+    equals x + 0.0 unless x is -0.0; float() of a Fraction is never -0.0, and
+    neither is a sum whose first summand is not."""
+    live = [k for k, p in enumerate(rhs) if not p.is_zero()]
+    x = [f"x{k}" for k in range(len(rhs))]
+    y = [f"y{k}" if k in live else f"x{k}" for k in range(len(rhs))]
+    lines = [", ".join(x) + ", = s"]
+    lines += [line for k in live for line in rhs[k].float_lines(x, f"a{k}")]
+    for prev, cur, factor in (("a", "b", h / 2), ("b", "c", h / 2), ("c", "d", h)):
+        lines += [f"y{k} = x{k} + {factor!r} * {prev}{k}" for k in live]
+        lines += [line for k in live for line in rhs[k].float_lines(y, f"{cur}{k}")]
+    for k in live:
+        x[k] = f"x{k} + {h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})"
+    namespace: dict = {}
+    exec("def step(s):\n    " + "\n    ".join(lines + [f"return [{', '.join(x)}]"]), namespace)
+    return namespace["step"], live
+
+
 def integrate_extremal(
     init: Mapping[str, Fraction],
     controls: ControlVector,
@@ -755,38 +777,21 @@ def integrate_extremal(
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
-    h = hamiltonian(constraints, dict(zip(GENERATOR_ORDER, uv)))
-    equations = hamilton_equations(h)
-    # the right-hand sides that are not the zero polynomial, by chart index
-    live = [(k, equations[v]) for k, v in enumerate(chart.variables) if not equations[v].is_zero()]
-
-    def f(state: List[float]) -> List[float]:
-        out = [0.0] * len(state)
-        for k, p in live:
-            out[k] = p.evaluate_seq(state)
-        return out
-
+    equations = hamilton_equations(hamiltonian(constraints, dict(zip(GENERATOR_ORDER, uv))))
+    rk4, _ = rk4_step([equations[v] for v in chart.variables], step)
     try:
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
     n_steps = max(1, round(t_max / step))
     times = [0.0]
-    states = [list(state)]
-    hstep = step
+    states = [state]
     for k in range(n_steps):
-        k1 = f(state)
-        k2 = f([x + hstep / 2 * d for x, d in zip(state, k1)])
-        k3 = f([x + hstep / 2 * d for x, d in zip(state, k2)])
-        k4 = f([x + hstep * d for x, d in zip(state, k3)])
-        state = [
-            x + hstep / 6 * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        times.append((k + 1) * hstep)
+        state = rk4(state)
+        times.append((k + 1) * step)
         if not all(map(math.isfinite, state)):
             raise ValueError(f"RK4 state is not finite at t = {times[-1]:.6g}")
-        states.append(list(state))
+        states.append(state)
 
     sr_idx = [chart.index(v) for v in COV7_VARIABLES]
     sr_init = [float(x) for x in sr0]

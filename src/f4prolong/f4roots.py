@@ -253,4 +253,10 @@ def verify_suite(table: BracketTable) -> List[Item]:
     """The root system, and its correspondence with the table and with the
     weights that E's flag, closed over the table, assigns
     (`prolong.symbol_weights`)."""
-    return verify_root_system() + verify_root_correspondence(table, symbol_weights(table))
+    try:
+        weights = symbol_weights(table)
+    except ValueError as exc:
+        return verify_root_system() + [
+            check("roots:weights", "weight assignment well-defined", False, computed=str(exc))
+        ]
+    return verify_root_system() + verify_root_correspondence(table, weights)

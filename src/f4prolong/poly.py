@@ -65,7 +65,7 @@ class MultiPoly:
     Immutable after construction; all operations return new instances.
     """
 
-    __slots__ = ("chart", "terms", "_float_terms")  # _float_terms: set by evaluate_seq
+    __slots__ = ("chart", "terms", "_float_fn")  # _float_fn: compiled by evaluate_seq
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
         self.chart = chart
@@ -216,24 +216,36 @@ class MultiPoly:
             total += term
         return total
 
+    def float_lines(self, names: Sequence[str], target: str) -> list[str]:
+        """Python statements that leave in `target` the float value of the
+        polynomial, with `names[i]` the value of chart variable i: `target = 0`,
+        then `target = target + c * v * w**k` for each term in dict order, with
+        c the float repr of its coefficient and its factors by variable index.
+        One statement per term: a single long sum overflows the compiler's
+        recursion limit near 3,000 terms."""
+        lines = [f"{target} = 0"]
+        for e, c in self.terms.items():
+            try:
+                factors = [repr(float(c))]
+            except OverflowError:
+                raise ValueError("a polynomial coefficient does not fit in a float") from None
+            factors += (names[i] if k == 1 else f"{names[i]}**{k}" for i, k in enumerate(e) if k)
+            lines.append(f"{target} = {target} + " + " * ".join(factors))
+        return lines
+
     def evaluate_seq(self, values: Sequence[float]) -> float:
-        """Float value at an ordered assignment of the chart variables, with
-        each coefficient rounded to a float once, on the first call; every
-        product and sum rounds where Fraction * float would. Exact values
-        come from `evaluate`."""
+        """Float value at an ordered assignment of the chart variables, from
+        `float_lines` compiled on the first call: each coefficient is rounded
+        to a float once, and every product and sum rounds where Fraction *
+        float would. Exact values come from `evaluate`."""
         try:
-            compiled = self._float_terms
+            fn = self._float_fn
         except AttributeError:
-            compiled = self._float_terms = tuple(
-                (float(c), tuple((i, k) for i, k in enumerate(e) if k))
-                for e, c in self.terms.items()
-            )
-        total = 0
-        for t, factors in compiled:
-            for i, k in factors:
-                t = t * values[i] ** k
-            total = total + t
-        return total
+            body = self.float_lines([f"v[{i}]" for i in range(self.chart.dimension)], "t")
+            namespace: dict = {}
+            exec("def f(v):\n    " + "\n    ".join(body + ["return t"]), namespace)
+            fn = self._float_fn = namespace["f"]
+        return fn(values)
 
     # -- presentation / serialization ---------------------------------
 

@@ -254,6 +254,14 @@ def test_integrate_csv_export(capsys, tmp_path):
     assert len(lines) == 1 + 5 + 1  # header + steps + initial state
 
 
+def test_integrate_unwritable_csv_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "traj.csv"
+    code, out, err = _capture(capsys, ["integrate", "--tmax", "0.01", "--csv", str(path)])
+    assert code == 2
+    assert str(path) in err
+    assert out == ""
+
+
 def test_export_model_text_shows_every_coefficient(capsys):
     runs = [_capture(capsys, ["export-model"]) for _ in range(2)]
     assert runs[0] == runs[1]
@@ -277,7 +285,7 @@ def test_export_model_json(capsys):
 
 
 def test_roots_list_json(capsys):
-    code, out, _ = _capture(capsys, ["roots", "--list", "--json"])
+    code, out, _ = _capture(capsys, ["roots", "--json"])
     assert code == 0
     data = json.loads(out)
     assert len(data["positive_roots"]) == 24
@@ -312,8 +320,10 @@ BIG = str(10**160)
             "drift is not finite",
         ),
         (["--covector", f"0,{10**400},0,0,0,0,0"], "does not fit in floats"),
+        # a Hamiltonian coefficient of 1e400; this used to end in an OverflowError traceback
+        (["--controls=0,0,1e400,0,1e400,0,0,0"], "coefficient does not fit in a float"),
     ],
-    ids=["state", "drift", "initial-state"],
+    ids=["state", "drift", "initial-state", "coefficient"],
 )  # fmt: skip
 def test_integrate_exits_2_when_the_floats_overflow(capsys, flags, message):
     code, out, err = _capture(capsys, ["integrate", "--json", *flags])

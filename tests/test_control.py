@@ -16,6 +16,7 @@ from f4prolong.cartan import GENERATOR_ORDER, build_model
 from f4prolong.control import (
     CONJUGATE_PAIRS,
     CONTROL_VARIABLES,
+    COV7_VARIABLES,
     FIBER_VARIABLES,
     R_NAMES,
     ControlVector,
@@ -360,9 +361,9 @@ def test_integrator_rejects_an_initial_state_beyond_the_floats():
         integrate_extremal(init, controls, 1e-3, 3e-3)
 
 
-def _reference_rk4(init, controls, step, n_steps):
-    """The integrator's RK4 with every right-hand side evaluated by the dense
-    Fraction walk."""
+def _reference_rhs(controls):
+    """The constant-control right-hand sides in chart order, built from the
+    frame fields."""
     chart = cotangent_chart()
     model = build_model()
     h = MultiPoly.zero(chart)
@@ -372,22 +373,33 @@ def _reference_rk4(init, controls, step, n_steps):
     for fib, base in CONJUGATE_PAIRS:
         by_var[base] = h.diff(fib)
         by_var[fib] = -h.diff(base)
-    rhs = [by_var[v] for v in chart.variables]
+    return [by_var[v] for v in chart.variables]
+
+
+def _reference_step(rhs, state, step):
+    """One list-based RK4 step with every right-hand side evaluated by the
+    dense Fraction walk."""
 
     def f(state):
         return [float(dense_evaluate(p, state)) for p in rhs]
 
-    state = [float(init[v]) for v in chart.variables]
+    k1 = f(state)
+    k2 = f([x + step / 2 * d for x, d in zip(state, k1)])
+    k3 = f([x + step / 2 * d for x, d in zip(state, k2)])
+    k4 = f([x + step * d for x, d in zip(state, k3)])
+    return [
+        x + step / 6 * (a + 2 * b + 2 * c + d)
+        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
+
+
+def _reference_rk4(init, controls, step, n_steps):
+    """The integrator's RK4 by `_reference_step`."""
+    rhs = _reference_rhs(controls)
+    state = [float(init[v]) for v in cotangent_chart().variables]
     states = [list(state)]
     for _ in range(n_steps):
-        k1 = f(state)
-        k2 = f([x + step / 2 * d for x, d in zip(state, k1)])
-        k3 = f([x + step / 2 * d for x, d in zip(state, k2)])
-        k4 = f([x + step * d for x, d in zip(state, k3)])
-        state = [
-            x + step / 6 * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
+        state = _reference_step(rhs, state, step)
         states.append(list(state))
     return states
 
@@ -419,19 +431,40 @@ def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
         assert traj.states[-1] != traj.states[0]
 
 
-def test_integrator_evaluates_no_zero_right_hand_side(monkeypatch):
-    zero_calls = []
-    real = MultiPoly.evaluate_seq
+def test_integrator_evaluates_no_zero_right_hand_side():
+    _, controls = _seeded_null_data(4)
+    rhs = _reference_rhs(controls)
+    step, live = control.rk4_step(rhs, 1e-3)
+    variables = cotangent_chart().variables
+    assert live == [k for k, p in enumerate(rhs) if not p.is_zero()]
+    assert [variables[k] for k in range(30) if k not in live] == list(COV7_VARIABLES)
+    assert len(live) == 23
+    # a dead slot hands back its own float object: nothing is computed for it
+    state = [float(k + 1) / 7 for k in range(30)]
+    out = step(state)
+    assert all((out[k] is state[k]) == (k not in live) for k in range(30))
 
-    def evaluate_seq(p, values):
-        if p.is_zero():
-            zero_calls.append(p)
-        return real(p, values)
 
-    monkeypatch.setattr(MultiPoly, "evaluate_seq", evaluate_seq)
-    init, controls = _seeded_null_data(4)
-    integrate_extremal(init, controls, 1e-3, 0.01)
-    assert zero_calls == []
+def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
+    # off the standard straight-line run, a reordered sum shows in the last bit
+    _, controls = _seeded_null_data(4)
+    rhs = _reference_rhs(controls)
+    step, _ = control.rk4_step(rhs, 0.37)
+    rng = random.Random(5)
+    for _ in range(100):
+        state = [rng.uniform(-10, 10) for _ in rhs]
+        want = _reference_step(rhs, state, 0.37)
+        assert [x.hex() for x in step(state)] == [x.hex() for x in want]
+
+
+def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
+    # no frame field depends on z or on x12..x34, so s and r12..r34 are conserved
+    lifts = constraint_polys()
+    rng = random.Random(13)
+    for k in range(20):
+        w = dict(zip(GENERATOR_ORDER, _random_control(rng, null=k % 2 == 0).as_seq()))
+        equations = control.hamilton_equations(control.hamiltonian(lifts, w))
+        assert all(equations[v].is_zero() for v in COV7_VARIABLES)
 
 
 def test_control_lifts_brackets_from_the_model_table(monkeypatch):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from conftest import by_id, discrepancies, failures
 from f4prolong import f4roots
 from f4prolong.f4roots import (
@@ -18,7 +20,7 @@ from f4prolong.f4roots import (
     repaired_assignment,
     verify_root_correspondence,
 )
-from f4prolong.prolong import DEFINING_BRACKETS, symbol_weights
+from f4prolong.prolong import DEFINING_BRACKETS, BracketTable, symbol_weights
 
 
 def euclidean_positive_roots():
@@ -125,6 +127,19 @@ def test_heights_are_judged_against_the_given_weights(prolong_run):
     item = by_id(verify_root_correspondence(table, wrong))["roots:heights-are-weights"]
     assert item.status == "fail"
     assert "zeta5: height 2, weight 1" in item.computed
+
+
+def test_a_table_without_weights_fails_the_suite_with_its_witness(roots_run, prolong_run):
+    assert "roots:weights" not in by_id(roots_run[0])
+    _, _, table, _ = prolong_run
+    # [zeta1, zeta23] = 0: E's flag never reaches zeta24
+    zeroed = BracketTable({**table.entries, (1, 23): {}})
+    with pytest.raises(ValueError) as exc:
+        symbol_weights(zeroed)
+    items = f4roots.verify_suite(zeroed)
+    assert [i.id for i in items[:-1]] == [i.id for i in f4roots.verify_root_system()]
+    assert (items[-1].id, items[-1].status) == ("roots:weights", "fail")
+    assert items[-1].computed == str(exc.value) and "zeta24" in items[-1].computed
 
 
 def test_a_changed_defining_bracket_fails_the_correspondence(prolong_run, monkeypatch):

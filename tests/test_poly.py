@@ -98,10 +98,13 @@ def test_evaluate_is_a_ring_map(p, q, pt):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
 
 
+CHART30 = Chart("t30", tuple(f"w{k}" for k in range(30)))
+
+
 @st.composite
-def float_polys(draw):
-    """Sparse polynomials with non-dyadic coefficients, or the zero or a
-    constant polynomial."""
+def float_polys(draw, chart=CHART):
+    """Sparse polynomials with non-dyadic coefficients and at most four
+    variables a term, or the zero or a constant polynomial."""
     kind = draw(st.sampled_from(["sparse", "zero", "constant"]))
     coeff = st.builds(
         Fraction,
@@ -109,29 +112,57 @@ def float_polys(draw):
         st.integers(3, 40).filter(lambda d: d & (d - 1)),  # not a power of 2
     )
     if kind == "zero":
-        return MultiPoly.zero(CHART)
+        return MultiPoly.zero(chart)
     if kind == "constant":
-        return MultiPoly.constant(CHART, draw(coeff))
-    exps = st.tuples(*[st.integers(0, 3)] * 3)
-    return MultiPoly(CHART, draw(st.dictionaries(exps, coeff, min_size=1, max_size=8)))
+        return MultiPoly.constant(chart, draw(coeff))
+    n = chart.dimension
+    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=4).map(
+        lambda powers: tuple(powers.get(i, 0) for i in range(n))
+    )
+    return MultiPoly(chart, draw(st.dictionaries(exps, coeff, min_size=1, max_size=8)))
 
 
-float_points = st.lists(
-    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
-)
+def float_points(n=3):
+    return st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
+    )
+
+
+@st.composite
+def float_polys_and_points(draw):
+    """A polynomial on the 3- or the 30-variable chart and a point of it."""
+    chart = draw(st.sampled_from([CHART, CHART30]))
+    return draw(float_polys(chart)), draw(float_points(chart.dimension))
 
 
 @settings(max_examples=200, deadline=None)
-@given(float_polys(), float_points)
-def test_evaluate_seq_matches_the_dense_fraction_walk(p, values):
+@given(float_polys_and_points())
+def test_evaluate_seq_matches_the_dense_fraction_walk(case):
+    p, values = case
     got = p.evaluate_seq(values)
     assert float(got).hex() == float(dense_evaluate(p, values)).hex()
-    # a second call runs on the cached compiled terms
+    # the zero polynomial's sum never leaves its int start
+    assert type(got) is (int if p.is_zero() else float)
+    # a second call runs the cached compiled function
     assert float(p.evaluate_seq(values)).hex() == float(got).hex()
 
 
+def test_evaluate_seq_compiles_a_polynomial_of_many_terms():
+    # one expression summing this many terms exceeds the compiler's recursion limit
+    p = MultiPoly(CHART, {(i, j, k): Fraction(1, 3) for i in range(20) for j in range(20) for k in range(15)})
+    values = [0.5, -1.25, 0.75]
+    assert len(p.terms) == 6000
+    assert p.evaluate_seq(values).hex() == float(dense_evaluate(p, values)).hex()
+
+
+def test_a_coefficient_beyond_the_floats_is_a_value_error():
+    p = v("a") * Fraction(10) ** 400 + v("b")
+    with pytest.raises(ValueError, match="coefficient does not fit in a float"):
+        p.evaluate_seq([1.0, 1.0, 1.0])
+
+
 @settings(max_examples=40, deadline=None)
-@given(polys(), polys(), points, float_points)
+@given(polys(), polys(), points, float_points())
 def test_float_evaluation_leaves_the_polynomial_unchanged(p, q, pt, values):
     copy = MultiPoly(CHART, p.terms)
     before = (p + q, p * q, q * p, hash(p), p.evaluate(pt))
