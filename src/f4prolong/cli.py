@@ -168,7 +168,8 @@ def _initial_state(
         init[u] = Fraction(0)
     rows = []
     rhs = []
-    for poly in control.constraint_polys(chart).values():
+    lifts = control.lift_table(chart)
+    for poly in (lifts[name] for name in cartan.GENERATOR_ORDER):
         # affine in (p, q): the derivative in each unknown depends on base only
         rows.append([poly.diff(u).evaluate(init) for u in unknowns])
         rhs.append(-poly.evaluate(init))

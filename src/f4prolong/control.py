@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
@@ -40,11 +42,10 @@ def phase_control_chart() -> Chart:
     return Chart("phase38", COTANGENT_VARIABLES + CONTROL_VARIABLES)
 
 
-def hamiltonian_lift(field: VectorField, chart: Optional[Chart] = None) -> MultiPoly:
+def hamiltonian_lift(field: VectorField, chart: Chart) -> MultiPoly:
     """H_xi = <p, xi>: pair each component with its conjugate fiber variable."""
     if tuple(field.chart.variables) != BASE_VARIABLES:
         raise ChartMismatchError("field must live on the 15-variable base chart")
-    chart = chart or cotangent_chart()
     total = MultiPoly.zero(chart)
     for fib, comp in zip(FIBER_VARIABLES, field.components):
         if not comp.is_zero():
@@ -493,15 +494,13 @@ def printed_sharp_display(chart: Chart) -> Dict[str, MultiPoly]:
     return d
 
 
-def constraint_polys(chart: Optional[Chart] = None) -> Dict[str, MultiPoly]:
-    """The eight lifts H_X1..H_Y4 on the chart (cotangent30 by default), in
-    GENERATOR_ORDER."""
-    chart = chart or cotangent_chart()
+@cache
+def lift_table(chart: Chart) -> Mapping[str, MultiPoly]:
+    """H_e on the chart for each of the 15 frame fields, built once per chart
+    and shared read-only; its GENERATOR_ORDER entries are the eight
+    constraints H_X1..H_Y4."""
     model = build_model()
-    return {
-        name: hamiltonian_lift(model.frame[name], chart)
-        for name in GENERATOR_ORDER
-    }
+    return MappingProxyType({n: hamiltonian_lift(model.frame[n], chart) for n in model.frame_order})
 
 
 def control_variables(chart: Chart) -> Dict[str, MultiPoly]:
@@ -532,18 +531,19 @@ def hamilton_equations(h: MultiPoly) -> Dict[str, MultiPoly]:
     return out
 
 
-def bracket_lifts(chart: Chart) -> Dict[Tuple[str, str], MultiPoly]:
-    """H_[a,b] on the chart for each two generators: sum_k c_k H_{e_k}, with
-    c the frame coordinates of [a, b] in the model's table and H_{e_k} the
-    lifts of the 15 frame fields (a lift is linear over functions)."""
+@cache
+def bracket_lifts(chart: Chart) -> Mapping[Tuple[str, str], MultiPoly]:
+    """H_[a,b] on the chart for each two generators, built once per chart and
+    shared read-only: sum_k c_k H_{e_k} over the lift table, with c the frame
+    coordinates of [a, b] in the model's table (a lift is linear over functions)."""
     model = build_model()
-    lifts = {name: hamiltonian_lift(model.frame[name], chart) for name in model.frame_order}
+    lifts = lift_table(chart)
     out: Dict[Tuple[str, str], MultiPoly] = {}
     for a in GENERATOR_ORDER:
         for b in GENERATOR_ORDER:
             terms = model.table.bracket(a, b).items()
             out[(a, b)] = sum((extend_poly(c, chart) * lifts[n] for n, c in terms), MultiPoly.zero(chart))
-    return out
+    return MappingProxyType(out)
 
 
 def flow_rhs(chart: Chart, w: Mapping[str, object]) -> Dict[str, MultiPoly]:
@@ -563,7 +563,7 @@ def flow_rhs(chart: Chart, w: Mapping[str, object]) -> Dict[str, MultiPoly]:
 def verify_sharp_display() -> List[Item]:
     """Diff the published Hamiltonian-system display against the derivation."""
     chart = phase_control_chart()
-    lifts = constraint_polys(chart)
+    lifts = lift_table(chart)
     mech = hamilton_equations(hamiltonian(lifts, control_variables(chart)))
     printed = printed_sharp_display(chart)
     lifts_printed = printed_lift_displays(chart)
@@ -627,7 +627,7 @@ def verify_sharp_display() -> List[Item]:
 def verify_poisson_lift_table() -> List[Item]:
     """{H_xi, H_eta} = H_[xi, eta] for all 28 generator pairs."""
     chart = cotangent_chart()
-    lifts = constraint_polys(chart)
+    lifts = lift_table(chart)
     lifted = bracket_lifts(chart)
     items = []
     for i, a in enumerate(GENERATOR_ORDER):
@@ -649,7 +649,7 @@ def verify_poisson_lift_table() -> List[Item]:
 def verify_flow_lemma_symbolic() -> List[Item]:
     """d/dt H_xi = {H, H_xi} = sum_j w_j H_[xi_j, xi] as exact polynomials."""
     chart = phase_control_chart()
-    lifts = constraint_polys(chart)
+    lifts = lift_table(chart)
     w = control_variables(chart)
     h = hamiltonian(lifts, w)
     rhs = flow_rhs(chart, w)
@@ -761,6 +761,9 @@ def integrate_extremal(
         raise ValueError(
             f"t_max / step = {t_max / step:.6g} exceeds the cap of {MAX_STEPS} steps"
         )
+    n_steps = round(t_max / step)
+    if n_steps < 1 or abs(t_max / step - n_steps) > 1e-9 * n_steps:
+        raise ValueError(f"t_max = {t_max!r} is not a whole number of steps of {step!r}")
     chart = cotangent_chart()
     init = {v: Fraction(init[v]) for v in COTANGENT_VARIABLES}
     fiber_vals = [init[v] for v in FIBER_VARIABLES]
@@ -770,9 +773,9 @@ def integrate_extremal(
     uv = list(controls.as_seq())
     if any(mat_vec(build_A(sr0), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
-    constraints = constraint_polys(chart)
-    for name, poly in constraints.items():
-        val = poly.evaluate(init)
+    constraints = lift_table(chart)
+    for name in GENERATOR_ORDER:
+        val = constraints[name].evaluate(init)
         if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
@@ -783,7 +786,6 @@ def integrate_extremal(
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
-    n_steps = max(1, round(t_max / step))
     times = [0.0]
     states = [state]
     for k in range(n_steps):
@@ -797,7 +799,7 @@ def integrate_extremal(
     sr_init = [float(x) for x in sr0]
     max_c = 0.0
     max_sr = 0.0
-    cpolys = list(constraints.values())
+    cpolys = [constraints[name] for name in GENERATOR_ORDER]
     for t, st in zip(times, states):
         cs = [abs(p.evaluate_seq(st)) for p in cpolys]
         srs = [abs(st[idx] - ref) for idx, ref in zip(sr_idx, sr_init)]
@@ -815,7 +817,7 @@ def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
     chart = traj.chart
-    lifts = constraint_polys(chart)
+    lifts = lift_table(chart)
     flow = flow_rhs(chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
     h = traj.step
     max_dev = 0.0

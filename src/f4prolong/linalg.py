@@ -131,9 +131,7 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return ech.rank
 
 
-def mat_rank_kernel(
-    rows: Sequence[Sequence[Fraction]], cols: Optional[int] = None
-) -> Tuple[int, List[Tuple[Fraction, ...]]]:
+def mat_rank_kernel(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[Fraction, ...]]]:
     """Rank and a canonical basis of the right kernel.
 
     Kernel vectors carry 1 in their own free column and 0 in every other free
@@ -141,7 +139,7 @@ def mat_rank_kernel(
     A free column is one that depends on the columns before it, and its kernel
     vector is that dependency.
     """
-    ncols = len(rows[0]) if rows else (cols or 0)
+    ncols = len(rows[0]) if rows else 0
     ech = _column_echelon(rows, ncols)
     zero = Fraction(0)
     basis = [

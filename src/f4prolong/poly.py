@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import (
@@ -120,9 +121,10 @@ def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
     }
 
 
-def lifted_frame(chart: Chart) -> Dict[str, VectorField]:
-    model = build_model()
-    return {name: extend_field(f, chart) for name, f in model.frame.items()}
+@cache
+def lifted_frame(chart: Chart) -> Mapping[str, VectorField]:
+    """The model frame extended to the chart, built once per chart, read-only."""
+    return MappingProxyType({n: extend_field(f, chart) for n, f in build_model().frame.items()})
 
 
 def build_zeta_generators() -> ZetaSystem:

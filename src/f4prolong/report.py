@@ -41,9 +41,6 @@ class Report:
     elapsed_ms: int = 0
     items: List[Item] = field(default_factory=list)
 
-    def add(self, item: Item) -> None:
-        self.items.append(item)
-
     def extend(self, items) -> None:
         self.items.extend(items)
 

@@ -170,6 +170,17 @@ def test_integrate_rejects_bad_step_or_horizon(capsys, flags):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "step, tmax", [("0.3", "1"), ("1", "1e-300"), ("1e-2", "0.015")]
+)
+def test_integrate_rejects_a_horizon_that_is_not_a_whole_number_of_steps(capsys, step, tmax):
+    code, out, err = _capture(capsys, ["integrate", "--json", "--step", step, "--tmax", tmax])
+    assert code == 2
+    assert "is not a whole number of steps" in err
+    assert repr(float(step)) in err and repr(float(tmax)) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_samples_below_one_exit_2(capsys, samples):
     code, out, err = _capture(capsys, ["verify", "control", "--samples", samples])

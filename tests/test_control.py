@@ -27,13 +27,14 @@ from f4prolong.control import (
     build_A11,
     build_A22,
     build_U,
-    constraint_polys,
+    bracket_lifts,
     cotangent_chart,
     form_Q,
     form_R,
     gram_R,
     hamiltonian_lift,
     integrate_extremal,
+    lift_table,
     poisson_bracket,
     standard_initial_data,
     svc_membership,
@@ -321,6 +322,13 @@ def test_integrator_rejects_bad_input():
             integrate_extremal(init, controls, step, t_max)
 
 
+@pytest.mark.parametrize("step, t_max", [(0.3, 1.0), (1.0, 1e-300), (1.0, 0.5), (1e-3, 0.0105)])
+def test_integrator_rejects_a_horizon_that_is_not_a_whole_number_of_steps(step, t_max):
+    init, controls = standard_initial_data()
+    with pytest.raises(ValueError, match=f"t_max = {t_max!r} .* steps of {step!r}"):
+        integrate_extremal(init, controls, step, t_max)
+
+
 def test_integrator_constraints_are_exact():
     # an exact violation far below any float tolerance is still a violation
     init, controls = standard_initial_data()
@@ -459,7 +467,7 @@ def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
 
 def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
     # no frame field depends on z or on x12..x34, so s and r12..r34 are conserved
-    lifts = constraint_polys()
+    lifts = lift_table(cotangent_chart())
     rng = random.Random(13)
     for k in range(20):
         w = dict(zip(GENERATOR_ORDER, _random_control(rng, null=k % 2 == 0).as_seq()))
@@ -481,8 +489,47 @@ def test_control_lifts_brackets_from_the_model_table(monkeypatch):
 
 def test_constraints_vanish_on_standard_data():
     init, _ = standard_initial_data()
-    for poly in constraint_polys().values():
-        assert poly.evaluate(init) == 0
+    lifts = lift_table(cotangent_chart())
+    for name in GENERATOR_ORDER:
+        assert lifts[name].evaluate(init) == 0
+
+
+def test_the_suite_lifts_each_frame_field_once_per_chart(monkeypatch):
+    lift_table.cache_clear()
+    bracket_lifts.cache_clear()
+    calls = []
+    real = control.hamiltonian_lift
+
+    def counting(field, chart):
+        calls.append((field.name, chart.id))
+        return real(field, chart)
+
+    monkeypatch.setattr(control, "hamiltonian_lift", counting)
+    assert not failures(control.verify_suite())
+    # the 15 frame fields on cotangent30 and on phase38, each lifted once
+    assert len(calls) == 30 and len(set(calls)) == 30
+
+
+@pytest.mark.parametrize("table", [lift_table, bracket_lifts])
+def test_the_lift_tables_are_shared_read_only(table):
+    chart = cotangent_chart()
+    assert table(chart) is table(cotangent_chart())
+    key = next(iter(table(chart)))
+    with pytest.raises(TypeError):
+        table(chart)[key] = MultiPoly.zero(chart)
+
+
+def test_the_flow_check_can_fail_on_a_perturbed_state():
+    init, controls = standard_initial_data()
+    traj, _ = integrate_extremal(init, controls, 1e-3, 1.0)
+    (item,) = control.verify_flow_lemma_numeric(traj)
+    assert item.status == "pass"
+    traj.states[500] = list(traj.states[500])
+    traj.states[500][traj.chart.index("x1")] += 1e-3
+    (item,) = control.verify_flow_lemma_numeric(traj)
+    assert item.status == "fail"
+    # H_X2 carries x1 r12 with r12 = 1: a central difference of 1e-3 / 2e-3
+    assert float(item.computed) == pytest.approx(0.5, rel=1e-3)
 
 
 def test_suite_statuses(control_run):

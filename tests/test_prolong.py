@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -413,3 +414,17 @@ def test_suite_statuses(prolong_run):
     assert ids["growth:pi-lift-in-E7"].status == "pass"
     assert ids["pfaff:zeta4-eta1"].status == "pass"
     assert elapsed < 120.0
+
+
+def test_the_suite_extends_each_frame_field_once(monkeypatch):
+    prolong.lifted_frame.cache_clear()
+    calls = []
+    real = prolong.extend_field
+    monkeypatch.setattr(prolong, "extend_field", lambda f, chart: calls.append(f.name) or real(f, chart))
+    items, zs, _ = prolong.verify_suite()
+    assert not failures(items)
+    assert sorted(calls) == sorted(cartan.build_model().frame)
+    frame = prolong.lifted_frame(zs.chart)
+    assert frame is prolong.lifted_frame(prolong.prolonged_chart())
+    with pytest.raises(TypeError):
+        frame["X1"] = frame["X2"]
