@@ -773,14 +773,15 @@ def integrate_extremal(
     uv = list(controls.as_seq())
     if any(mat_vec(build_A(sr0), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
-    constraints = lift_table(chart)
-    for name in GENERATOR_ORDER:
-        val = constraints[name].evaluate(init)
+    lifts = lift_table(chart)
+    cpolys = [lifts[name] for name in GENERATOR_ORDER]
+    for name, poly in zip(GENERATOR_ORDER, cpolys):
+        val = poly.evaluate(init)
         if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
-    equations = hamilton_equations(hamiltonian(constraints, dict(zip(GENERATOR_ORDER, uv))))
+    equations = hamilton_equations(hamiltonian(lifts, dict(zip(GENERATOR_ORDER, uv))))
     rk4, _ = rk4_step([equations[v] for v in chart.variables], step)
     try:
         state = [float(init[v]) for v in chart.variables]
@@ -799,7 +800,6 @@ def integrate_extremal(
     sr_init = [float(x) for x in sr0]
     max_c = 0.0
     max_sr = 0.0
-    cpolys = [constraints[name] for name in GENERATOR_ORDER]
     for t, st in zip(times, states):
         cs = [abs(p.evaluate_seq(st)) for p in cpolys]
         srs = [abs(st[idx] - ref) for idx, ref in zip(sr_idx, sr_init)]

@@ -477,6 +477,9 @@ def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
 
 def test_control_lifts_brackets_from_the_model_table(monkeypatch):
     build_model().table  # filled on first use, here or by an earlier suite
+    # an earlier suite may have filled the caches; rebuild both charts under the patch
+    lift_table.cache_clear()
+    bracket_lifts.cache_clear()
 
     def forbidden(*args):
         raise AssertionError("control bracketed two frame fields")
