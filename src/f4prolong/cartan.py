@@ -297,7 +297,7 @@ def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
         [-m.table.bracket(a, b).get(f"X{i}{j}", zero) for b in complement]
         for a in complement
     ]
-    det = det_cofactor(mat, zero, MultiPoly.constant(m.chart, 1))
+    det = det_cofactor(mat)
     nondeg = det.is_constant() and det.constant_value() != 0
     items.append(
         check(

@@ -161,9 +161,9 @@ def _initial_state(
         for name, val in zip(cartan.BASE_VARIABLES, base):
             init[name] = val
     if cov is not None:
-        for name, val in zip(("s",) + tuple(f"r{n}" for n in control.R_NAMES), cov):
+        for name, val in zip(control.COV7_VARIABLES, cov):
             init[name] = val
-    unknowns = tuple(f"p{i}" for i in range(1, 5)) + tuple(f"q{i}" for i in range(1, 5))
+    unknowns = control.FIBER_VARIABLES[1:9]
     for u in unknowns:
         init[u] = Fraction(0)
     rows = []

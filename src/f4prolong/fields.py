@@ -123,11 +123,11 @@ class OneForm:
         self.name = name
 
     @classmethod
-    def differential(cls, chart: Chart, var: str, name: str = "") -> "OneForm":
+    def differential(cls, chart: Chart, var: str) -> "OneForm":
         """The coordinate differential d(var)."""
         coeffs = [MultiPoly.zero(chart)] * chart.dimension
         coeffs[chart.index(var)] = MultiPoly.constant(chart, 1)
-        return cls(chart, coeffs, name or f"d{var}")
+        return cls(chart, coeffs, f"d{var}")
 
     @classmethod
     def from_dict(cls, chart: Chart, coeffs: Dict[str, MultiPoly], name: str = "") -> "OneForm":
@@ -151,7 +151,7 @@ def _display(label: str, chart: Chart, polys: Sequence[MultiPoly], basis: str) -
     return f"{label}: " + (" + ".join(nz) if nz else "0")
 
 
-def extend_field(f: VectorField, chart: Chart, name: str = "") -> VectorField:
+def extend_field(f: VectorField, chart: Chart) -> VectorField:
     """Trivial lift of a field to a larger chart (zero on the new variables)."""
     from .poly import extend_poly
 
@@ -160,7 +160,7 @@ def extend_field(f: VectorField, chart: Chart, name: str = "") -> VectorField:
         for v, c in zip(f.chart.variables, f.components)
         if not c.is_zero()
     }
-    return VectorField.from_dict(chart, comps, name or f.name)
+    return VectorField.from_dict(chart, comps, f.name)
 
 
 def build_jacobian(f: VectorField) -> Jacobian:
@@ -294,9 +294,10 @@ def constant_combination(
     return FieldSpan(basis).combination(field)
 
 
-def derived_flag_fields(
-    d: Distribution, max_depth: int = 16
-) -> List[List[VectorField]]:
+MAX_FLAG_DEPTH = 16  # stages of the derived flag before it stops growing
+
+
+def derived_flag_fields(d: Distribution) -> List[List[VectorField]]:
     """Weak derived flag D^(i+1) = D^(i) + [D, D^(i)] as lists of new fields per stage.
 
     A candidate bracket is kept only when it is not a rational-constant
@@ -305,7 +306,7 @@ def derived_flag_fields(
     """
     stages: List[List[VectorField]] = [list(d.generators)]
     span = FieldSpan(d.generators)
-    for _ in range(1, max_depth):
+    for _ in range(1, MAX_FLAG_DEPTH):
         new: List[VectorField] = []
         for g in d.generators:
             for f in stages[-1]:

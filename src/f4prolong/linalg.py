@@ -5,9 +5,10 @@ kernel, solve and span membership; cofactor determinants and Pfaffians.
 echelon reduces those integer rows, and `svc_membership` and `lambda_to_v`
 eliminate such integer representatives of their vectors.
 
-Entries are Fractions (or ints) for the numeric routines; the cofactor
-determinant, the adjugate, the Pfaffian and the matrix products also accept
-any commutative-ring elements (e.g. MultiPoly).
+Entries are Fractions (or ints) for the numeric routines. The cofactor
+determinant, the adjugate, the Pfaffian and the matrix products take entries
+in any commutative ring (e.g. MultiPoly), read its zero off the entries
+(`entry * 0`) and take no identity arguments.
 """
 
 from __future__ import annotations
@@ -149,30 +150,28 @@ def mat_rank_kernel(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple
     return ech.rank, basis
 
 
-def det_cofactor(rows, zero, one):
+def _square(rows, what: str) -> int:
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ValueError(f"{what} of an empty or non-square matrix")
+    return len(rows)
+
+
+def det_cofactor(rows):
     """Determinant by cofactor expansion; generic entries, dims <= 8.
 
-    `zero`/`one` are the ring's additive and multiplicative identities.
     Expansion prunes zero entries, so the sparse symbolic matrices in scope
     stay small.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-
-    def _is_zero(x):
-        z = x == zero
-        return bool(z)
+    _square(rows, "determinant")
+    zero = rows[0][0] * 0
 
     def rec(mat):
         k = len(mat)
-        if k == 0:
-            return one
         if k == 1:
             return mat[0][0]
         acc = zero
         for j, entry in enumerate(mat[0]):
-            if _is_zero(entry):
+            if entry == zero:
                 continue
             minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
             term = entry * rec(minor)
@@ -182,36 +181,35 @@ def det_cofactor(rows, zero, one):
     return rec([list(r) for r in rows])
 
 
-def adjugate(rows, zero, one):
+def adjugate(rows):
     """adj(M)[i][j] = (-1)^(i+j) det(M without row j and column i), any ring."""
     minor = lambda i, j: [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
     n = range(len(rows))
-    return [[det_cofactor(minor(i, j), zero, one) * (-1) ** (i + j) for j in n] for i in n]
+    return [[det_cofactor(minor(i, j)) * (-1) ** (i + j) for j in n] for i in n]
 
 
-def pfaffian(rows, zero, one):
+def pfaffian(rows):
     """Pfaffian of a skew-symmetric matrix by first-row expansion.
 
     Pf([[0, a], [-a, 0]]) = a. Raises on odd dimension or a non-skew matrix.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("pfaffian of a non-square matrix")
+    n = _square(rows, "pfaffian")
     if n % 2 != 0:
         raise ValueError("pfaffian needs even dimension")
     for i in range(n):
         for j in range(i, n):
             if not bool(rows[i][j] == -rows[j][i]):
                 raise ValueError("matrix is not skew-symmetric")
+    zero = rows[0][0] * 0
 
     def rec(mat):
         k = len(mat)
-        if k == 0:
-            return one
+        if k == 2:
+            return mat[0][1]
         acc = zero
         for j in range(1, k):
             entry = mat[0][j]
-            if bool(entry == zero):
+            if entry == zero:
                 continue
             keep = [c for c in range(k) if c not in (0, j)]
             minor = [[mat[r][c] for c in keep] for r in keep]
@@ -231,9 +229,9 @@ def solve_exact(
     return _column_echelon(rows, len(rows[0])).combination(sparse(rhs))
 
 
-def mat_mul(a, b, zero):
-    """Matrix product; entries in any ring, `zero` its additive identity."""
-    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+def mat_mul(a, b):
+    """Matrix product; entries in any ring."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def mat_vec(m, x):

@@ -52,13 +52,14 @@ class VFlagFrame:
 
 
 def _ring_units(sample):
-    if isinstance(sample, MultiPoly):
-        return MultiPoly.zero(sample.chart), MultiPoly.constant(sample.chart, 1)
-    return Fraction(0), Fraction(1)
+    """The zero and one of the ring of sample; int samples give Fractions."""
+    zero = sample * Fraction(0)
+    return zero, zero + 1
 
 
-def _flag_vectors(values: Mapping[str, object], zero, one) -> List[list]:
+def _flag_vectors(values: Mapping[str, object]) -> List[list]:
     """f1, f2, f3 as lists, with the z-slots of FLAG_LAYOUT read from values."""
+    zero, one = _ring_units(values[FREE_COORDS[0]])
     return [
         [values[x] if isinstance(x, str) else (one if x else zero) for x in row]
         for row in FLAG_LAYOUT
@@ -79,8 +80,9 @@ def complete_null_flag(coords: Mapping[str, object]) -> LambdaFlagFrame:
     for name in FREE_COORDS:
         if name not in c:
             raise KeyError(f"missing free coordinate {name}")
+        c[name] = zero + c[name]  # into the ring: int coordinates give Fractions
     c.update(dict.fromkeys(DEPENDENT_COORDS, zero))
-    f = _flag_vectors(c, zero, one)
+    f = _flag_vectors(c)
     for name, partner in NULLITY_EQUATIONS:
         i, slot = _SLOTS[name]
         vb = f[i]
@@ -232,7 +234,7 @@ def _flag15_vectors() -> List[list]:
     """f1, f2, f3 with all fifteen z-slots as variables of the flag15 chart."""
     chart = Chart("flag15", ALL_Z)
     zv = {n: MultiPoly.variable(chart, n) for n in chart.variables}
-    return _flag_vectors(zv, *_ring_units(zv["z11"]))
+    return _flag_vectors(zv)
 
 
 def verify_printed_expansions() -> List[Item]:
@@ -307,7 +309,7 @@ def verify_dimensions() -> List[Item]:
         computed = f"{len(eqs)} equations in {len(DEPENDENT_COORDS)} dependent coordinates"
     else:
         jac = [[e.diff(x) for x in DEPENDENT_COORDS] for e in eqs]
-        det = det_cofactor(jac, *_ring_units(f[0][0]))
+        det = det_cofactor(jac)
         ok = det.is_constant() and not det.is_zero()
         computed = str(slots - len(eqs)) if ok else f"{slots} slots, Jacobian det {det}"
     items = [
@@ -359,7 +361,7 @@ def kernel_frame(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[str, List[list]
     zero, one = _ring_units(frame.f1[0])
     rows = [[r[j] for j in PIVOT_ORDER] for f in (frame.f1, frame.f2, frame.f3) for r in build_A(f)]
     blocks = [[rows[i][: len(ix)] for i in ix] for ix in PROFILE_MINORS]
-    minors = [det_cofactor(block, zero, one) for block in blocks]
+    minors = [zero + det_cofactor(block) for block in blocks]
     for ix, det in zip(PROFILE_MINORS, minors):
         if not det.is_constant() or det.is_zero():
             return f"minor on rows {ix} = {det}", []
@@ -371,7 +373,7 @@ def kernel_frame(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[str, List[list]
         if any(x != 0 for x in y):
             c = Fraction(1) / minors[stack].constant_value()
             cramer = lambda j: [r[:j] + [b] + r[j + 1 :] for r, b in zip(blocks[stack], y)]
-            t[:n] = [t[j] - det_cofactor(cramer(j), zero, one) * c for j in range(n)]
+            t[:n] = [t[j] - det_cofactor(cramer(j)) * c for j in range(n)]
         out.append(t)
         bad = [(i, x) for i, x in enumerate(mat_vec(rows[: 8 * stack + 8], t)) if x != 0]
         if bad:

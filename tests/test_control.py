@@ -94,8 +94,11 @@ def _diagonal_gram(entry):
         # monomial, yet it is not c * Q^k
         (lambda w: w[0] * w[4], "fail", "u1*v1"),
         (lambda w: w[0] * 0, "pass", "c = 0, k = 0"),
+        # Q / 2 is c * Q^k, but c is not an integer
+        (lambda w: (w[0] * w[4] + w[1] * w[5] + w[2] * w[6] + w[3] * w[7]) * Fraction(1, 2),
+         "fail", "c = 1/2, k = 1"),
     ],
-    ids=["not-a-power-of-Q", "zero-determinant"],
+    ids=["not-a-power-of-Q", "zero-determinant", "non-integer-multiple"],
 )
 def test_det_form_item_reads_the_determinant(monkeypatch, entry, status, computed):
     monkeypatch.setattr(control, "twisted_gram", _diagonal_gram(entry))

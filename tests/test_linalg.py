@@ -59,7 +59,7 @@ def test_rank_matches_sympy(rows):
 @settings(max_examples=40, deadline=None)
 @given(matrices(4, 4))
 def test_det_matches_sympy_and_cofactor(rows):
-    d = det_cofactor(rows, Fraction(0), Fraction(1))
+    d = det_cofactor(rows)
     assert d == _sympy_det(rows)
 
 
@@ -68,7 +68,7 @@ def test_det_matches_sympy_and_cofactor(rows):
 def test_adjugate_matches_sympy(rows):
     oracle = sympy.Matrix(rows).adjugate().tolist()
     want = [[Fraction(sympy.Rational(x)) for x in r] for r in oracle]
-    assert adjugate(rows, Fraction(0), Fraction(1)) == want
+    assert adjugate(rows) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,18 +99,18 @@ def test_pfaffian_squares_to_det(entries):
             x = next(it)
             m[i][j] = x
             m[j][i] = -x
-    pf = pfaffian(m, Fraction(0), Fraction(1))
+    pf = pfaffian(m)
     assert pf * pf == _sympy_det(m)
 
 
 def test_pfaffian_2x2_convention():
     m = [[Fraction(0), Fraction(7)], [Fraction(-7), Fraction(0)]]
-    assert pfaffian(m, Fraction(0), Fraction(1)) == 7
+    assert pfaffian(m) == 7
 
 
 def test_pfaffian_rejects_non_skew():
     with pytest.raises(ValueError):
-        pfaffian([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], Fraction(0), Fraction(1))
+        pfaffian([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,6 +208,69 @@ def test_echelon_add_relation_and_combination():
     assert ech.combination({}) == [0, 0, 0]
 
 
+_CHART3 = Chart("xyz", ("x", "y", "z"))
+_MONOMIALS = [(), ("x",), ("y",), ("z",), ("x", "x"), ("x", "y"), ("y", "z"), ("z", "z")]
+
+
+def _poly_matrix(rng, rows, cols, zero_first_row=False):
+    """Random polynomials of degree <= 2 on a 3-variable chart, about a quarter of them 0."""
+    def entry():
+        picks = rng.sample(_MONOMIALS, rng.randint(0, 3))
+        return from_terms(_CHART3, {mono: rng.randint(-3, 3) for mono in picks})
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if zero_first_row:
+        m[0] = [MultiPoly.zero(_CHART3)] * cols
+    return m
+
+
+def _skew(m):
+    """The skew-symmetric matrix with the strict upper triangle of m."""
+    n = len(m)
+    zero = MultiPoly.zero(_CHART3)
+    return [[m[i][j] if i < j else -m[j][i] if i > j else zero for j in range(n)] for i in range(n)]
+
+
+def _at(m, point):
+    return [[x.evaluate(point) for x in row] for row in m]
+
+
+def _points(rng, n=3):
+    return [
+        {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in _CHART3.variables}
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_generic_routines_commute_with_evaluation(seed):
+    # the routines read the ring's zero off the entries: a polynomial matrix,
+    # even one whose first row is zero, gives MultiPoly results whose values
+    # are the results on the evaluated matrices
+    rng = random.Random(seed)
+    zero_row = seed % 2 == 1
+    m4 = _poly_matrix(rng, 4, 4, zero_row)
+    m6 = _skew(_poly_matrix(rng, 6, 6, zero_row))
+    a, b = _poly_matrix(rng, 3, 4, zero_row), _poly_matrix(rng, 4, 3)
+    det, adj, pf, prod = det_cofactor(m4), adjugate(m4), pfaffian(m6), mat_mul(a, b)
+    if zero_row:
+        assert det == 0 and pf == 0 and prod[0] == [0, 0, 0]
+    for x in [det, pf] + [x for r in adj + prod for x in r]:
+        assert isinstance(x, MultiPoly)
+    for pt in _points(rng):
+        assert det.evaluate(pt) == det_cofactor(_at(m4, pt)) == _sympy_det(_at(m4, pt))
+        assert _at(adj, pt) == adjugate(_at(m4, pt))
+        assert pf.evaluate(pt) == pfaffian(_at(m6, pt))
+        assert _at(prod, pt) == mat_mul(_at(a, pt), _at(b, pt))
+
+
+def test_empty_matrix_has_no_ring():
+    with pytest.raises(ValueError):
+        det_cofactor([])
+    with pytest.raises(ValueError):
+        pfaffian([])
+
+
 def test_solve_exact_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     assert solve_exact(rows, [Fraction(1), Fraction(3)]) is None
@@ -217,7 +280,7 @@ def test_mat_mul_and_transpose():
     rng = random.Random(3)
     a = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(2)]
     b = [[Fraction(rng.randint(-4, 4)) for _ in range(2)] for _ in range(3)]
-    prod = mat_mul(a, b, Fraction(0))
+    prod = mat_mul(a, b)
     oracle = sympy.Matrix(a) * sympy.Matrix(b)
     assert sympy.Matrix(prod) == oracle
     assert transpose(a) == [list(r) for r in sympy.Matrix(a).T.tolist()]

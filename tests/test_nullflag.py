@@ -55,6 +55,20 @@ def test_completion_is_r_null():
                 assert bilinear_R(list(fa), list(fb)) == 0
 
 
+def test_int_coordinates_complete_like_fractions():
+    # int coordinates are read into the Fractions, so the frame, its entry
+    # types and the eta frame are those of the same Fraction coordinates
+    rng = random.Random(5)
+    for _ in range(10):
+        ints = {n: rng.randint(-2, 2) for n in FREE_COORDS}
+        by_int = complete_null_flag(ints)
+        by_frac = complete_null_flag({n: Fraction(x) for n, x in ints.items()})
+        assert by_int == by_frac
+        for got, want in zip(by_int.f1 + by_int.f2 + by_int.f3, by_frac.f1 + by_frac.f2 + by_frac.f3):
+            assert type(got) is type(want) is Fraction
+        assert lambda_to_v(by_int) == lambda_to_v(by_frac)
+
+
 def test_completion_pivot_structure():
     rng = random.Random(9)
     frame = complete_null_flag(_coords(rng))
