@@ -726,18 +726,26 @@ def rk4_step(rhs: Sequence[MultiPoly], h: float) -> Tuple[Callable, List[int]]:
     slots: the indices whose right-hand side is not the zero polynomial. A live
     slot rounds as a list-based step would: stages x + h/2 k1, x + h/2 k2,
     x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which
-    equals x + 0.0 unless x is -0.0; float() of a Fraction is never -0.0, and
-    neither is a sum whose first summand is not."""
+    equals x + 0.0 unless x is -0.0; float() of a Fraction is -0.0 only when it
+    underflows, and a sum is -0.0 only when its first summand is. A frozen slot,
+    whose right-hand side reads no live slot, reads the same x at every stage:
+    it is evaluated once and its k1 stands for k2, k3 and k4 in the same final
+    sum. Stage inputs are formed only for the live slots that a moving slot reads."""
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
+    reads = {k: {i for e in rhs[k].terms for i, n in enumerate(e) if n} for k in live}
+    moving = [k for k in live if not reads[k].isdisjoint(live)]
+    fed = [k for k in live if any(k in reads[j] for j in moving)]
+    # the names of the four stage values of each live slot
+    stages = {k: [f"{s}{k}" for s in ("abcd" if k in moving else "aaaa")] for k in live}
     x = [f"x{k}" for k in range(len(rhs))]
-    y = [f"y{k}" if k in live else f"x{k}" for k in range(len(rhs))]
+    y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
     lines = [", ".join(x) + ", = s"]
     lines += [line for k in live for line in rhs[k].float_lines(x, f"a{k}")]
-    for prev, cur, factor in (("a", "b", h / 2), ("b", "c", h / 2), ("c", "d", h)):
-        lines += [f"y{k} = x{k} + {factor!r} * {prev}{k}" for k in live]
-        lines += [line for k in live for line in rhs[k].float_lines(y, f"{cur}{k}")]
+    for i, factor in enumerate((h / 2, h / 2, h)):
+        lines += [f"y{k} = x{k} + {factor!r} * {stages[k][i]}" for k in fed]
+        lines += [line for k in moving for line in rhs[k].float_lines(y, stages[k][i + 1])]
     for k in live:
-        x[k] = f"x{k} + {h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})"
+        x[k] = "x{} + {!r} * ({} + 2 * {} + 2 * {} + {})".format(k, h / 6, *stages[k])
     namespace: dict = {}
     exec("def step(s):\n    " + "\n    ".join(lines + [f"return [{', '.join(x)}]"]), namespace)
     return namespace["step"], live

@@ -6,6 +6,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+# the most terms in one statement of `MultiPoly.float_lines`
+SUM_TERMS = 200
 
 
 class ChartMismatchError(ValueError):
@@ -217,20 +219,25 @@ class MultiPoly:
 
     def float_lines(self, names: Sequence[str], target: str) -> list[str]:
         """Python statements that leave in `target` the float value of the
-        polynomial, with `names[i]` the value of chart variable i: `target = 0`,
-        then `target = target + c * v * w**k` for each term in dict order, with
-        c the float repr of its coefficient and its factors by variable index.
-        One statement per term: a single long sum overflows the compiler's
-        recursion limit near 3,000 terms."""
-        lines = [f"{target} = 0"]
+        polynomial, with `names[i]` the value of chart variable i: the sum
+        `target = 0.0 + c * v * w**k - ...` of the terms in dict order, c the float
+        repr of |coefficient|, split every SUM_TERMS terms (one long sum overflows
+        the compiler's recursion limit near 3,000 terms). It rounds as the walk from
+        the int 0 adding float(coefficient) * factors, signed zeros included: 0 + x
+        is 0.0 + x, 1.0 * v is v and t + (-c) * v is t - c * v. Zero is `target = 0`."""
+        terms = []
         for e, c in self.terms.items():
+            factors = [names[i] if k == 1 else f"{names[i]}**{k}" for i, k in enumerate(e) if k]
             try:
-                factors = [repr(float(c))]
+                if abs(c) != 1 or not factors:
+                    factors.insert(0, repr(float(abs(c))))
             except OverflowError:
                 raise ValueError("a polynomial coefficient does not fit in a float") from None
-            factors += (names[i] if k == 1 else f"{names[i]}**{k}" for i, k in enumerate(e) if k)
-            lines.append(f"{target} = {target} + " + " * ".join(factors))
-        return lines
+            terms.append(("- " if c < 0 else "+ ") + " * ".join(factors))
+        return [
+            f"{target} = {target if i else '0.0'} " + " ".join(terms[i : i + SUM_TERMS])
+            for i in range(0, len(terms), SUM_TERMS)
+        ] or [f"{target} = 0"]
 
     def evaluate_seq(self, values: Sequence[float]) -> float:
         """Float value at an ordered assignment of the chart variables, from

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import f4prolong
 from f4prolong import cartan, control, nullflag
 from f4prolong.cli import run
 
@@ -76,6 +80,19 @@ def test_global_suites_ignore_seed_and_samples(capsys):
             del data["seed"], data["elapsed_ms"]
             reports.append(data)
         assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("module", ["f4prolong", "f4prolong.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    src = str(Path(f4prolong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    m = [sys.executable, "-m", module]
+    done = subprocess.run(m + ["verify", "cartan", "--json"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["suite"] == "cartan"
+    done = subprocess.run(m + ["integrate", "--step", "nan"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert "step must be a positive finite number" in done.stderr and not done.stdout
 
 
 def test_unknown_subcommand_exits_2():

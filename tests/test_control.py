@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -466,6 +467,91 @@ def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
         state = [rng.uniform(-10, 10) for _ in rhs]
         want = _reference_step(rhs, state, 0.37)
         assert [x.hex() for x in step(state)] == [x.hex() for x in want]
+
+
+# unit, negative and non-dyadic coefficients, and one whose float is -0.0
+STEP_COEFFS = [1, -1, 2, Fraction(-3, 7), Fraction(5, 3), Fraction(-1, 10**400)]
+
+
+def _random_system(rng, n=12):
+    """Right-hand sides on n slots, each dead, constant, frozen (reading only
+    dead slots) or moving (reading a live slot, some only live slots), and
+    the kind of each slot."""
+    chart = Chart("rk4", tuple(f"u{k}" for k in range(n)))
+    kinds = ["dead", "constant", "frozen", "moving", "moving"]
+    kinds += [rng.choice(["dead", "constant", "frozen", "moving"]) for _ in range(n - len(kinds))]
+    rng.shuffle(kinds)
+    dead = [k for k in range(n) if kinds[k] == "dead"]
+    live = [k for k in range(n) if kinds[k] != "dead"]
+
+    def monomial(slots):
+        e = [0] * n
+        for _ in range(rng.randint(1, 3)):
+            e[rng.choice(slots)] += 1
+        return tuple(e)
+
+    rhs = []
+    for kind in kinds:
+        terms = {}
+        # the dense walk adds a constant term as an exact Fraction: one whose
+        # float is -0.0 would not round as a float sum, so it is not drawn
+        if kind == "constant" or (kind == "frozen" and rng.random() < 0.3):
+            terms[(0,) * n] = rng.choice(STEP_COEFFS[:-1])
+        if kind == "frozen":
+            terms.update({monomial(dead): rng.choice(STEP_COEFFS) for _ in range(rng.randint(1, 4))})
+        if kind == "moving":
+            terms[monomial(live)] = rng.choice(STEP_COEFFS)
+            for _ in range(rng.randint(0, 3)):
+                terms[monomial(rng.choice([dead, live, dead + live]))] = rng.choice(STEP_COEFFS)
+        rhs.append(MultiPoly(chart, terms))
+    return rhs, kinds
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
+    rng = random.Random(seed)
+    rhs, kinds = _random_system(rng)
+    for _ in range(4):
+        h = rng.choice([rng.uniform(1e-4, 0.5), 0.37, 1e-3])
+        step, live = control.rk4_step(rhs, h)
+        assert live == [k for k, kind in enumerate(kinds) if kind != "dead"]
+        for _ in range(10):
+            # a dead slot keeps its x, so only a live slot may start at -0.0
+            state = [
+                rng.choice([rng.uniform(-2, 2), 0.0] + ([-0.0] if kind != "dead" else []))
+                for kind in kinds
+            ]
+            want = _reference_step(rhs, state, h)
+            assert [x.hex() for x in step(state)] == [x.hex() for x in want]
+
+
+def test_rk4_step_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypatch):
+    targets = []
+    emit = MultiPoly.float_lines
+
+    def counting(self, names, target):
+        targets.append(target)
+        return emit(self, names, target)
+
+    def emitted(rhs):
+        """How many times rk4_step emits each slot's right-hand side."""
+        targets.clear()
+        control.rk4_step(rhs, 1e-3)
+        return Counter(int(t[1:]) for t in targets)
+
+    monkeypatch.setattr(MultiPoly, "float_lines", counting)
+    _, controls = _seeded_null_data(4)
+    counts = emitted(_reference_rhs(controls))
+    variables = cotangent_chart().variables
+    assert {variables[k] for k, n in counts.items() if n == 4} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
+    assert sorted(counts.values()) == [1] * 16 + [4] * 7
+    rng = random.Random(7)
+    for _ in range(10):
+        rhs, kinds = _random_system(rng)
+        counts = emitted(rhs)
+        assert [counts[k] for k in range(len(rhs))] == [
+            {"dead": 0, "constant": 1, "frozen": 1, "moving": 4}[kind] for kind in kinds
+        ]
 
 
 def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_evaluate
-from f4prolong.poly import Chart, ChartMismatchError, MultiPoly, extend_poly
+from f4prolong.poly import SUM_TERMS, Chart, ChartMismatchError, MultiPoly, extend_poly
 
 CHART = Chart("t3", ("a", "b", "c"))
 
@@ -153,6 +155,44 @@ def test_evaluate_seq_compiles_a_polynomial_of_many_terms():
     values = [0.5, -1.25, 0.75]
     assert len(p.terms) == 6000
     assert p.evaluate_seq(values).hex() == float(dense_evaluate(p, values)).hex()
+
+
+# unit, negative, non-dyadic and underflowing coefficients: float() of the last
+# two is -0.0 and 0.0
+EMITTER_COEFFS = [1, -1, Fraction(-3, 7), Fraction(5, 3), -2, Fraction(-1, 10**400), Fraction(1, 10**400)]
+
+
+@pytest.mark.parametrize("size", [SUM_TERMS - 1, SUM_TERMS, SUM_TERMS + 1, 2 * SUM_TERMS + 1])
+def test_float_lines_sum_rounds_as_the_dense_walk(size):
+    rng = random.Random(size)
+    monomials = [(i, j, k) for i in range(8) for j in range(8) for k in range(8)]
+    # the constant term, when drawn, may stand anywhere in the dict order; the
+    # dense walk adds it as an exact Fraction, so it gets no coefficient whose
+    # float is a zero
+    terms = {e: rng.choice(EMITTER_COEFFS[: -2 if e == (0, 0, 0) else None]) for e in rng.sample(monomials, size)}
+    p = MultiPoly(CHART, terms)
+    lines = p.float_lines(["x", "y", "z"], "t")
+    assert len(lines) == -(-size // SUM_TERMS)
+    assert all(line.count(" + ") + line.count(" - ") <= SUM_TERMS for line in lines)
+    namespace: dict = {}
+    exec("def f(x, y, z):\n    " + "\n    ".join(lines + ["return t"]), namespace)
+    zeros = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+    draws = [[rng.choice([rng.uniform(-1.2, 1.2), -0.0, 1.0]) for _ in range(3)] for _ in range(50)]
+    for values in zeros + draws:
+        got, want = namespace["f"](*values), float(dense_evaluate(p, values))
+        assert got.hex() == want.hex()
+        # a zero result carries the dense walk's sign
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_float_lines_writes_units_and_signs_into_the_sum():
+    p = MultiPoly(CHART, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 2): Fraction(-1, 2), (0, 0, 0): 1})
+    assert p.float_lines(["x", "y", "z"], "t") == ["t = 0.0 + x - y - 0.5 * z**2 + 1.0"]
+    assert MultiPoly.zero(CHART).float_lines(["x", "y", "z"], "t") == ["t = 0"]
+    # the dense walk starts at the int 0, and 0 + -0.0 is 0.0
+    for q in (-v("a"), v("a") * Fraction(-1, 10**400), -v("a") - v("b") * v("c")):
+        got, want = q.evaluate_seq([0.0, 0.0, 0.0]), dense_evaluate(q, [0.0, 0.0, 0.0])
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
 
 
 def test_a_coefficient_beyond_the_floats_is_a_value_error():
