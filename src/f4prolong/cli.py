@@ -182,10 +182,10 @@ def _initial_state(
 
 
 def _cmd_integrate(args) -> int:
-    base = _fraction_csv(args.point, 15, "--point") if args.point else None
-    cov = _fraction_csv(args.covector, 7, "--covector") if args.covector else None
+    base = _fraction_csv(args.point, 15, "--point") if args.point is not None else None
+    cov = _fraction_csv(args.covector, 7, "--covector") if args.covector is not None else None
     init = _initial_state(base, cov)
-    if args.controls:
+    if args.controls is not None:
         c = _fraction_csv(args.controls, 8, "--controls")
         controls = control.ControlVector(tuple(c[:4]), tuple(c[4:]))
     else:
@@ -194,7 +194,7 @@ def _cmd_integrate(args) -> int:
         traj, drift = control.integrate_extremal(init, controls, args.step, args.tmax)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w") as fh:
                 fh.write("time," + ",".join(traj.chart.variables) + "\n")
@@ -214,7 +214,7 @@ def _cmd_integrate(args) -> int:
         )
         print(f"max constraint drift: {drift.max_constraint_drift!r}")
         print(f"max (s, r) drift:     {drift.max_sr_drift!r}")
-        if args.csv:
+        if args.csv is not None:
             print(f"trajectory written to {args.csv}")
     return 0
 

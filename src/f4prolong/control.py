@@ -360,13 +360,12 @@ def verify_matrix_identities() -> List[Item]:
     )
     det_tg = det_cofactor(tg)
     # Q is homogeneous of degree 2, so det = c * Q^k forces k = deg(det) / 2,
-    # and one monomial of Q^k fixes c
-    k = max(map(sum, det_tg.terms), default=0) // 2
+    # and c is det at u1 = v1 = 1, the rest 0, where Q = 1
+    k = det_tg.degree() // 2
     qk = zc + 1
     for _ in range(k):
         qk = qk * q
-    e, coef = next(iter(qk.terms.items()))
-    c_val = det_tg.terms.get(e, 0) / coef
+    c_val = det_tg.evaluate({n: int(n in ("u1", "v1")) for n in CONTROL_VARIABLES})
     is_power = det_tg == c_val * qk
     items.append(
         check(
@@ -732,7 +731,7 @@ def rk4_step(rhs: Sequence[MultiPoly], h: float) -> Tuple[Callable, List[int]]:
     it is evaluated once and its k1 stands for k2, k3 and k4 in the same final
     sum. Stage inputs are formed only for the live slots that a moving slot reads."""
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
-    reads = {k: {i for e in rhs[k].terms for i, n in enumerate(e) if n} for k in live}
+    reads = {k: set(rhs[k].support()) for k in live}
     moving = [k for k in live if not reads[k].isdisjoint(live)]
     fed = [k for k in live if any(k in reads[j] for j in moving)]
     # the names of the four stage values of each live slot

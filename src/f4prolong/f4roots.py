@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .prolong import DEFINING_BRACKETS, BracketTable, symbol_weights
+from .prolong import DEFINING_BRACKETS, BracketTable, graded_dimensions, symbol_weights
 from .report import DISCREPANCY, Item, check
 
 Root = Tuple[int, int, int, int]
@@ -93,10 +93,7 @@ def height(root: Root) -> int:
 
 def alpha4_grading(roots: List[Root]) -> Tuple[int, ...]:
     """Count of positive roots by their alpha_4 coefficient, ascending."""
-    counts: Dict[int, int] = {}
-    for r in roots:
-        counts[r[3]] = counts.get(r[3], 0) + 1
-    return tuple(counts[c] for c in sorted(counts))
+    return graded_dimensions({r: r[3] for r in roots})
 
 
 def repaired_assignment() -> Tuple[Dict[int, Root], List[int]]:
@@ -149,10 +146,7 @@ def verify_root_system() -> List[Item]:
             expected=str(HIGHEST_ROOT),
         )
     )
-    per_height: Dict[int, int] = {}
-    for r in roots:
-        per_height[height(r)] = per_height.get(height(r), 0) + 1
-    profile = tuple(per_height[h] for h in sorted(per_height))
+    profile = graded_dimensions({r: height(r) for r in roots})
     items.append(
         check(
             "roots:height-profile",

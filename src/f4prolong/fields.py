@@ -1,15 +1,17 @@
-"""Polynomial vector fields, 1-forms, Lie brackets, derived flags on a single chart."""
+"""Polynomial vector fields, 1-forms, Lie brackets, derived flags on a single chart.
+
+Brackets multiply term maps through `poly.mul_add`, the one product kernel,
+which `MultiPoly.__mul__` uses too; nothing here reads an exponent vector."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, sparse
-from .poly import Chart, ChartMismatchError, MultiPoly
+from .poly import Chart, ChartMismatchError, MultiPoly, mul_add
 
 Point = Dict[str, Fraction]
 Terms = Dict[tuple, Fraction]
@@ -22,21 +24,59 @@ def origin(chart: Chart) -> Point:
     return {v: Fraction(0) for v in chart.variables}
 
 
-class VectorField:
-    """First-order derivation with polynomial components, one per chart variable."""
+class _ChartPolys:
+    """One polynomial per chart variable: the body that VectorField and OneForm
+    share. `_noun` names an entry in error texts and, plural, the JSON key;
+    `_basis` prefixes a variable in the display."""
 
-    __slots__ = ("chart", "components", "name", "_jacobian")  # _jacobian: set by jacobian()
+    __slots__ = ("chart", "components", "name")
+    _noun = "component"
+    _basis = "d/d"
 
     def __init__(self, chart: Chart, components: Sequence[MultiPoly], name: str = ""):
         components = tuple(components)
         if len(components) != chart.dimension:
-            raise ValueError("component count != chart dimension")
+            raise ValueError(f"{self._noun} count != chart dimension")
         for c in components:
             if c.chart != chart:
-                raise ChartMismatchError("component on a different chart")
+                raise ChartMismatchError(f"{self._noun} on a different chart")
         self.chart = chart
         self.components = components
         self.name = name
+
+    @classmethod
+    def _unit(cls, chart: Chart, var: str, name: str):
+        """The one whose only nonzero entry is the constant 1 at var."""
+        comps = [MultiPoly.zero(chart)] * chart.dimension
+        comps[chart.index(var)] = MultiPoly.constant(chart, 1)
+        return cls(chart, comps, name)
+
+    @classmethod
+    def from_dict(cls, chart: Chart, comps: Dict[str, MultiPoly], name: str = ""):
+        z = MultiPoly.zero(chart)
+        return cls(chart, [comps.get(v, z) for v in chart.variables], name)
+
+    def __repr__(self) -> str:
+        """`name: (c)<basis>v + ...` over the nonzero entries, or `name: 0`."""
+        nz = [
+            f"({c}){self._basis}{v}"
+            for v, c in zip(self.chart.variables, self.components)
+            if not c.is_zero()
+        ]
+        return f"{self.name or type(self).__name__}: " + (" + ".join(nz) if nz else "0")
+
+    def to_json(self) -> dict:
+        return {
+            "chart": list(self.chart.variables),
+            "name": self.name,
+            f"{self._noun}s": [c.to_json() for c in self.components],
+        }
+
+
+class VectorField(_ChartPolys):
+    """First-order derivation with polynomial components, one per chart variable."""
+
+    __slots__ = ("_jacobian",)  # set by jacobian()
 
     @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
@@ -46,14 +86,7 @@ class VectorField:
     @classmethod
     def coordinate(cls, chart: Chart, var: str, name: str = "") -> "VectorField":
         """The coordinate field d/d(var)."""
-        comps = [MultiPoly.zero(chart)] * chart.dimension
-        comps[chart.index(var)] = MultiPoly.constant(chart, 1)
-        return cls(chart, comps, name or f"d/d{var}")
-
-    @classmethod
-    def from_dict(cls, chart: Chart, comps: Dict[str, MultiPoly], name: str = "") -> "VectorField":
-        z = MultiPoly.zero(chart)
-        return cls(chart, [comps.get(v, z) for v in chart.variables], name)
+        return cls._unit(chart, var, name or f"d/d{var}")
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -95,60 +128,18 @@ class VectorField:
             and self.components == other.components
         )
 
-    def __repr__(self) -> str:
-        return _display(self.name or "VectorField", self.chart, self.components, "d/d")
 
-    def to_json(self) -> dict:
-        return {
-            "chart": list(self.chart.variables),
-            "name": self.name,
-            "components": [c.to_json() for c in self.components],
-        }
-
-
-class OneForm:
+class OneForm(_ChartPolys):
     """Differential 1-form with polynomial coefficients, one per chart variable."""
 
-    __slots__ = ("chart", "coefficients", "name")
-
-    def __init__(self, chart: Chart, coefficients: Sequence[MultiPoly], name: str = ""):
-        coefficients = tuple(coefficients)
-        if len(coefficients) != chart.dimension:
-            raise ValueError("coefficient count != chart dimension")
-        for c in coefficients:
-            if c.chart != chart:
-                raise ChartMismatchError("coefficient on a different chart")
-        self.chart = chart
-        self.coefficients = coefficients
-        self.name = name
+    __slots__ = ()
+    _noun = "coefficient"
+    _basis = "d"
 
     @classmethod
     def differential(cls, chart: Chart, var: str) -> "OneForm":
         """The coordinate differential d(var)."""
-        coeffs = [MultiPoly.zero(chart)] * chart.dimension
-        coeffs[chart.index(var)] = MultiPoly.constant(chart, 1)
-        return cls(chart, coeffs, f"d{var}")
-
-    @classmethod
-    def from_dict(cls, chart: Chart, coeffs: Dict[str, MultiPoly], name: str = "") -> "OneForm":
-        z = MultiPoly.zero(chart)
-        return cls(chart, [coeffs.get(v, z) for v in chart.variables], name)
-
-    def __repr__(self) -> str:
-        return _display(self.name or "OneForm", self.chart, self.coefficients, "d")
-
-    def to_json(self) -> dict:
-        return {
-            "chart": list(self.chart.variables),
-            "name": self.name,
-            "coefficients": [c.to_json() for c in self.coefficients],
-        }
-
-
-def _display(label: str, chart: Chart, polys: Sequence[MultiPoly], basis: str) -> str:
-    """`label: (c)<basis>v + ...` over the nonzero polys, or `label: 0`."""
-    nz = [f"({c}){basis}{v}" for v, c in zip(chart.variables, polys) if not c.is_zero()]
-    return f"{label}: " + (" + ".join(nz) if nz else "0")
+        return cls._unit(chart, var, f"d{var}")
 
 
 def extend_field(f: VectorField, chart: Chart) -> VectorField:
@@ -172,26 +163,14 @@ def build_jacobian(f: VectorField) -> Jacobian:
     for k, comp in enumerate(f.components):
         if not comp.is_zero():
             nonzero[k] = comp.terms
-        support = sorted({j for e in comp.terms for j, p in enumerate(e) if p})
-        partials.append(tuple((j, comp.diff(variables[j]).terms) for j in support))
+        partials.append(tuple((j, comp.diff(variables[j]).terms) for j in comp.support()))
     return nonzero, partials
 
 
 def _add_products(acc: Terms, coeffs: Dict[int, Terms], partials, sign: int) -> None:
-    """acc += sign * sum_j coeffs_j * partial_j, over the j in both, term by term."""
+    """acc += sign * sum_j coeffs_j * partial_j, over the j in both."""
     for j, d in partials:
-        a = coeffs.get(j)
-        if a is None:
-            continue
-        for e1, c1 in a.items():
-            c1 = sign * c1
-            for e2, c2 in d.items():
-                e = tuple(map(add, e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
+        mul_add(acc, coeffs.get(j, {}), d, sign)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -220,7 +199,7 @@ def pair(form: OneForm, field: VectorField) -> MultiPoly:
     if form.chart != field.chart:
         raise ChartMismatchError("form and field on different charts")
     out = MultiPoly.zero(form.chart)
-    for a, b in zip(form.coefficients, field.components):
+    for a, b in zip(form.components, field.components):
         if not (a.is_zero() or b.is_zero()):
             out = out + a * b
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -53,6 +54,23 @@ class Chart:
 
 def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
+    """acc += sign * a * b for term maps, one product of terms at a time with a
+    outer and b inner. A term that cancels is deleted, so if it comes back it
+    goes in again at the end of acc's order."""
+    if not (a and b):
+        return
+    outer = a.items() if sign == 1 else [(e, sign * c) for e, c in a.items()]
+    for e1, c1 in outer:
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
 
 
 def grlex_key(exps: Sequence[int]):
@@ -112,7 +130,15 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self.degree() == 0
+
+    def support(self) -> list[int]:
+        """The indices of the chart variables that the polynomial reads, ascending."""
+        return sorted({i for e in self.terms for i, k in enumerate(e) if k})
+
+    def degree(self) -> int:
+        """The total degree; 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -163,14 +189,7 @@ class MultiPoly:
             return MultiPoly._trusted(self.chart, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         terms: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+        mul_add(terms, self.terms, other.terms)
         return MultiPoly._trusted(self.chart, terms)
 
     __rmul__ = __mul__
@@ -199,7 +218,7 @@ class MultiPoly:
             d = list(e)
             d[k] -= 1
             terms[tuple(d)] = c * e[k]
-        return MultiPoly(self.chart, terms)
+        return MultiPoly._trusted(self.chart, terms)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of chart variables."""

@@ -461,8 +461,8 @@ def symbol_weights(table: BracketTable) -> Dict[int, int]:
     return weights
 
 
-def graded_dimensions(weights: Dict[int, int]) -> Tuple[int, ...]:
-    """The number of zeta_k of each weight, by ascending weight."""
+def graded_dimensions(weights: Mapping[object, int]) -> Tuple[int, ...]:
+    """The number of keys (zeta_k, or roots) of each weight, by ascending weight."""
     counts = Counter(weights.values())
     return tuple(counts[w] for w in sorted(counts))
 

@@ -33,11 +33,12 @@ def seeded_points(chart, seed, n):
 
 
 def dense_evaluate(p, values):
-    """The oracle for MultiPoly.evaluate_seq: the term-by-term walk over dense
-    exponent tuples with Fraction coefficients that it replaced."""
+    """The oracle for MultiPoly.evaluate_seq: the walk that `float_lines`
+    describes, from the int 0 adding float(coefficient) times the factors of
+    each term in dict order, over dense exponent tuples."""
     total = 0
     for e, c in p.terms.items():
-        term = c
+        term = float(c)
         for v, k in zip(values, e):
             if k:
                 term = term * v**k

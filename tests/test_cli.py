@@ -290,6 +290,23 @@ def test_integrate_unwritable_csv_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--covector=", "malformed rational ''"),
+        ("--controls=", "malformed rational ''"),
+        ("--point=", "malformed rational ''"),
+        ("--csv=", "cannot write --csv"),
+    ],
+)
+def test_integrate_an_empty_value_exits_2(capsys, flag, message):
+    # an empty value is an input error, not a request for the default data
+    code, out, err = _capture(capsys, ["integrate", "--json", "--tmax", "0.01", flag])
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_export_model_text_shows_every_coefficient(capsys):
     runs = [_capture(capsys, ["export-model"]) for _ in range(2)]
     assert runs[0] == runs[1]

@@ -493,10 +493,8 @@ def _random_system(rng, n=12):
     rhs = []
     for kind in kinds:
         terms = {}
-        # the dense walk adds a constant term as an exact Fraction: one whose
-        # float is -0.0 would not round as a float sum, so it is not drawn
         if kind == "constant" or (kind == "frozen" and rng.random() < 0.3):
-            terms[(0,) * n] = rng.choice(STEP_COEFFS[:-1])
+            terms[(0,) * n] = rng.choice(STEP_COEFFS)
         if kind == "frozen":
             terms.update({monomial(dead): rng.choice(STEP_COEFFS) for _ in range(rng.randint(1, 4))})
         if kind == "moving":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from f4prolong.fields import (
     origin,
     pair,
 )
-from f4prolong.poly import Chart, MultiPoly
+from f4prolong.poly import Chart, ChartMismatchError, MultiPoly
 
 CHART = Chart("xyz", ("x", "y", "z"))
 
@@ -55,6 +56,72 @@ def test_jacobi_identity(a, b, c):
         + lie_bracket(c, lie_bracket(a, b))
     )
     assert total.is_zero()
+
+
+# unit, non-unit, negative and non-integer coefficients over few monomials,
+# so that products and brackets cancel terms and bring some back
+ORDER_COEFFS = [1, -1, 2, -2, Fraction(-3, 7), Fraction(5, 3)]
+
+
+def _random_poly(rng):
+    monomials = [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(rng.randint(0, 6))]
+    return MultiPoly(CHART, {e: rng.choice(ORDER_COEFFS) for e in monomials})
+
+
+def _reference_mul_add(acc, a, b, sign):
+    """The product loop that MultiPoly.__mul__ and the bracket each ran before
+    they shared one: a outer, b inner, a cancelled term popped. Returns the
+    number of cancellations."""
+    cancelled = 0
+    for e1, c1 in a.items():
+        c1 = sign * c1
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                acc.pop(e, None)
+                cancelled += 1
+            else:
+                acc[e] = s
+    return cancelled
+
+
+def _reference_bracket(x, y):
+    """[x, y]_k = sum_j x_j d_j y_k - y_j d_j x_k, with j ascending over the
+    variables that the differentiated component reads and x_j != 0."""
+    comps, cancelled = [], 0
+    for k in range(CHART.dimension):
+        acc = {}
+        for f, g, sign in ((x, y, 1), (y, x, -1)):
+            comp = g.components[k]
+            reads = sorted({j for e in comp.terms for j, n in enumerate(e) if n})
+            for j in reads:
+                cancelled += _reference_mul_add(
+                    acc, f.components[j].terms, comp.diff(CHART.variables[j]).terms, sign
+                )
+        comps.append(acc)
+    return comps, cancelled
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_products_and_brackets_keep_the_term_order_of_the_two_loops(seed):
+    rng = random.Random(seed)
+    cancelled = 0
+    for _ in range(20):
+        a, b = _random_poly(rng), _random_poly(rng)
+        want: dict = {}
+        cancelled += _reference_mul_add(want, a.terms, b.terms, 1)
+        got = a * b
+        assert got.terms == want and list(got.terms) == list(want)
+        x = VectorField(CHART, [_random_poly(rng) for _ in range(3)])
+        y = VectorField(CHART, [_random_poly(rng) for _ in range(3)])
+        comps, n = _reference_bracket(x, y)
+        cancelled += n
+        br = lie_bracket(x, y)
+        assert [c.terms for c in br.components] == comps
+        assert [list(c.terms) for c in br.components] == [list(c) for c in comps]
+    # the draws exercise the delete-and-reinsert path
+    assert cancelled > 0
 
 
 SYMBOLS = sympy.symbols("x y z")
@@ -110,6 +177,25 @@ def test_bracket_matches_sympy(a, b):
     a.name, b.name = "a", "b"
     assert lie_bracket(a, b) == br
     assert lie_bracket(b, a) == -br
+
+
+def test_fields_and_forms_share_checks_display_and_json():
+    one, zero = MultiPoly.constant(CHART, 1), MultiPoly.zero(CHART)
+    elsewhere = MultiPoly.zero(Chart("other", CHART.variables))
+    for cls, noun in ((VectorField, "component"), (OneForm, "coefficient")):
+        with pytest.raises(ValueError, match=f"^{noun} count != chart dimension$"):
+            cls(CHART, [one])
+        with pytest.raises(ChartMismatchError, match=f"^{noun} on a different chart$"):
+            cls(CHART, [zero, elsewhere, zero])
+        assert list(cls.from_dict(CHART, {"x": v("y")}).to_json()) == ["chart", "name", f"{noun}s"]
+    assert repr(VectorField.from_dict(CHART, {"x": v("y")})) == "VectorField: (y)d/dx"
+    assert repr(OneForm.from_dict(CHART, {"x": v("y")})) == "OneForm: (y)dx"
+    assert repr(VectorField.coordinate(CHART, "z")) == "d/dz: (1)d/dz"
+    assert repr(OneForm.differential(CHART, "z")) == "dz: (1)dz"
+    assert repr(OneForm(CHART, [zero] * 3, "w")) == "w: 0"
+    for unit in (VectorField.coordinate, OneForm.differential):
+        with pytest.raises(KeyError):
+            unit(CHART, "t")
 
 
 def test_pair_and_two_form_on_contact_form():

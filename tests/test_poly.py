@@ -49,6 +49,16 @@ def test_basic_arithmetic():
     assert MultiPoly.constant(CHART, Fraction(3, 2)).constant_value() == Fraction(3, 2)
 
 
+def test_support_and_degree():
+    zero = MultiPoly.zero(CHART)
+    assert zero.support() == [] and zero.degree() == 0
+    three = MultiPoly.constant(CHART, 3)
+    assert three.support() == [] and three.degree() == 0
+    p = v("c") * v("c") * v("a") - v("a") + 1
+    assert p.support() == [0, 2] and p.degree() == 3
+    assert (v("b") * Fraction(-1, 2)).support() == [1]
+
+
 def test_diff_and_evaluate():
     p = v("a") * v("a") * v("b") + v("c") * Fraction(1, 2)
     assert p.diff("a") == v("a") * v("b") * 2
@@ -166,10 +176,8 @@ EMITTER_COEFFS = [1, -1, Fraction(-3, 7), Fraction(5, 3), -2, Fraction(-1, 10**4
 def test_float_lines_sum_rounds_as_the_dense_walk(size):
     rng = random.Random(size)
     monomials = [(i, j, k) for i in range(8) for j in range(8) for k in range(8)]
-    # the constant term, when drawn, may stand anywhere in the dict order; the
-    # dense walk adds it as an exact Fraction, so it gets no coefficient whose
-    # float is a zero
-    terms = {e: rng.choice(EMITTER_COEFFS[: -2 if e == (0, 0, 0) else None]) for e in rng.sample(monomials, size)}
+    # the constant term, when drawn, may stand anywhere in the dict order
+    terms = {e: rng.choice(EMITTER_COEFFS) for e in rng.sample(monomials, size)}
     p = MultiPoly(CHART, terms)
     lines = p.float_lines(["x", "y", "z"], "t")
     assert len(lines) == -(-size // SUM_TERMS)
