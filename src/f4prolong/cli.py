@@ -7,6 +7,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -21,11 +22,21 @@ class CliError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+def _printable(x, what: str) -> str:
+    """str(x); the interpreter refuses an int with more digits than its limit."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise CliError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"malformed rational {text!r}: {exc}") from exc
+    _printable(value, f"rational {text!r}")
+    return value
 
 
 def _fraction_csv(text: str, expect: int, what: str) -> List[Fraction]:
@@ -190,18 +201,19 @@ def _cmd_integrate(args) -> int:
         controls = control.ControlVector(tuple(c[:4]), tuple(c[4:]))
     else:
         _, controls = control.standard_initial_data()
+    # opened before the run: a bad path fails at once, a failed run leaves it empty
     try:
-        traj, drift = control.integrate_extremal(init, controls, args.step, args.tmax)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.csv is not None:
-        try:
-            with open(args.csv, "w") as fh:
+        with open(args.csv, "w") if args.csv is not None else nullcontext() as fh:
+            try:
+                traj, drift = control.integrate_extremal(init, controls, args.step, args.tmax)
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
+            if fh is not None:
                 fh.write("time," + ",".join(traj.chart.variables) + "\n")
                 for t, st in zip(traj.times, traj.states):
                     fh.write(f"{t!r}," + ",".join(repr(x) for x in st) + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write --csv {args.csv}: {exc.strerror or exc}") from exc
+    except OSError as exc:
+        raise CliError(f"cannot write --csv {args.csv}: {exc.strerror or exc}") from exc
     if args.json:
         out = drift.to_json()
         out["seed"] = args.seed
@@ -221,26 +233,22 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_flag(args) -> int:
     vals = _fraction_csv(args.coords, 9, "--coords")
-    coords = dict(zip(nullflag.FREE_COORDS, vals))
-    frame = nullflag.complete_null_flag(coords)
+    frame = nullflag.complete_null_flag(dict(zip(nullflag.FREE_COORDS, vals)))
     try:
         v = nullflag.lambda_to_v(frame)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    items = nullflag.verify_flag_nullity(v)
-    report = Report("flag", seed=args.seed, items=list(items))
+    vectors = (frame.f1, frame.f2, frame.f3) + v.etas
+    entries = [[_printable(x, "a frame entry") for x in f] for f in vectors]
+    report = Report("flag", seed=args.seed, items=nullflag.verify_flag_nullity(v))
     if args.json:
         out = report.to_json()
-        out["lambda_frame"] = [
-            [str(x) for x in f] for f in (frame.f1, frame.f2, frame.f3)
-        ]
-        out["v_frame"] = [[str(x) for x in e] for e in v.etas]
+        out.update(lambda_frame=entries[:3], v_frame=entries[3:])
         print(json.dumps(out, indent=2))
     else:
-        for label, f in zip(("f1", "f2", "f3"), (frame.f1, frame.f2, frame.f3)):
-            print(f"{label} = ({', '.join(str(x) for x in f)})")
-        for label, e in zip(("eta1", "eta2", "eta3", "eta4"), v.etas):
-            print(f"{label} = ({', '.join(str(x) for x in e)})")
+        labels = ("f1", "f2", "f3", "eta1", "eta2", "eta3", "eta4")
+        for label, row in zip(labels, entries):
+            print(f"{label} = ({', '.join(row)})")
         _emit_report(report, False)
     return 0 if report.ok else 1
 

@@ -270,33 +270,6 @@ def symbolic_flag() -> Tuple[LambdaFlagFrame, VFlagFrame]:
     return complete_null_flag(coords), eta_frames(coords)
 
 
-def verify_symbolic_etas(frame: LambdaFlagFrame, v: VFlagFrame) -> List[Item]:
-    """Exact polynomial checks of the closed-form frames over all 9 coordinates."""
-    items = [
-        check(
-            "symbolic:flag-null",
-            "completed flag satisfies all six (f_i|f_j) = 0 identically",
-            not _nonzero_pairings(bilinear_R, (frame.f1, frame.f2, frame.f3), "(f{}|f{})"),
-        )
-    ]
-    kills = [
-        (frame.f1, v.etas, "A(f1) kills eta1..eta4"),
-        (frame.f2, v.etas[:2], "A(f2) kills eta1, eta2"),
-        (frame.f3, v.etas[:1], "A(f3) kills eta1"),
-    ]
-    for lam, etas, desc in kills:
-        ok = all(all(x.is_zero() for x in mat_vec(build_A(lam), e)) for e in etas)
-        items.append(check(f"symbolic:{desc.split()[0]}-kernel", desc + " identically", ok))
-    items.append(
-        check(
-            "symbolic:eta-q-null",
-            "closed-form etas are pairwise Q-null identically",
-            not _nonzero_pairings(bilinear_Q, v.etas, "Q(eta{}, eta{})"),
-        )
-    )
-    return items
-
-
 def verify_dimensions() -> List[Item]:
     """Fiber-dimension bookkeeping for the two flag bundles (9 and 11)."""
     # the nullity equations cut the 15 z-slots; their Jacobian in the
@@ -349,33 +322,38 @@ PROFILE_MINORS = ((0, 1, 6, 7), (0, 1, 6, 7, 8, 15), (0, 1, 6, 7, 8, 15, 16))
 ETA_KERNELS = ((2, 0), (1, 0), (0, 0), (0, 1))
 
 
-def kernel_frame(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[str, List[list]]:
+def kernel_frame(rows: list, closed: list, residuals: list) -> Tuple[str, List[list]]:
     """The eta frame that lambda_to_v solves for, on the whole chart and in
     PIVOT_ORDER, and a witness that is empty when the certificate holds.
 
-    With each minor a nonzero constant c, the kernel vector of a stack with
-    the unit free part of its eta is unique: the closed form with that free
-    part, less M^-1 y on the pivot columns (M the minor's block, y the
-    residual on its rows) by Cramer's rule over c. It must lie in the kernel
-    of the whole stack; the unit free parts make the profile (4, 2, 1)."""
-    zero, one = _ring_units(frame.f1[0])
-    rows = [[r[j] for j in PIVOT_ORDER] for f in (frame.f1, frame.f2, frame.f3) for r in build_A(f)]
+    rows is the stack A(f1; f2; f3), closed the closed-form etas, both in
+    PIVOT_ORDER, and residuals the residual of each eta on its stack. With
+    each minor a nonzero constant c, the kernel vector of a stack with the
+    unit free part of its eta is unique: the closed form with that free part,
+    less M^-1 y on the pivot columns (M the minor's block, y the residual on
+    its rows) by Cramer's rule over c. It must lie in the kernel of the whole
+    stack, which the residual shows when the closed form is that vector; the
+    unit free parts make the profile (4, 2, 1)."""
+    zero, one = _ring_units(closed[0][0])
     blocks = [[rows[i][: len(ix)] for i in ix] for ix in PROFILE_MINORS]
     minors = [zero + det_cofactor(block) for block in blocks]
     for ix, det in zip(PROFILE_MINORS, minors):
         if not det.is_constant() or det.is_zero():
             return f"minor on rows {ix} = {det}", []
     out = []
-    for k, ((stack, col), eta) in enumerate(zip(ETA_KERNELS, v.etas), 1):
+    for k, ((stack, col), eta, y) in enumerate(zip(ETA_KERNELS, closed, residuals), 1):
         n = len(PROFILE_MINORS[stack])
-        t = [eta[j] for j in PIVOT_ORDER[:n]] + [one if m == col else zero for m in range(8 - n)]
-        y = mat_vec([rows[i] for i in PROFILE_MINORS[stack]], t)
-        if any(x != 0 for x in y):
+        t = eta[:n] + [one if m == col else zero for m in range(8 - n)]
+        if t != eta:
+            y = mat_vec(rows[: 8 * stack + 8], t)
+        b = [y[i] for i in PROFILE_MINORS[stack]]
+        if any(x != 0 for x in b):
             c = Fraction(1) / minors[stack].constant_value()
-            cramer = lambda j: [r[:j] + [b] + r[j + 1 :] for r, b in zip(blocks[stack], y)]
+            cramer = lambda j: [r[:j] + [x] + r[j + 1 :] for r, x in zip(blocks[stack], b)]
             t[:n] = [t[j] - det_cofactor(cramer(j)) * c for j in range(n)]
+            y = mat_vec(rows[: 8 * stack + 8], t)
         out.append(t)
-        bad = [(i, x) for i, x in enumerate(mat_vec(rows[: 8 * stack + 8], t)) if x != 0]
+        bad = [(i, x) for i, x in enumerate(y) if x != 0]
         if bad:
             return f"eta{k} leaves the kernel: row {bad[0][0]} = {bad[0][1]}", out
     return "", out
@@ -386,17 +364,36 @@ def _pairings(bad) -> str:
     return f"{len(bad)} nonzero pairings" + "".join(f"; {name} = {x}" for name, x in bad[:1])
 
 
-def verify_chart_frames(frame: LambdaFlagFrame, v: VFlagFrame) -> List[Item]:
-    """R-nullity, the kernel profile, Q-nullity and the closed-form cross-check
-    of the null flags, each on the whole chart."""
+def verify_flag_certificates(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[list, list]:
+    """The symbolic:* items, which check the closed-form frame, and the
+    samples:* items, which check the frame lambda_to_v solves for, each on the
+    whole chart. The facts they share are computed once: the six R-pairings of
+    the completed flag, the residual of each closed-form eta on its stack of
+    A(f1; f2; f3), and the ten Q-pairings of the closed forms, which
+    samples:q-null reuses when the solved frame is the closed one."""
     r_bad = _nonzero_pairings(bilinear_R, (frame.f1, frame.f2, frame.f3), "(f{}|f{})")
-    witness, solved = kernel_frame(frame, v)
+    rows = [[r[j] for j in PIVOT_ORDER] for f in (frame.f1, frame.f2, frame.f3) for r in build_A(f)]
+    closed = [[e[j] for j in PIVOT_ORDER] for e in v.etas]
+    residuals = [mat_vec(rows[: 8 * stack + 8], t) for (stack, _), t in zip(ETA_KERNELS, closed)]
+    q_closed = _nonzero_pairings(bilinear_Q, v.etas, "Q(eta{}, eta{})")
+    # rows 8i..8i+7 of a residual are A(f_{i+1}) times its eta; the residual
+    # of an eta whose stack stops before f_{i+1} has no such rows
+    kills = [all(x.is_zero() for y in residuals for x in y[8 * i : 8 * i + 8]) for i in range(3)]
+    facts = [
+        ("flag-null", "completed flag satisfies all six (f_i|f_j) = 0", not r_bad),
+        ("A(f1)-kernel", "A(f1) kills eta1..eta4", kills[0]),
+        ("A(f2)-kernel", "A(f2) kills eta1, eta2", kills[1]),
+        ("A(f3)-kernel", "A(f3) kills eta1", kills[2]),
+        ("eta-q-null", "closed-form etas are pairwise Q-null", not q_closed),
+    ]
+    symbolic = [check(f"symbolic:{name}", f"{desc} identically", ok) for name, desc, ok in facts]
+    witness, solved = kernel_frame(rows, closed, residuals)
     etas = [tuple(t[p] for p in _FROM_PIVOT_ORDER) for t in solved]
-    q_bad = [] if witness else _nonzero_pairings(bilinear_Q, etas, "Q(eta{}, eta{})")
     mismatches = sum(x != y for got, want in zip(etas, v.etas) for x, y in zip(got, want))
+    q_bad = _nonzero_pairings(bilinear_Q, etas, "Q(eta{}, eta{})") if mismatches else q_closed
     cross = FAIL if witness else DISCREPANCY if mismatches else PASS
     note = "nonzero count indicates published coefficient typos" if cross == DISCREPANCY else ""
-    return [
+    return symbolic, [
         check(
             "samples:r-null",
             "the completed flag is exactly R-null on the whole chart",
@@ -430,15 +427,13 @@ def verify_chart_frames(frame: LambdaFlagFrame, v: VFlagFrame) -> List[Item]:
 
 
 def verify_suite() -> List[Item]:
-    items: List[Item] = []
-    items.extend(verify_printed_expansions())
+    items = verify_printed_expansions()
     frame, closed = symbolic_flag()
-    items.extend(verify_symbolic_etas(frame, closed))
+    symbolic, samples = verify_flag_certificates(frame, closed)
+    items.extend(symbolic)
     items.extend(verify_dimensions())
     # base-point sanity: all free coordinates zero
-    zero_coords = {n: Fraction(0) for n in FREE_COORDS}
-    frame0 = complete_null_flag(zero_coords)
-    v0 = lambda_to_v(frame0)
+    v0 = lambda_to_v(complete_null_flag(dict.fromkeys(FREE_COORDS, Fraction(0))))
     e = lambda k: tuple(Fraction(1 if i == k else 0) for i in range(8))
     items.append(
         check(
@@ -450,5 +445,5 @@ def verify_suite() -> List[Item]:
         )
     )
     items.extend(verify_flag_nullity(v0))
-    items.extend(verify_chart_frames(frame, closed))
+    items.extend(samples)
     return items

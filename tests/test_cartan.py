@@ -101,12 +101,16 @@ def test_f4_frame_check_can_fail(model):
     assert (item.status, item.computed) == ("fail", "14")
 
 
-def _suite_with(monkeypatch, model, brackets):
+def _suite_with(monkeypatch, model, brackets, fields=()):
     """cartan.verify_suite on a copy of the model whose frame table has the
-    given bracket entries replaced; the shared model is left as it is."""
+    given bracket and field entries replaced; the shared model is left as it is."""
     copy = replace(model)
     # the table is a cached property: fill the copy's in advance
-    vars(copy)["table"] = replace(model.table, brackets={**model.table.brackets, **brackets})
+    vars(copy)["table"] = replace(
+        model.table,
+        fields={**model.table.fields, **dict(fields)},
+        brackets={**model.table.brackets, **brackets},
+    )
     monkeypatch.setattr(cartan, "build_model", lambda: copy)
     return by_id(cartan.verify_suite())
 
@@ -132,6 +136,28 @@ def test_non_constant_bracket_fails_without_crashing(model, monkeypatch):
     assert item.status == "fail"
     assert item.computed == f"<omega12, [X1,X2]> = {x1 + 2} is not constant"
     assert model.table.bracket("X1", "X2") == expected_bracket(model, "X1", "X2")
+
+
+def test_duality_is_read_off_the_frame_table(model, monkeypatch):
+    # a Z coordinate of X1 is the pairing <omega, X1> = 1, where duality wants 0
+    x1 = {**model.table.fields["X1"], "Z": MultiPoly.constant(model.chart, 1)}
+    item = _suite_with(monkeypatch, model, {}, {"X1": x1})["duality:225"]
+    assert (item.status, item.computed) == ("fail", "checked=225, mismatched=1")
+
+
+def test_the_suite_pairs_each_form_and_field_once(model, monkeypatch):
+    # the 15 frame fields and the 105 brackets, each paired with the 15
+    # coframe forms once; duality reads the fields' pairings off the table
+    calls = []
+    real = cartan.pair
+    monkeypatch.setattr(cartan, "pair", lambda form, v: calls.append(1) or real(form, v))
+    copy = replace(model)
+    monkeypatch.setattr(cartan, "build_model", lambda: copy)
+    assert not failures(cartan.verify_suite())
+    assert len(calls) == 15 * (15 + 105)
+    calls.clear()
+    assert verify_duality(copy) == (225, 0)
+    assert calls == []
 
 
 def test_shared_model_is_read_only():

@@ -42,6 +42,24 @@ def test_verify_all_reproduces_the_golden_report(capsys):
     assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["flag", "--coords", "1,0,2,0,1,1/2,0,3,1", "--json"], "flag_fractions.json"),
+        (["flag", "--coords", "2,-1,0,1,3,0,-2,1,1", "--json"], "flag_integers.json"),
+        (["export-model", "--json"], "export_model.json"),
+        (["roots", "--json"], "roots.json"),
+    ],
+    ids=["flag-fractions", "flag-integers", "export-model", "roots"],
+)
+def test_exact_outputs_reproduce_their_golden_files(capsys, argv, golden):
+    # each file is the command's stdout; regenerate it when an output
+    # changes on purpose
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
 def test_verify_all_builds_the_model_once(capsys, monkeypatch):
     cartan.build_model.cache_clear()
     built = []
@@ -270,6 +288,28 @@ def test_point_belongs_to_integrate_only():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "coords, code, message",
+    [
+        # its completion has an entry of about 6,000 digits, past the
+        # interpreter's int-to-text limit; this used to end in a traceback
+        ("1e3000,1,1,1,1,1,1,1,1", 2, "a frame entry has more than"),
+        # this used to run for minutes on million-digit integers
+        ("1e999999,0,0,0,0,0,0,0,0", 2, "rational '1e999999' has more than"),
+        ("1,1e-5000,0,0,0,0,0,0,0", 2, "rational '1e-5000' has more than"),
+        ("1e1500,1,1,1,1,1,1,1,1", 0, ""),
+    ],
+    ids=["entry-too-long", "huge-numerator", "huge-denominator", "long-but-printable"],
+)
+def test_flag_bounds_the_digits_of_its_input(capsys, coords, code, message):
+    got, out, err = _capture(capsys, ["flag", "--coords", coords, "--json"])
+    assert got == code
+    if code:
+        assert message in err and out == ""
+    else:
+        assert json.loads(out)["lambda_frame"][0][0] == str(10**1500)
+
+
 def test_integrate_csv_export(capsys, tmp_path):
     path = tmp_path / "traj.csv"
     code, _, _ = _capture(
@@ -288,6 +328,28 @@ def test_integrate_unwritable_csv_exits_2(capsys, tmp_path):
     assert code == 2
     assert str(path) in err
     assert out == ""
+
+
+def test_integrate_refuses_an_unwritable_csv_before_any_step(capsys, monkeypatch, tmp_path):
+    def never(*args):
+        raise AssertionError("integrate_extremal ran")
+
+    monkeypatch.setattr(control, "integrate_extremal", never)
+    path = tmp_path / "missing" / "traj.csv"
+    code, out, err = _capture(capsys, ["integrate", "--csv", str(path)])
+    assert (code, out) == (2, "")
+    assert f"cannot write --csv {path}" in err
+
+
+def test_integrate_that_fails_leaves_the_csv_empty(capsys, tmp_path):
+    # a file from an earlier run is not left standing as if this one wrote it
+    path = tmp_path / "traj.csv"
+    path.write_text("time,z\n0.0,0.0\n")
+    argv = ["integrate", "--step", "0.3", "--tmax", "1", "--csv", str(path)]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "whole number of steps" in err
+    assert path.read_text() == ""
 
 
 @pytest.mark.parametrize(

@@ -181,11 +181,17 @@ def _eta1_plus_u1(real):
     """kernel_frame with e_u1 added to eta1 (u1 leads PIVOT_ORDER): Q(eta1,
     eta1) = v1 = 1, while eta2..eta4 have v1 = 0 and stay Q-orthogonal to it."""
 
-    def solve(frame, v):
-        witness, etas = real(frame, v)
+    def solve(*args):
+        witness, etas = real(*args)
         return witness, [[etas[0][0] + 1] + etas[0][1:]] + etas[1:]
 
     return solve
+
+
+def _certificates():
+    """verify_flag_certificates on the flag9 chart, both item lists by id."""
+    symbolic, samples = nullflag.verify_flag_certificates(*nullflag.symbolic_flag())
+    return by_id(symbolic), by_id(samples)
 
 
 @pytest.mark.parametrize(
@@ -204,14 +210,12 @@ def _eta1_plus_u1(real):
 )
 def test_sampled_checks_can_fail(monkeypatch, name, defect, item_id, computed):
     monkeypatch.setattr(nullflag, name, defect(getattr(nullflag, name)))
-    item = by_id(nullflag.verify_chart_frames(*nullflag.symbolic_flag()))[item_id]
+    item = _certificates()[1][item_id]
     assert (item.status, item.computed) == ("fail", computed)
 
 
-@pytest.mark.parametrize("eta, slot", [(0, 0), (0, 7), (1, 6), (3, 2)])
-def test_a_closed_form_typo_is_counted(monkeypatch, eta, slot):
-    # one coefficient of one published eta off by 1: the kernel-solved frame
-    # does not move, so only the cross-check sees it, as one mismatch
+def _typo(monkeypatch, eta, slot):
+    """eta_frames with one coefficient of one published eta off by 1."""
     real = nullflag.eta_frames
 
     def typo(coords):
@@ -220,10 +224,64 @@ def test_a_closed_form_typo_is_counted(monkeypatch, eta, slot):
         return VFlagFrame(*map(tuple, etas))
 
     monkeypatch.setattr(nullflag, "eta_frames", typo)
-    items = by_id(nullflag.verify_chart_frames(*nullflag.symbolic_flag()))
+
+
+@pytest.mark.parametrize("eta, slot", [(0, 0), (0, 7), (1, 6), (3, 2)])
+def test_a_closed_form_typo_is_counted(monkeypatch, eta, slot):
+    # the kernel-solved frame does not move, so only the cross-check sees
+    # the typo, as one mismatch
+    _typo(monkeypatch, eta, slot)
+    items = _certificates()[1]
     assert [items[f"samples:{n}"].status for n in ("r-null", "dims", "q-null")] == ["pass"] * 3
     cross = items["samples:closed-form-crosscheck"]
     assert (cross.status, cross.computed) == ("paper-discrepancy", "1 coefficient mismatches")
+
+
+# the symbolic kernel items that read eta1..eta4: A(f1) reads all four,
+# A(f2) eta1 and eta2, A(f3) eta1 (eta4's slot 2 is u3, in its free part)
+@pytest.mark.parametrize(
+    "eta, slot, kernels",
+    [(0, 0, "123"), (0, 7, "123"), (1, 6, "12"), (3, 2, "1")],
+)
+def test_a_closed_form_typo_fails_the_symbolic_items_that_read_it(monkeypatch, eta, slot, kernels):
+    _typo(monkeypatch, eta, slot)
+    symbolic, samples = _certificates()
+    failed = {f"symbolic:A(f{i})-kernel" for i in kernels} | {"symbolic:eta-q-null"}
+    assert {i for i, item in symbolic.items() if item.status == "fail"} == failed
+    assert symbolic["symbolic:flag-null"].status == "pass"
+    assert [samples[f"samples:{n}"].status for n in ("r-null", "dims", "q-null")] == ["pass"] * 3
+
+
+def _counting(monkeypatch, module, names):
+    """Wrap module.<name> for each name; returns {name: [argument texts]},
+    with the chart of each argument's first entry, if it has one."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _seen=seen[name]):
+            chart = getattr(args[0][0], "chart", None)
+            _seen.append((chart and chart.id, repr([[str(x) for x in a] for a in args])))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_each_shared_fact_is_computed_once(monkeypatch):
+    # the symbolic and samples items share the six R-pairings of the
+    # completed flag, the closed forms' residuals and their ten Q-pairings
+    seen = _counting(monkeypatch, nullflag, ("mat_vec", "bilinear_R", "bilinear_Q"))
+    items = nullflag.verify_suite()
+    assert not failures(items)
+    assert {name: len(calls) for name, calls in seen.items()} == {
+        "mat_vec": 4, "bilinear_R": 45, "bilinear_Q": 20
+    }
+    # on the flag9 chart of the completion and the closed forms, no two
+    # vectors are paired twice
+    for name in ("bilinear_R", "bilinear_Q"):
+        pairings = [args for chart, args in seen[name] if chart == "flag9"]
+        assert len(set(pairings)) == len(pairings) > 0, name
 
 
 @pytest.mark.parametrize(
