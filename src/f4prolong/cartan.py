@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .fields import Distribution, OneForm, VectorField, lie_bracket, pair
-from .linalg import det_cofactor, mat_rank
+from .fields import Distribution, OneForm, StructureTable, VectorField, lie_bracket, pair
+from .linalg import Echelon, det_cofactor
 from .poly import Chart, MultiPoly
 from .report import Item, check
 
@@ -243,20 +242,16 @@ def verify_duality(m: CartanModel) -> Tuple[int, int]:
     return len(grid), sum(p != want for p, want in grid)
 
 
-def frame_rank(m: CartanModel, rows: Mapping[str, Coordinates]) -> int:
-    """The rank of the rows of frame coordinates. Raises ValueError naming
-    the first coordinate that is not constant."""
-    dual = dict(zip(m.frame_order, m.coframe_order))
-    matrix = []
-    for label, row in rows.items():
-        values = []
-        for name in m.frame_order:
-            value = row.get(name, MultiPoly.zero(m.chart))
-            if not value.is_constant():
-                raise ValueError(f"<{dual[name]}, {label}> = {value} is not constant")
-            values.append(value.constant_value())
-        matrix.append(values)
-    return mat_rank(matrix)
+def constant_coordinates(m: CartanModel, label: str, row: Coordinates) -> Dict[str, Fraction]:
+    """The values of the frame coordinates of the field named label. Raises
+    ValueError naming the first coordinate that is not constant."""
+    out = {}
+    for name, value in row.items():
+        if not value.is_constant():
+            form = m.coframe_order[m.frame_order.index(name)]
+            raise ValueError(f"<{form}, {label}> = {value} is not constant")
+        out[name] = value.constant_value()
+    return out
 
 
 def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
@@ -354,8 +349,11 @@ def type_f4_frame_check(m: CartanModel, table: FrameTable) -> List[Item]:
     for i, j in PAIRS:
         induced[f"[X{i},X{j}]/2"] = {n: x * Fraction(1, 2) for n, x in br(f"X{i}", f"X{j}").items()}
     induced["[Y1,X1]"] = br("Y1", "X1")
+    span = Echelon()
     try:
-        rank = frame_rank(m, induced)
+        for label, row in induced.items():
+            span.add(constant_coordinates(m, label, row))
+        rank = span.rank
         computed = str(rank)
     except ValueError as exc:
         rank, computed = None, str(exc)
@@ -389,21 +387,23 @@ def verify_suite() -> List[Item]:
     )
     for i, j in PAIRS:
         items.extend(contact_foliation_check(m, i, j))
-    # D^(2) = D + [D, D]; at rank 15 it is the whole tangent space and the
-    # flag stops
-    gens = {name: m.table.fields[name] for name in GENERATOR_ORDER}
-    pairs = combinations(GENERATOR_ORDER, 2)
-    brackets = {f"[{a},{b}]": m.table.bracket(a, b) for a, b in pairs}
+    # D's flag closed over the constant frame coordinates of [generator,
+    # frame field]; at rank 15, D^(2) = D + [D, D] is the whole tangent space
     try:
-        ranks = (frame_rank(m, gens), frame_rank(m, {**gens, **brackets}))
-        computed = str(ranks)
+        table = StructureTable(m.frame_order, GENERATOR_ORDER, {
+            (g, e): constant_coordinates(m, f"[{g},{e}]", m.table.bracket(g, e))
+            for g in GENERATOR_ORDER
+            for e in m.frame_order
+        })
+        growth = table.flag[0]
+        computed = str(growth)
     except ValueError as exc:
-        ranks, computed = None, str(exc)
+        growth, computed = None, str(exc)
     items.append(
         check(
             "growth:D",
             "growth vector of D is (8, 15) on the whole chart",
-            ranks == (8, 15),
+            growth == (8, 15),
             computed=computed,
             expected="(8, 15)",
         )

@@ -31,7 +31,12 @@ def _printable(x, what: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
     try:
+        # Fraction builds 10**exponent before any digit check could run
+        exponent = text.lower().partition("e")[2]
+        if limit and exponent and abs(int(exponent)) > limit:
+            raise CliError(f"rational {text!r} has more than {limit} as its decimal exponent")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"malformed rational {text!r}: {exc}") from exc

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .prolong import DEFINING_BRACKETS, BracketTable, graded_dimensions, symbol_weights
+from .fields import StructureTable
+from .prolong import DEFINING_BRACKETS, graded_dimensions, symbol_weights
 from .report import DISCREPANCY, Item, check
 
 Root = Tuple[int, int, int, int]
@@ -169,7 +170,7 @@ def verify_root_system() -> List[Item]:
     return items
 
 
-def verify_root_correspondence(table: BracketTable, weights: Dict[int, int]) -> List[Item]:
+def verify_root_correspondence(table: StructureTable, weights: Dict[int, int]) -> List[Item]:
     """Bijectivity of the derived assignment, additivity on the computed
     bracket table, non-roots on the computed zeros, and heights equal to the
     given frame weights."""
@@ -243,7 +244,7 @@ def verify_root_correspondence(table: BracketTable, weights: Dict[int, int]) -> 
     return items
 
 
-def verify_suite(table: BracketTable) -> List[Item]:
+def verify_suite(table: StructureTable) -> List[Item]:
     """The root system, and its correspondence with the table and with the
     weights that E's flag, closed over the table, assigns
     (`prolong.symbol_weights`)."""

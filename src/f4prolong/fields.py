@@ -1,14 +1,16 @@
 """Polynomial vector fields, 1-forms, Lie brackets, derived flags on a single chart.
 
 Brackets multiply term maps through `poly.mul_add`, the one product kernel,
-which `MultiPoly.__mul__` uses too; nothing here reads an exponent vector."""
+which `MultiPoly.__mul__` uses too; nothing here reads an exponent vector.
+A frame whose brackets have constant coordinates closes its derived flag over
+those constants alone, in a `StructureTable`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, sparse
 from .poly import Chart, ChartMismatchError, MultiPoly, mul_add
@@ -226,17 +228,6 @@ class Distribution:
         return derived_flag_fields(self)
 
 
-@dataclass(frozen=True)
-class GrowthVector:
-    ranks: Tuple[int, ...]
-    base_point: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        rs = self.ranks
-        if any(rs[i] > rs[i + 1] for i in range(len(rs) - 1)):
-            raise ValueError("growth vector must be non-decreasing")
-
-
 def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Fraction]]:
     return [list(f.evaluate(point)) for f in fields]
 
@@ -298,7 +289,7 @@ def derived_flag_fields(d: Distribution) -> List[List[VectorField]]:
     return stages
 
 
-def derived_flag(d: Distribution, point: Point) -> GrowthVector:
+def derived_flag(d: Distribution, point: Point) -> Tuple[int, ...]:
     """Pointwise growth vector of the weak derived flag at the point: the
     stage ranks of its values there, until they stop growing."""
     span = Echelon()
@@ -309,5 +300,50 @@ def derived_flag(d: Distribution, point: Point) -> GrowthVector:
         if ranks and span.rank == ranks[-1]:
             break
         ranks.append(span.rank)
-    base = tuple(point[v] for v in d.chart.variables)
-    return GrowthVector(tuple(ranks), base)
+    return tuple(ranks)
+
+
+@dataclass
+class StructureTable:
+    """The constant structure constants of a frame: entries[(a, b)] is the
+    expansion {c: Fraction} of [a, b] in the basis, or None when it has no
+    constant one. A caller stores every pair that the flag reads."""
+
+    basis: Sequence[Hashable]
+    generators: Tuple[Hashable, ...]
+    entries: Dict[Tuple[Hashable, Hashable], Optional[Dict[Hashable, Fraction]]]
+
+    def bracket(self, a: Hashable, vec: Dict[Hashable, Fraction]) -> Dict[Hashable, Fraction]:
+        """[a, sum c_b b] = sum c_b [a, b], read from the entries."""
+        out: Dict[Hashable, Fraction] = {}
+        for b, c in vec.items():
+            entry = self.entries.get((a, b))
+            if entry is None:
+                raise ValueError(f"the table has no constant entry for [{a}, {b}]")
+            for k, d in entry.items():
+                out[k] = out.get(k, 0) + c * d
+        return {k: c for k, c in out.items() if c}
+
+    @cached_property
+    def flag(self) -> Tuple[Tuple[int, ...], Dict[Hashable, int]]:
+        """The weak derived flag D^(s+1) = D^(s) + [generators, D^(s)], closed
+        once over the entries in one echelon and stopped at full rank: its
+        growth vector, and the weight of each basis element, the first stage
+        that holds it. Raises ValueError naming a needed entry that is missing
+        or not constant."""
+        span = Echelon()
+        ranks: List[int] = []
+        weights: Dict[Hashable, int] = {}
+        stage = [{g: Fraction(1)} for g in self.generators]
+        while True:
+            kept = [vec for vec in stage if span.add(vec)]
+            if not kept:
+                break
+            ranks.append(span.rank)
+            for k in self.basis:
+                if k not in weights and span.combination({k: Fraction(1)}) is not None:
+                    weights[k] = len(ranks)
+            if span.rank == len(self.basis):
+                break
+            stage = [self.bracket(g, vec) for g in self.generators for vec in kept]
+        return tuple(ranks), weights

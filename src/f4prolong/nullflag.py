@@ -230,21 +230,21 @@ PRINTED_NULL_EXPANSIONS = {
 ALL_Z = FREE_COORDS + ("z17", "z26", "z27", "z35", "z36", "z37")
 
 
-def _flag15_vectors() -> List[list]:
-    """f1, f2, f3 with all fifteen z-slots as variables of the flag15 chart."""
+def flag15_pairings() -> Dict[Tuple[int, int], MultiPoly]:
+    """The six pairings (f_a | f_b), a <= b, under R, keyed by the indices
+    (a - 1, b - 1), with all fifteen z-slots as variables of the flag15
+    chart: the published expansions and the nullity equations both read them."""
     chart = Chart("flag15", ALL_Z)
-    zv = {n: MultiPoly.variable(chart, n) for n in chart.variables}
-    return _flag_vectors(zv)
+    f = _flag_vectors({n: MultiPoly.variable(chart, n) for n in chart.variables})
+    return {(i, j): bilinear_R(f[i], f[j]) for i in range(3) for j in range(i, 3)}
 
 
-def verify_printed_expansions() -> List[Item]:
+def verify_printed_expansions(pairings: Mapping[Tuple[int, int], MultiPoly]) -> List[Item]:
     """Compare the published (f_i | f_j) expansions with the form itself."""
-    f = dict(zip(("f1", "f2", "f3"), _flag15_vectors()))
-    chart = f["f1"][0].chart
     items = []
     for (a, b), terms in PRINTED_NULL_EXPANSIONS.items():
-        computed = bilinear_R(f[a], f[b])
-        printed = from_terms(chart, terms)
+        computed = pairings[int(a[1]) - 1, int(b[1]) - 1]
+        printed = from_terms(computed.chart, terms)
         if computed == printed:
             desc = f"published ({a}|{b}) expansion matches the bilinear form"
             items.append(check(f"expansion:({a}|{b})", desc, True))
@@ -270,13 +270,12 @@ def symbolic_flag() -> Tuple[LambdaFlagFrame, VFlagFrame]:
     return complete_null_flag(coords), eta_frames(coords)
 
 
-def verify_dimensions() -> List[Item]:
+def verify_dimensions(pairings: Mapping[Tuple[int, int], MultiPoly]) -> List[Item]:
     """Fiber-dimension bookkeeping for the two flag bundles (9 and 11)."""
     # the nullity equations cut the 15 z-slots; their Jacobian in the
     # dependent coordinates has a nonzero constant determinant, so they have
     # rank 6 everywhere and the fiber is a graph over the rest
-    f = _flag15_vectors()
-    eqs = [bilinear_R(f[partner], f[_SLOTS[name][0]]) for name, partner in NULLITY_EQUATIONS]
+    eqs = [pairings[partner, _SLOTS[name][0]] for name, partner in NULLITY_EQUATIONS]
     slots = sum(isinstance(x, str) for row in FLAG_LAYOUT for x in row)
     if len(eqs) != len(DEPENDENT_COORDS):
         computed = f"{len(eqs)} equations in {len(DEPENDENT_COORDS)} dependent coordinates"
@@ -427,11 +426,12 @@ def verify_flag_certificates(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[lis
 
 
 def verify_suite() -> List[Item]:
-    items = verify_printed_expansions()
+    pairings = flag15_pairings()
+    items = verify_printed_expansions(pairings)
     frame, closed = symbolic_flag()
     symbolic, samples = verify_flag_certificates(frame, closed)
     items.extend(symbolic)
-    items.extend(verify_dimensions())
+    items.extend(verify_dimensions(pairings))
     # base-point sanity: all free coordinates zero
     v0 = lambda_to_v(complete_null_flag(dict.fromkeys(FREE_COORDS, Fraction(0))))
     e = lambda k: tuple(Fraction(1 if i == k else 0) for i in range(8))

@@ -1,11 +1,14 @@
 """The 24-dimensional prolonged space W, the rank-4 distribution E, its full
-bracket table, growth vector, and graded symbol structure."""
+bracket table, growth vector, and graded symbol structure.
+
+The bracket table is a `fields.StructureTable` over zeta_1..zeta_24 with
+generators zeta_1..zeta_4; growth, symbol and roots read its one flag."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -15,12 +18,12 @@ from .fields import (
     Distribution,
     FieldSpan,
     OneForm,
+    StructureTable,
     VectorField,
     extend_field,
     lie_bracket,
     pair,
 )
-from .linalg import Echelon
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -79,18 +82,6 @@ class ZetaSystem:
     chart: Chart
     zeta: Dict[int, VectorField]  # zeta_1..zeta_24
     distribution: Distribution  # E, spanned by zeta_1..zeta_4
-
-
-@dataclass
-class BracketTable:
-    # (i, j) -> constant expansion {k: coeff} of [zeta_i, zeta_j], or None
-    # when no rational-constant expansion exists
-    entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]]
-
-    @cached_property
-    def flag(self) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-        """table_flag(self), closed once: growth and symbol both read it."""
-        return table_flag(self)
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -212,29 +203,28 @@ def verify_pfaff_conditions(zs: ZetaSystem) -> List[Item]:
     return items
 
 
-def compute_bracket_table(zs: ZetaSystem) -> BracketTable:
+def compute_bracket_table(zs: ZetaSystem) -> StructureTable:
     """Expand all 92 brackets [zeta_i, zeta_j] (i in 1..4, j in 1..23) with
     exact rational constant coefficients, reduced against one echelon of the
-    24-field basis."""
+    24-field basis. The 20 defining brackets are zeta_5..zeta_24 themselves,
+    so their entries are read off DEFINING_BRACKETS, not bracketed again.
+
+    E's flag closes at full rank, so it never reads [zeta_i, zeta_24], which
+    the table omits."""
     span = FieldSpan([zs.zeta[k] for k in range(1, 25)])
+    defined = {ij: k for k, ij in DEFINING_BRACKETS.items()}
     entries: Dict[Tuple[int, int], Optional[Dict[int, Fraction]]] = {}
     for i in range(1, 5):
         for j in range(1, 24):
-            br = lie_bracket(zs.zeta[i], zs.zeta[j])
-            if br.is_zero():
-                entries[(i, j)] = {}
+            if (i, j) in defined:
+                entries[(i, j)] = {defined[(i, j)]: Fraction(1)}
                 continue
-            combo = span.combination(br)
-            if combo is None:
-                entries[(i, j)] = None
-            else:
-                entries[(i, j)] = {
-                    k + 1: c for k, c in enumerate(combo) if c != 0
-                }
-    return BracketTable(entries)
+            combo = span.combination(lie_bracket(zs.zeta[i], zs.zeta[j]))
+            entries[(i, j)] = None if combo is None else {k + 1: c for k, c in enumerate(combo) if c}
+    return StructureTable(range(1, 25), (1, 2, 3, 4), entries)
 
 
-def verify_bracket_table(zs: ZetaSystem, table: BracketTable) -> List[Item]:
+def verify_bracket_table(table: StructureTable) -> List[Item]:
     items: List[Item] = []
     for (i, j), combo in sorted(table.entries.items()):
         item_id = f"table:[z{i},z{j}]"
@@ -360,45 +350,6 @@ def frame_leads(zs: ZetaSystem) -> Dict[int, int]:
     return leads
 
 
-def _bracket_zeta(table: BracketTable, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """[zeta_i, sum c_j zeta_j] = sum c_j [zeta_i, zeta_j], read from the table."""
-    out: Dict[int, Fraction] = {}
-    for j, c in vec.items():
-        entry = table.entries.get((i, j))
-        if entry is None:
-            raise ValueError(f"the table has no constant entry for [zeta{i}, zeta{j}]")
-        for k, d in entry.items():
-            out[k] = out.get(k, 0) + c * d
-    return {k: c for k, c in out.items() if c}
-
-
-def table_flag(table: BracketTable) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """E's weak derived flag E^(s+1) = E^(s) + [zeta_1..zeta_4, E^(s)], closed
-    over the constant entries of the bracket table in one echelon of zeta-frame
-    coordinates {k: c}: its growth vector, and the weight of each zeta_k in
-    it, the first stage that holds it.
-
-    The closure stops at full rank, so it never needs [zeta_i, zeta_24],
-    which the table omits. Raises ValueError naming an entry that it needs
-    and that is missing or not constant."""
-    span = Echelon()
-    ranks: List[int] = []
-    weights: Dict[int, int] = {}
-    stage = [{k: Fraction(1)} for k in range(1, 5)]
-    while True:
-        kept = [vec for vec in stage if span.add(vec)]
-        if not kept:
-            break
-        ranks.append(span.rank)
-        for k in range(1, len(PROLONGED_VARIABLES) + 1):
-            if k not in weights and span.combination({k: Fraction(1)}) is not None:
-                weights[k] = len(ranks)
-        if span.rank == len(PROLONGED_VARIABLES):
-            break
-        stage = [_bracket_zeta(table, i, vec) for i in range(1, 5) for vec in kept]
-    return tuple(ranks), weights
-
-
 def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[int]]:
     """The weight of each lifted base generator v: forward substitution on the
     leads writes v = sum c_k zeta_k with polynomial c_k, and v lies in E^(w)
@@ -422,7 +373,7 @@ def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[
     return out
 
 
-def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
+def verify_growth(zs: ZetaSystem, table: StructureTable) -> List[Item]:
     """The growth vector of E, and pi_*^{-1}(D) inside E^(7), read from E's
     flag closed over the bracket table; with the global zeta frame both hold
     on the whole chart."""
@@ -451,7 +402,7 @@ def verify_growth(zs: ZetaSystem, table: BracketTable) -> List[Item]:
     ]
 
 
-def symbol_weights(table: BracketTable) -> Dict[int, int]:
+def symbol_weights(table: StructureTable) -> Dict[int, int]:
     """Weight of each zeta_k: the first stage of E's flag, closed over the
     table, that holds it. Raises ValueError if the flag does not hold it."""
     _, weights = table.flag
@@ -467,7 +418,7 @@ def graded_dimensions(weights: Mapping[object, int]) -> Tuple[int, ...]:
     return tuple(counts[w] for w in sorted(counts))
 
 
-def verify_symbol(zs: ZetaSystem, table: BracketTable) -> List[Item]:
+def verify_symbol(zs: ZetaSystem, table: StructureTable) -> List[Item]:
     """Symbol checks on E's flag closed over the table."""
     items = []
     try:
@@ -509,15 +460,15 @@ def verify_symbol(zs: ZetaSystem, table: BracketTable) -> List[Item]:
     return items
 
 
-def verify_suite() -> Tuple[List[Item], ZetaSystem, BracketTable]:
+def verify_suite() -> Tuple[List[Item], ZetaSystem, StructureTable]:
     """All prolong checks; also the zeta system and its bracket table, whose
-    flag (`BracketTable.flag`) is closed by then. Every check holds on the
+    flag (`StructureTable.flag`) is closed by then. Every check holds on the
     whole chart: none draws a point."""
     zs = build_zeta_generators()
     items: List[Item] = []
     items.extend(verify_pfaff_conditions(zs))
     table = compute_bracket_table(zs)
-    items.extend(verify_bracket_table(zs, table))
+    items.extend(verify_bracket_table(table))
     items.extend(static_discrepancy_items(zs))
     items.extend(verify_growth(zs, table))
     items.extend(verify_symbol(zs, table))

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
-from f4prolong import cartan, control, f4roots, nullflag, prolong
+from f4prolong import cartan, control, f4roots, fields, nullflag, prolong
 from f4prolong.fields import origin
 
 
@@ -30,6 +31,22 @@ def seeded_points(chart, seed, n):
     rng = random.Random(seed)
     draw = lambda: {v: Fraction(rng.randint(-2, 2)) for v in chart.variables}
     return [origin(chart)] + [draw() for _ in range(n)]
+
+
+def patch_flag(monkeypatch, wrap):
+    """Make StructureTable.flag, still closed once per table, return
+    wrap(table, closure), with closure the unpatched one."""
+    closure = fields.StructureTable.flag.func
+    flag = cached_property(lambda table: wrap(table, closure))
+    flag.__set_name__(fields.StructureTable, "flag")
+    monkeypatch.setattr(fields.StructureTable, "flag", flag)
+
+
+def spy_flags(monkeypatch):
+    """The list of the tables whose flag is closed from now on, in order."""
+    closed = []
+    patch_flag(monkeypatch, lambda table, closure: closed.append(table) or closure(table))
+    return closed
 
 
 def dense_evaluate(p, values):

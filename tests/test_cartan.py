@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import by_id, discrepancies, failures, seeded_points
-from f4prolong import cartan
+from conftest import by_id, discrepancies, failures, seeded_points, spy_flags
+from f4prolong import cartan, linalg
 from f4prolong.cartan import (
     PAIRS,
     build_model,
@@ -74,7 +74,7 @@ def test_growth_vector_8_15(model, cartan_run):
     items, _ = cartan_run
     assert by_id(items)["growth:D"].computed == "(8, 15)"
     for p in seeded_points(model.chart, 1, 3):
-        assert derived_flag(model.distribution, p).ranks == (8, 15)
+        assert derived_flag(model.distribution, p) == (8, 15)
 
 
 def test_f4_frame_check_can_fail(model):
@@ -136,6 +136,25 @@ def test_non_constant_bracket_fails_without_crashing(model, monkeypatch):
     assert item.status == "fail"
     assert item.computed == f"<omega12, [X1,X2]> = {x1 + 2} is not constant"
     assert model.table.bracket("X1", "X2") == expected_bracket(model, "X1", "X2")
+
+
+def test_the_growth_of_D_is_closed_over_the_frame_table(model, monkeypatch):
+    # without [X_i, Y_i] = -Z, no bracket of two generators reaches Z
+    zeroed = {(f"X{i}", f"Y{i}"): {} for i in range(1, 5)}
+    item = _suite_with(monkeypatch, model, zeroed)["growth:D"]
+    assert (item.status, item.computed) == ("fail", "(8, 14)")
+    # the growth is read off the closure, never off a matrix rank
+    ranks, closed = [], spy_flags(monkeypatch)
+    for module in (linalg, cartan):
+        monkeypatch.setattr(module, "mat_rank", lambda rows: ranks.append(rows), raising=False)
+    item = _suite_with(monkeypatch, model, {})["growth:D"]
+    assert (item.status, item.computed) == ("pass", "(8, 15)")
+    assert [(t.basis, t.generators) for t in closed] == [
+        (model.frame_order, cartan.GENERATOR_ORDER)
+    ]
+    weights = {**dict.fromkeys(cartan.GENERATOR_ORDER, 1), **dict.fromkeys(cartan.CENTER, 2)}
+    assert closed[0].flag == ((8, 15), weights)
+    assert ranks == []
 
 
 def test_duality_is_read_off_the_frame_table(model, monkeypatch):

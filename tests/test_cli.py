@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import f4prolong
-from f4prolong import cartan, control, nullflag
+from conftest import spy_flags
+from f4prolong import cartan, cli, control, nullflag, prolong
 from f4prolong.cli import run
 
 
@@ -40,6 +41,25 @@ def test_verify_all_reproduces_the_golden_report(capsys):
     assert code == 0
     golden = (Path(__file__).parent / "data" / "verify_all_seed0.json").read_text()
     assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden
+
+
+@pytest.mark.parametrize("suite", ["cartan", "control", "nullflag", "prolong", "roots"])
+def test_each_suite_alone_reproduces_its_slice_of_the_golden_report(suite):
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all_seed0.json").read_text())
+    prefix = f"{suite}:"
+    want = [
+        {**item, "id": item["id"][len(prefix) :]}
+        for item in golden["items"]
+        if item["id"].startswith(prefix)
+    ]
+    assert want and cli._run_suite(suite, 0, None).to_json()["items"] == want
+
+
+def test_verify_all_closes_the_flags_of_D_and_E_once_each(capsys, monkeypatch):
+    closed = spy_flags(monkeypatch)
+    code, _, _ = _capture(capsys, ["verify", "all", "--json"])
+    assert code == 0
+    assert [t.flag[0] for t in closed] == [(8, 15), prolong.EXPECTED_GROWTH]
 
 
 @pytest.mark.parametrize(
@@ -308,6 +328,26 @@ def test_flag_bounds_the_digits_of_its_input(capsys, coords, code, message):
         assert message in err and out == ""
     else:
         assert json.loads(out)["lambda_frame"][0][0] == str(10**1500)
+
+
+@pytest.mark.parametrize(
+    "coords, text",
+    [
+        ("1e9999999,0,0,0,0,0,0,0,0", "1e9999999"),
+        ("2.5E-4301,1,0,0,0,0,0,0,0", "2.5E-4301"),
+        ("1e+1_000_000,0,0,0,0,0,0,0,0", "1e+1_000_000"),
+    ],
+    ids=["huge-exponent", "huge-negative-exponent", "underscores"],
+)
+def test_flag_refuses_a_huge_exponent_before_it_builds_the_rational(capsys, monkeypatch, coords, text):
+    # Fraction would build 10**exponent first: 1e9999999 takes seconds
+    def forbidden(*args):
+        raise AssertionError("Fraction was called")
+
+    monkeypatch.setattr(cli, "Fraction", forbidden)
+    got, out, err = _capture(capsys, ["flag", "--coords", coords, "--json"])
+    assert got == 2 and out == ""
+    assert f"rational {text!r} has more than {sys.get_int_max_str_digits()} as its decimal exponent" in err
 
 
 def test_integrate_csv_export(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,7 @@ from f4prolong.f4roots import (
     repaired_assignment,
     verify_root_correspondence,
 )
-from f4prolong.prolong import DEFINING_BRACKETS, BracketTable, symbol_weights
+from f4prolong.prolong import DEFINING_BRACKETS, symbol_weights
 
 
 def euclidean_positive_roots():
@@ -133,7 +134,7 @@ def test_a_table_without_weights_fails_the_suite_with_its_witness(roots_run, pro
     assert "roots:weights" not in by_id(roots_run[0])
     _, _, table, _ = prolong_run
     # [zeta1, zeta23] = 0: E's flag never reaches zeta24
-    zeroed = BracketTable({**table.entries, (1, 23): {}})
+    zeroed = replace(table, entries={**table.entries, (1, 23): {}})
     with pytest.raises(ValueError) as exc:
         symbol_weights(zeroed)
     items = f4roots.verify_suite(zeroed)

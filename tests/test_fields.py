@@ -213,8 +213,7 @@ def test_heisenberg_growth_vector():
     fx = VectorField.from_dict(CHART, {"x": one, "z": v("y")}, "X")
     fy = VectorField.coordinate(CHART, "y", "Y")
     d = Distribution(CHART, [fx, fy])
-    gv = derived_flag(d, origin(CHART))
-    assert gv.ranks == (2, 3)
+    assert derived_flag(d, origin(CHART)) == (2, 3)
 
 
 def test_constant_combination():

@@ -270,18 +270,20 @@ def _counting(monkeypatch, module, names):
 
 def test_each_shared_fact_is_computed_once(monkeypatch):
     # the symbolic and samples items share the six R-pairings of the
-    # completed flag, the closed forms' residuals and their ten Q-pairings
+    # completed flag, the closed forms' residuals and their ten Q-pairings;
+    # the printed expansions and the nullity equations share the six
+    # R-pairings of the flag15 vectors
     seen = _counting(monkeypatch, nullflag, ("mat_vec", "bilinear_R", "bilinear_Q"))
     items = nullflag.verify_suite()
     assert not failures(items)
     assert {name: len(calls) for name, calls in seen.items()} == {
-        "mat_vec": 4, "bilinear_R": 45, "bilinear_Q": 20
+        "mat_vec": 4, "bilinear_R": 39, "bilinear_Q": 20
     }
-    # on the flag9 chart of the completion and the closed forms, no two
-    # vectors are paired twice
-    for name in ("bilinear_R", "bilinear_Q"):
-        pairings = [args for chart, args in seen[name] if chart == "flag9"]
-        assert len(set(pairings)) == len(pairings) > 0, name
+    # on the flag9 chart of the completion and the closed forms, and on the
+    # flag15 chart, no two vectors are paired twice
+    for name, on in (("bilinear_R", "flag9"), ("bilinear_Q", "flag9"), ("bilinear_R", "flag15")):
+        pairings = [args for chart, args in seen[name] if chart == on]
+        assert len(set(pairings)) == len(pairings) > 0, (name, on)
 
 
 @pytest.mark.parametrize(
@@ -296,5 +298,5 @@ def test_each_shared_fact_is_computed_once(monkeypatch):
 )
 def test_lambda_fiber_check_can_fail(monkeypatch, name, value, computed):
     monkeypatch.setattr(nullflag, name, value)
-    item = by_id(nullflag.verify_dimensions())["dim:lambda-fiber"]
+    item = by_id(nullflag.verify_dimensions(nullflag.flag15_pairings()))["dim:lambda-fiber"]
     assert (item.status, item.computed) == ("fail", computed)

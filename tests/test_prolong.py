@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import by_id, discrepancies, failures, seeded_points
+from conftest import by_id, discrepancies, failures, patch_flag, seeded_points, spy_flags
 from f4prolong import cartan, fields, linalg, prolong
-from f4prolong.fields import derived_flag, lie_bracket, origin, pair
+from f4prolong.fields import FieldSpan, StructureTable, derived_flag, lie_bracket, origin, pair
 from f4prolong.linalg import Echelon, sparse
 from f4prolong.poly import MultiPoly
 from f4prolong.prolong import (
@@ -19,14 +20,12 @@ from f4prolong.prolong import (
     EXPECTED_GROWTH,
     PRINTED_TABLE,
     PROLONGED_VARIABLES,
-    BracketTable,
     ZetaSystem,
     build_zeta_generators,
     compute_bracket_table,
     pfaff_forms,
     graded_dimensions,
     symbol_weights,
-    table_flag,
 )
 
 
@@ -71,9 +70,7 @@ def _count_flag_builds(monkeypatch):
 
 def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
     calls = _count_flag_builds(monkeypatch)
-    closures = []
-    real = prolong.table_flag
-    monkeypatch.setattr(prolong, "table_flag", lambda t: closures.append(t) or real(t))
+    closures = spy_flags(monkeypatch)
     items, _, table = prolong.verify_suite()
     assert not failures(items)
     # E's flag is closed over the table once, for growth and symbol alike;
@@ -141,15 +138,13 @@ def test_the_E7_check_can_fail(prolong_run, monkeypatch):
     assert set(prolong.lift_weights(zs, prolong.symbol_weights(table)).values()) == {7}
     assert by_id(prolong.verify_growth(zs, table))["growth:pi-lift-in-E7"].status == "pass"
     # weights shifted by one stage put the lifts in E^(8)
-    real = prolong.table_flag
-
-    def shifted(table):
-        growth, weights = real(table)
+    def shifted(table, closure):
+        growth, weights = closure(table)
         return growth, {k: w + 1 for k, w in weights.items()}
 
-    monkeypatch.setattr(prolong, "table_flag", shifted)
-    # a fresh table, whose flag is closed by the patched table_flag
-    item = by_id(prolong.verify_growth(zs, BracketTable(table.entries)))["growth:pi-lift-in-E7"]
+    patch_flag(monkeypatch, shifted)
+    # a fresh table, whose flag is closed by the patched property
+    item = by_id(prolong.verify_growth(zs, replace(table)))["growth:pi-lift-in-E7"]
     assert item.status == "fail"
     assert item.computed.startswith("X1: 8, ")
 
@@ -159,14 +154,14 @@ def test_the_growth_check_can_fail(prolong_run):
     assert by_id(prolong.verify_growth(zs, table))["growth:E"].status == "pass"
     # [zeta1, zeta2] = 0 in both orders, or [zeta1, zeta23] = 0: zeta5 or zeta24 is never reached
     for zeroed in ({(1, 2): {}, (2, 1): {}}, {(1, 23): {}}):
-        perturbed = BracketTable({**table.entries, **zeroed})
+        perturbed = replace(table, entries={**table.entries, **zeroed})
         item = by_id(prolong.verify_growth(zs, perturbed))["growth:E"]
         assert item.status == "fail"
     # an entry the closure needs and the table lacks is named
-    perturbed = BracketTable({**table.entries, (2, 5): None})
+    perturbed = replace(table, entries={**table.entries, (2, 5): None})
     item = by_id(prolong.verify_growth(zs, perturbed))["growth:E"]
     assert item.status == "fail"
-    assert item.computed == "the table has no constant entry for [zeta2, zeta5]"
+    assert item.computed == "the table has no constant entry for [2, 5]"
 
 
 def test_the_frame_check_can_fail(prolong_run):
@@ -224,49 +219,63 @@ def test_pointwise_weights_agree_with_the_table(prolong_run):
     assert [max(column) for column in zip(*seen)] == list(lifts.values())
 
 
-def _sympy_flag(entries):
-    """The oracle for table_flag: E^(s+1) = E^(s) + [zeta_1..zeta_4, E^(s)] by
-    the definition, each stage a sympy row space; the ranks until they stop
-    growing, and for each zeta_k the first stage that holds it (None if none
-    does)."""
-    n = len(PROLONGED_VARIABLES)
+def _sympy_flag(basis, generators, entries):
+    """The oracle for StructureTable.flag: D^(s+1) = D^(s) + [generators,
+    D^(s)] by the definition, each stage a sympy row space over the basis;
+    the ranks until they stop growing, and for each basis element the first
+    stage that holds it (None if none does)."""
+    n = len(basis)
+    column = {b: k for k, b in enumerate(basis)}
 
-    def bracket(i, row):
+    def bracket(g, row):
         out = [0] * n
-        for j, c in enumerate(row, start=1):
-            for k, d in (entries[(i, j)] if c else {}).items():
-                out[k - 1] += c * d
+        for b, c in zip(basis, row):
+            for k, d in (entries[(g, b)] if c else {}).items():
+                out[column[k]] += c * d
         return out
 
-    basis = [[int(k == j) for k in range(n)] for j in range(4)]  # of the first stage
+    rows = [[int(b == g) for b in basis] for g in generators]  # of the first stage
     ranks, weights = [], [None] * n
-    while not ranks or len(basis) > ranks[-1]:
-        ranks.append(len(basis))
-        # zeta_k is in the row space iff every null vector has a 0 at k
-        null = [list(x) for x in sympy.Matrix(basis).nullspace()]
+    while not ranks or len(rows) > ranks[-1]:
+        ranks.append(len(rows))
+        # a basis element is in the row space iff every null vector has a 0 there
+        null = [list(x) for x in sympy.Matrix(rows).nullspace()]
         for k in range(n):
             if weights[k] is None and all(x[k] == 0 for x in null):
                 weights[k] = len(ranks)
-        new = [bracket(i, row) for i in range(1, 5) for row in basis]
-        basis = [list(row) for row in sympy.Matrix(basis + new).rowspace()]
+        new = [bracket(g, row) for g in generators for row in rows]
+        rows = [list(row) for row in sympy.Matrix(rows + new).rowspace()]
     return tuple(ranks), weights
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_table_flag_ranks_and_weights_match_sympy(data):
-    # [zeta_i, zeta_j] lands on zeta_k with k > j, k <= 23: the closure
-    # terminates without reaching zeta_24
+    coefficients = st.sampled_from([-2, -1, 1, 2])
     entries = {}
-    for i in range(1, 5):
-        for j in range(1, 24):
-            targets = st.integers(max(j, 4) + 1, 23)
-            coefficients = st.sampled_from([-2, -1, 1, 2])
-            entries[(i, j)] = data.draw(
-                st.dictionaries(targets, coefficients, max_size=2) if j < 23 else st.just({})
-            )
-    ranks, weights = table_flag(BracketTable(entries))
-    assert (ranks, [weights.get(k) for k in range(1, 25)]) == _sympy_flag(entries)
+    if data.draw(st.booleans(), label="shaped like E's table"):
+        # [zeta_i, zeta_j] lands on zeta_k with k > j, k <= 23: the closure
+        # terminates without reaching zeta_24, and never reads [zeta_i, zeta_24]
+        basis, generators = range(1, 25), (1, 2, 3, 4)
+        for i in generators:
+            for j in range(1, 24):
+                targets = st.integers(max(j, 4) + 1, 23)
+                entries[(i, j)] = data.draw(
+                    st.dictionaries(targets, coefficients, max_size=2) if j < 23 else st.just({})
+                )
+    else:
+        # string labels in a shuffled order, any nonempty set of generators,
+        # and every [generator, basis element] stored
+        labels = [f"e{k}" for k in range(data.draw(st.integers(1, 9)))]
+        basis = data.draw(st.permutations(labels))
+        generators = tuple(data.draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)))
+        for g in generators:
+            for b in basis:
+                targets = st.sampled_from(basis)
+                entries[(g, b)] = data.draw(st.dictionaries(targets, coefficients, max_size=2))
+    ranks, weights = StructureTable(basis, generators, entries).flag
+    expected = _sympy_flag(list(basis), generators, entries)
+    assert (ranks, [weights.get(b) for b in basis]) == expected
 
 
 def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
@@ -284,6 +293,23 @@ def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
     # one echelon holds zeta_1..zeta_24; every bracket is only reduced against it
     assert len(adds) == 24 and len(set(map(id, adds))) == 1
     assert calls == []
+
+
+def test_bracket_table_reads_the_defining_brackets_off_the_zetas(monkeypatch):
+    zs = build_zeta_generators()
+    bracketed = []
+    monkeypatch.setattr(
+        prolong, "lie_bracket", lambda x, y: bracketed.append((x, y)) or lie_bracket(x, y)
+    )
+    table = compute_bracket_table(zs)
+    # zeta_5..zeta_24 are the 20 defining brackets; the other 72 entries are bracketed
+    assert len(bracketed) == 72
+    assert (table.basis, table.generators) == (range(1, 25), (1, 2, 3, 4))
+    span = FieldSpan([zs.zeta[k] for k in range(1, 25)])
+    for k, (i, j) in DEFINING_BRACKETS.items():
+        assert (zs.zeta[i], zs.zeta[j]) not in bracketed
+        combo = span.combination(lie_bracket(zs.zeta[i], zs.zeta[j]))
+        assert table.entries[(i, j)] == {n + 1: c for n, c in enumerate(combo) if c} == {k: 1}
 
 
 def test_zetas_annihilate_pfaff_system(prolong_run):
@@ -331,9 +357,9 @@ def test_each_field_builds_its_partials_once(monkeypatch):
 def test_growth_vector(prolong_run):
     # the pointwise flag, an independent oracle for the table flag
     _, zs, table, _ = prolong_run
-    assert table_flag(table)[0] == EXPECTED_GROWTH
+    assert table.flag[0] == EXPECTED_GROWTH
     for p in seeded_points(zs.chart, 99, 3):
-        assert derived_flag(zs.distribution, p).ranks == EXPECTED_GROWTH
+        assert derived_flag(zs.distribution, p) == EXPECTED_GROWTH
 
 
 def test_table_all_constant_with_rational_coefficients(prolong_run):
