@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from functools import cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -51,6 +52,7 @@ def _fraction_csv(text: str, expect: int, what: str) -> List[Fraction]:
     return vals
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice, tee
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -720,34 +721,50 @@ MAX_STEPS = 100_000
 MAX_SAMPLES = 100_000
 
 
-def rk4_step(rhs: Sequence[MultiPoly], h: float) -> Tuple[Callable, List[int]]:
-    """One RK4 step of x' = rhs(x) as straight-line float code, and its live
-    slots: the indices whose right-hand side is not the zero polynomial. A live
-    slot rounds as a list-based step would: stages x + h/2 k1, x + h/2 k2,
-    x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which
-    equals x + 0.0 unless x is -0.0; float() of a Fraction is -0.0 only when it
-    underflows, and a sum is -0.0 only when its first summand is. A frozen slot,
-    whose right-hand side reads no live slot, reads the same x at every stage:
-    it is evaluated once and its k1 stands for k2, k3 and k4 in the same final
-    sum. Stage inputs are formed only for the live slots that a moving slot reads."""
+def rk4_step(rhs: Sequence[MultiPoly], h: float, x0: Sequence[float]) -> Tuple[Callable, List[int]]:
+    """One RK4 step of x' = rhs(x) as straight-line float code, for the states
+    whose dead slots equal x0's, and its live slots: the indices whose
+    right-hand side is not the zero polynomial. A live slot rounds as a
+    list-based step would: stages x + h/2 k1, x + h/2 k2, x + h k3, then
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which equals x + 0.0
+    unless x is -0.0; float() of a Fraction is -0.0 only when it underflows, and
+    a sum is -0.0 only when its first summand is. A frozen slot reads no live slot:
+    its k1 = k2 = k3 = k4 is evaluated once, at x0, and its increments are
+    constants. Only moving slots are evaluated, from stage inputs of the slots they read."""
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
     reads = {k: set(rhs[k].support()) for k in live}
     moving = [k for k in live if not reads[k].isdisjoint(live)]
     fed = [k for k in live if any(k in reads[j] for j in moving)]
-    # the names of the four stage values of each live slot
-    stages = {k: [f"{s}{k}" for s in ("abcd" if k in moving else "aaaa")] for k in live}
+    frozen = {k: rhs[k].evaluate_seq(x0) for k in live if k not in moving}
+    # the frozen increments, bound as defaults: inf and nan have no literal
+    factors = (h / 2, h / 2, h)
+    consts = {f"e{i}_{k}": dt * frozen[k] for k in fed if k in frozen for i, dt in enumerate(factors)}
+    consts.update({f"e3_{k}": h / 6 * (a + 2 * a + 2 * a + a) for k, a in frozen.items()})
     x = [f"x{k}" for k in range(len(rhs))]
     y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
-    lines = [", ".join(x) + ", = s"]
-    lines += [line for k in live for line in rhs[k].float_lines(x, f"a{k}")]
-    for i, factor in enumerate((h / 2, h / 2, h)):
-        lines += [f"y{k} = x{k} + {factor!r} * {stages[k][i]}" for k in fed]
-        lines += [line for k in moving for line in rhs[k].float_lines(y, stages[k][i + 1])]
+    lines = ["def step(s" + "".join(f", {n}={n}" for n in consts) + "):", ", ".join(x) + ", = s"]
+    lines += [line for k in moving for line in rhs[k].float_lines(x, f"a{k}")]
+    for i, dt in enumerate(factors):
+        lines += [f"y{k} = x{k} + " + (f"e{i}_{k}" if k in frozen else f"{dt!r} * {'abc'[i]}{k}") for k in fed]
+        lines += [line for k in moving for line in rhs[k].float_lines(y, f"{'bcd'[i]}{k}")]
     for k in live:
-        x[k] = "x{} + {!r} * ({} + 2 * {} + 2 * {} + {})".format(k, h / 6, *stages[k])
+        x[k] += f" + e3_{k}" if k in frozen else f" + {h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})"
+    exec("\n    ".join(lines + [f"return [{', '.join(x)}]"]), consts)
+    return consts["step"], live
+
+
+@cache
+def constraint_values(chart: Chart) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+    """The eight constraints H_X1..H_Y4 at a state as one compiled call, built
+    from `float_lines` once per chart and shared: each value rounds as that
+    lift's evaluate_seq."""
+    x = [f"x{k}" for k in range(chart.dimension)]
+    lines = [", ".join(x) + ", = s"]
+    lines += [line for n in GENERATOR_ORDER for line in lift_table(chart)[n].float_lines(x, f"H_{n}")]
+    lines.append("return " + ", ".join(f"H_{n}" for n in GENERATOR_ORDER))
     namespace: dict = {}
-    exec("def step(s):\n    " + "\n    ".join(lines + [f"return [{', '.join(x)}]"]), namespace)
-    return namespace["step"], live
+    exec("def values(s):\n    " + "\n    ".join(lines), namespace)
+    return namespace["values"]
 
 
 def integrate_extremal(
@@ -756,7 +773,8 @@ def integrate_extremal(
     step: float,
     t_max: float,
 ) -> Tuple[Trajectory, DriftReport]:
-    """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system."""
+    """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system, by one
+    `rk4_step` built at the initial state; the drift reads `constraint_values`."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not (math.isfinite(t_max) and t_max > 0):
@@ -778,19 +796,18 @@ def integrate_extremal(
     if any(mat_vec(build_A(sr0), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
     lifts = lift_table(chart)
-    cpolys = [lifts[name] for name in GENERATOR_ORDER]
-    for name, poly in zip(GENERATOR_ORDER, cpolys):
-        val = poly.evaluate(init)
+    for name in GENERATOR_ORDER:
+        val = lifts[name].evaluate(init)
         if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
     equations = hamilton_equations(hamiltonian(lifts, dict(zip(GENERATOR_ORDER, uv))))
-    rk4, _ = rk4_step([equations[v] for v in chart.variables], step)
     try:
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
+    rk4, _ = rk4_step([equations[v] for v in chart.variables], step, state)
     times = [0.0]
     states = [state]
     for k in range(n_steps):
@@ -800,36 +817,32 @@ def integrate_extremal(
             raise ValueError(f"RK4 state is not finite at t = {times[-1]:.6g}")
         states.append(state)
 
-    sr_idx = [chart.index(v) for v in COV7_VARIABLES]
-    sr_init = [float(x) for x in sr0]
-    max_c = 0.0
-    max_sr = 0.0
+    values = constraint_values(chart)
+    sr_ref = [(chart.index(v), float(x)) for v, x in zip(COV7_VARIABLES, sr0)]
+    max_c = max_sr = 0.0
     for t, st in zip(times, states):
-        cs = [abs(p.evaluate_seq(st)) for p in cpolys]
-        srs = [abs(st[idx] - ref) for idx, ref in zip(sr_idx, sr_init)]
+        cs = list(map(abs, values(st)))
+        srs = [abs(st[idx] - ref) for idx, ref in sr_ref]
         # max() passes over a NaN, so every value is tested
         if not all(map(math.isfinite, cs + srs)):
             raise ValueError(f"constraint or (s, r) drift is not finite at t = {t:.6g}")
         max_c = max(max_c, *cs)
         max_sr = max(max_sr, *srs)
-    traj = Trajectory(chart, times, states, controls, step)
-    return traj, DriftReport(max_c, max_sr, step, t_max)
+    return Trajectory(chart, times, states, controls, step), DriftReport(max_c, max_sr, step, t_max)
 
 
 def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     """Central-difference check of the flow lemma along a trajectory."""
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
-    chart = traj.chart
-    lifts = lift_table(chart)
-    flow = flow_rhs(chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
+    flow = flow_rhs(traj.chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
+    back, ahead = tee(map(constraint_values(traj.chart), traj.states))
     h = traj.step
     max_dev = 0.0
-    for name in GENERATOR_ORDER:
-        vals = [lifts[name].evaluate_seq(st) for st in traj.states]
-        for k in range(1, len(vals) - 1):
-            lhs = (vals[k + 1] - vals[k - 1]) / (2 * h)
-            rhs = flow[name].evaluate_seq(traj.states[k])
+    for before, after, st in zip(back, islice(ahead, 2, None), traj.states[1:]):
+        for name, b, a in zip(GENERATOR_ORDER, before, after):
+            lhs = (a - b) / (2 * h)
+            rhs = flow[name].evaluate_seq(st)
             max_dev = max(max_dev, abs(lhs - rhs))
     return [
         check(

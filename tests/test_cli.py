@@ -362,6 +362,26 @@ def test_integrate_csv_export(capsys, tmp_path):
     assert len(lines) == 1 + 5 + 1  # header + steps + initial state
 
 
+def test_integrate_reproduces_the_golden_trajectory(capsys, tmp_path):
+    # tests/data/integrate_seed1.{json,csv} are this run's --json output and
+    # --csv file, at the benchmark's seed-1 controls and covector; a change to
+    # the RK4 code must leave every float of them as it is
+    path = tmp_path / "traj.csv"
+    code, out, _ = _capture(capsys, [
+        "integrate", "--json", "--seed", "1", "--covector=-6/23,-1443/1058,409/1058,9/529,1,0,0",
+        "--controls=-2,1,3,3,27/23,-48/23,40/23,-6/23", "--step", "0.001", "--tmax", "0.05",
+        "--csv", str(path),
+    ])  # fmt: skip
+    assert code == 0
+    data = Path(__file__).parent / "data"
+    assert out == (data / "integrate_seed1.json").read_text()
+    assert path.read_bytes() == (data / "integrate_seed1.csv").read_bytes()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_integrate_unwritable_csv_exits_2(capsys, tmp_path):
     path = tmp_path / "missing" / "traj.csv"
     code, out, err = _capture(capsys, ["integrate", "--tmax", "0.01", "--csv", str(path)])

@@ -446,13 +446,13 @@ def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
 def test_integrator_evaluates_no_zero_right_hand_side():
     _, controls = _seeded_null_data(4)
     rhs = _reference_rhs(controls)
-    step, live = control.rk4_step(rhs, 1e-3)
+    state = [float(k + 1) / 7 for k in range(30)]
+    step, live = control.rk4_step(rhs, 1e-3, state)
     variables = cotangent_chart().variables
     assert live == [k for k, p in enumerate(rhs) if not p.is_zero()]
     assert [variables[k] for k in range(30) if k not in live] == list(COV7_VARIABLES)
     assert len(live) == 23
     # a dead slot hands back its own float object: nothing is computed for it
-    state = [float(k + 1) / 7 for k in range(30)]
     out = step(state)
     assert all((out[k] is state[k]) == (k not in live) for k in range(30))
 
@@ -461,10 +461,10 @@ def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
     # off the standard straight-line run, a reordered sum shows in the last bit
     _, controls = _seeded_null_data(4)
     rhs = _reference_rhs(controls)
-    step, _ = control.rk4_step(rhs, 0.37)
     rng = random.Random(5)
     for _ in range(100):
         state = [rng.uniform(-10, 10) for _ in rhs]
+        step, _ = control.rk4_step(rhs, 0.37, state)
         want = _reference_step(rhs, state, 0.37)
         assert [x.hex() for x in step(state)] == [x.hex() for x in want]
 
@@ -511,19 +511,96 @@ def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
     rhs, kinds = _random_system(rng)
     for _ in range(4):
         h = rng.choice([rng.uniform(1e-4, 0.5), 0.37, 1e-3])
-        step, live = control.rk4_step(rhs, h)
-        assert live == [k for k, kind in enumerate(kinds) if kind != "dead"]
         for _ in range(10):
             # a dead slot keeps its x, so only a live slot may start at -0.0
             state = [
                 rng.choice([rng.uniform(-2, 2), 0.0] + ([-0.0] if kind != "dead" else []))
                 for kind in kinds
             ]
+            step, live = control.rk4_step(rhs, h, state)
+            assert live == [k for k, kind in enumerate(kinds) if kind != "dead"]
             want = _reference_step(rhs, state, h)
             assert [x.hex() for x in step(state)] == [x.hex() for x in want]
 
 
-def test_rk4_step_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypatch):
+def test_rk4_step_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
+    targets, evaluated = [], []
+    emit, evaluate = MultiPoly.float_lines, MultiPoly.evaluate_seq
+
+    def counting(self, names, target):
+        targets.append(target)
+        return emit(self, names, target)
+
+    def evaluating(self, values):
+        evaluated.append(self)
+        return evaluate(self, values)
+
+    def counts(rhs):
+        """How many times rk4_step emits each slot's right-hand side into the
+        step, and how many times it evaluates it."""
+        targets.clear()
+        evaluated.clear()
+        control.rk4_step(rhs, 1e-3, [0.5] * len(rhs))
+        # "t" is the target of evaluate_seq's own compile
+        emitted = Counter(int(t[1:]) for t in targets if t != "t")
+        calls = Counter(map(id, evaluated))
+        return [(emitted[k], calls[id(p)]) for k, p in enumerate(rhs)]
+
+    monkeypatch.setattr(MultiPoly, "float_lines", counting)
+    monkeypatch.setattr(MultiPoly, "evaluate_seq", evaluating)
+    init, controls = _seeded_null_data(4)
+    variables = cotangent_chart().variables
+    got = dict(zip(variables, counts(_reference_rhs(controls))))
+    assert {v for v, n in got.items() if n == (4, 0)} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
+    assert sorted(got.values()) == [(0, 0)] * 7 + [(0, 1)] * 16 + [(4, 0)] * 7
+    rng = random.Random(7)
+    kind_counts = {"dead": (0, 0), "constant": (0, 1), "frozen": (0, 1), "moving": (4, 0)}
+    for _ in range(10):
+        rhs, kinds = _random_system(rng)
+        assert counts(rhs) == [kind_counts[kind] for kind in kinds]
+    # a whole run evaluates each of the 16 frozen slots once, whatever its length
+    for t_max in (1e-3, 0.05):
+        evaluated.clear()
+        integrate_extremal(init, controls, 1e-3, t_max)
+        assert sorted(Counter(map(id, evaluated)).values()) == [1] * 16
+
+
+def _overflowing_drift_data():
+    """Seeded null data with the covector scaled so far that, at step 1, the
+    constraint sums leave the floats at t = 3 and the state itself at t = 8."""
+    init, controls = _seeded_null_data(0)
+    for name in COV7_VARIABLES:
+        init[name] *= 2 * Fraction(10) ** 306
+    return init, controls
+
+
+def test_the_drift_names_the_first_time_it_leaves_the_floats():
+    init, controls = _overflowing_drift_data()
+    integrate_extremal(init, controls, 1.0, 2.0)  # finite through t = 2
+    with pytest.raises(ValueError, match="drift is not finite at t = 3$"):
+        integrate_extremal(init, controls, 1.0, 4.0)
+
+
+def test_a_state_beyond_the_floats_wins_over_an_earlier_drift_beyond_them():
+    init, controls = _overflowing_drift_data()
+    with pytest.raises(ValueError, match="RK4 state is not finite at t = 8$"):
+        integrate_extremal(init, controls, 1.0, 10.0)
+
+
+def test_the_shared_constraint_values_round_as_evaluate_seq():
+    chart = cotangent_chart()
+    lifts = lift_table(chart)
+    values = control.constraint_values(chart)
+    assert values is control.constraint_values(cotangent_chart())
+    rng = random.Random(11)
+    for _ in range(100):
+        state = [rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)]
+        want = [lifts[name].evaluate_seq(state) for name in GENERATOR_ORDER]
+        assert [x.hex() for x in values(state)] == [x.hex() for x in want]
+
+
+def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(monkeypatch):
+    control.constraint_values.cache_clear()
     targets = []
     emit = MultiPoly.float_lines
 
@@ -531,25 +608,12 @@ def test_rk4_step_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypa
         targets.append(target)
         return emit(self, names, target)
 
-    def emitted(rhs):
-        """How many times rk4_step emits each slot's right-hand side."""
-        targets.clear()
-        control.rk4_step(rhs, 1e-3)
-        return Counter(int(t[1:]) for t in targets)
-
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
-    _, controls = _seeded_null_data(4)
-    counts = emitted(_reference_rhs(controls))
-    variables = cotangent_chart().variables
-    assert {variables[k] for k, n in counts.items() if n == 4} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
-    assert sorted(counts.values()) == [1] * 16 + [4] * 7
-    rng = random.Random(7)
-    for _ in range(10):
-        rhs, kinds = _random_system(rng)
-        counts = emitted(rhs)
-        assert [counts[k] for k in range(len(rhs))] == [
-            {"dead": 0, "constant": 1, "frozen": 1, "moving": 4}[kind] for kind in kinds
-        ]
+    init, controls = standard_initial_data()
+    for _ in range(2):
+        traj, _ = integrate_extremal(init, controls, 1e-3, 0.01)
+        control.verify_flow_lemma_numeric(traj)
+    assert sorted(t for t in targets if t.startswith("H_")) == sorted(f"H_{n}" for n in GENERATOR_ORDER)
 
 
 def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
