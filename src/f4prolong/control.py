@@ -715,56 +715,75 @@ def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
     return init, controls
 
 
-# every RK4 state is kept (about 1 KB per step), so the step count is capped
+# every RK4 state is kept (about 0.9 KB per step), so the step count is capped
 MAX_STEPS = 100_000
 # the largest `verify --samples` the command line accepts; no suite draws samples
 MAX_SAMPLES = 100_000
 
 
-def rk4_step(rhs: Sequence[MultiPoly], h: float, x0: Sequence[float]) -> Tuple[Callable, List[int]]:
-    """One RK4 step of x' = rhs(x) as straight-line float code, for the states
-    whose dead slots equal x0's, and its live slots: the indices whose
-    right-hand side is not the zero polynomial. A live slot rounds as a
-    list-based step would: stages x + h/2 k1, x + h/2 k2, x + h k3, then
-    x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which equals x + 0.0
-    unless x is -0.0; float() of a Fraction is -0.0 only when it underflows, and
-    a sum is -0.0 only when its first summand is. A frozen slot reads no live slot:
-    its k1 = k2 = k3 = k4 is evaluated once, at x0, and its increments are
-    constants. Only moving slots are evaluated, from stage inputs of the slots they read."""
-    live = [k for k, p in enumerate(rhs) if not p.is_zero()]
-    reads = {k: set(rhs[k].support()) for k in live}
-    moving = [k for k in live if not reads[k].isdisjoint(live)]
-    fed = [k for k in live if any(k in reads[j] for j in moving)]
-    frozen = {k: rhs[k].evaluate_seq(x0) for k in live if k not in moving}
-    # the frozen increments, bound as defaults: inf and nan have no literal
-    factors = (h / 2, h / 2, h)
-    consts = {f"e{i}_{k}": dt * frozen[k] for k in fed if k in frozen for i, dt in enumerate(factors)}
-    consts.update({f"e3_{k}": h / 6 * (a + 2 * a + 2 * a + a) for k, a in frozen.items()})
-    x = [f"x{k}" for k in range(len(rhs))]
-    y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
-    lines = ["def step(s" + "".join(f", {n}={n}" for n in consts) + "):", ", ".join(x) + ", = s"]
-    lines += [line for k in moving for line in rhs[k].float_lines(x, f"a{k}")]
-    for i, dt in enumerate(factors):
-        lines += [f"y{k} = x{k} + " + (f"e{i}_{k}" if k in frozen else f"{dt!r} * {'abc'[i]}{k}") for k in fed]
-        lines += [line for k in moving for line in rhs[k].float_lines(y, f"{'bcd'[i]}{k}")]
-    for k in live:
-        x[k] += f" + e3_{k}" if k in frozen else f" + {h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})"
-    exec("\n    ".join(lines + [f"return [{', '.join(x)}]"]), consts)
-    return consts["step"], live
+def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Sequence[float]], Tuple]:
+    """The polynomials' values at a state as one compiled call from `float_lines`:
+    each value rounds as that polynomial's evaluate_seq."""
+    x = [f"x{k}" for k in range(dimension)]
+    lines = [", ".join(x) + ", = s"]
+    lines += [line for j, p in enumerate(polys) for line in p.float_lines(x, f"g{j}")]
+    lines.append("return " + "".join(f"g{j}, " for j in range(len(polys))))
+    namespace: dict = {}
+    exec("def values(s):\n    " + "\n    ".join(lines), namespace)
+    return namespace["values"]
 
 
 @cache
 def constraint_values(chart: Chart) -> Callable[[Sequence[float]], Tuple[float, ...]]:
-    """The eight constraints H_X1..H_Y4 at a state as one compiled call, built
-    from `float_lines` once per chart and shared: each value rounds as that
-    lift's evaluate_seq."""
-    x = [f"x{k}" for k in range(chart.dimension)]
-    lines = [", ".join(x) + ", = s"]
-    lines += [line for n in GENERATOR_ORDER for line in lift_table(chart)[n].float_lines(x, f"H_{n}")]
-    lines.append("return " + ", ".join(f"H_{n}" for n in GENERATOR_ORDER))
-    namespace: dict = {}
-    exec("def values(s):\n    " + "\n    ".join(lines), namespace)
-    return namespace["values"]
+    """The eight constraints H_X1..H_Y4 at a state, compiled once per chart and shared."""
+    return compiled_values([lift_table(chart)[n] for n in GENERATOR_ORDER], chart.dimension)
+
+
+def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fixed: Sequence[int]) -> Callable:
+    """Fixed-step RK4 of x' = rhs(x) as one compiled `run(s, n)` holding the state
+    in locals: n steps from the list s, stopped before a state that is not finite.
+    It returns (states, max_c, max_sr, bad): over the states, the largest |check|
+    and |x_k - s[k]| (k in `fixed`), and the first index where one is not finite,
+    or -1. A live slot (nonzero right-hand side) rounds as a list-based step:
+    x + h/2 k1, x + h/2 k2, x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead
+    slot keeps x, which equals x + 0.0 unless x is -0.0 (float() of a Fraction is
+    -0.0 only when it underflows). A frozen slot reads only dead slots: its
+    k1 = k2 = k3 = k4 and increments are computed before the loop, which
+    evaluates only the moving slots."""
+    def finite(names):  # their sum is finite, or each is: finite values may overflow the sum
+        return f"isfinite({' + '.join(names)}) or all(map(isfinite, ({', '.join(names)},)))" if names else "True"
+
+    live = [k for k, p in enumerate(rhs) if not p.is_zero()]
+    reads = {k: set(rhs[k].support()) for k in live}
+    moving = [k for k in live if not reads[k].isdisjoint(live)]
+    frozen = [k for k in live if k not in moving]
+    fed = [k for k in live if any(k in reads[j] for j in moving)]
+    x = [f"x{k}" for k in range(len(rhs))]
+    y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
+    head = [", ".join(x) + ", = s", "states = [s]", "max_c = max_sr = 0.0", "bad = -1"]
+    head += [f"r{k} = x{k}" for k in fixed]
+    head += [line for k in frozen for line in rhs[k].float_lines(x, f"a{k}")]
+    head += [f"half{k} = {h / 2!r} * a{k}\nwhole{k} = {h!r} * a{k}" for k in frozen if k in fed]
+    head += [f"last{k} = {h / 6!r} * (a{k} + 2 * a{k} + 2 * a{k} + a{k})" for k in frozen]
+    # the drift of state i, then step i + 1
+    fold = [(f"g{j}", "max_c") for j in range(len(checks))] + [(f"e{k}", "max_sr") for k in fixed]
+    body = [line for j, p in enumerate(checks) for line in p.float_lines(x, f"g{j}")]
+    body += [f"g{j} = abs(g{j})" for j in range(len(checks))] + [f"e{k} = abs(x{k} - r{k})" for k in fixed]
+    body += [f"if bad < 0 and not ({finite([v for v, _ in fold])}):\n    bad = i"]
+    body += [f"if {v} > {m}:\n    {m} = {v}" for v, m in fold]
+    body += ["if i == n:\n    break"] + [line for k in moving for line in rhs[k].float_lines(x, f"a{k}")]
+    # stage i's input is x + dt * k_i; a frozen slot adds its increment instead
+    for i, (dt, before, increment) in enumerate(((h / 2, "a", "half"), (h / 2, "b", "half"), (h, "c", "whole"))):
+        body += [f"y{k} = x{k} + " + (f"{increment}{k}" if k in frozen else f"{dt!r} * {before}{k}") for k in fed]
+        body += [line for k in moving for line in rhs[k].float_lines(y, f"{'bcd'[i]}{k}")]
+    body += [f"x{k} = x{k} + " + (f"last{k}" if k in frozen else f"{h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})")
+             for k in live]
+    body += [f"if not ({finite([x[k] for k in live])}):\n    break", f"states.append([{', '.join(x)}])"]
+    loop = "\n".join(body).replace("\n", "\n    ")
+    lines = head + ["for i in range(n + 1):", "    " + loop, "return states, max_c, max_sr, bad"]
+    namespace: dict = {"isfinite": math.isfinite}
+    exec("def run(s, n):\n    " + "\n".join(lines).replace("\n", "\n    "), namespace)
+    return namespace["run"]
 
 
 def integrate_extremal(
@@ -773,32 +792,27 @@ def integrate_extremal(
     step: float,
     t_max: float,
 ) -> Tuple[Trajectory, DriftReport]:
-    """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system, by one
-    `rk4_step` built at the initial state; the drift reads `constraint_values`."""
+    """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system by one
+    `rk4_run`, which also folds the drift of the eight constraints and of (s, r)."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be a positive finite number, got {t_max}")
     if t_max / step > MAX_STEPS:
-        raise ValueError(
-            f"t_max / step = {t_max / step:.6g} exceeds the cap of {MAX_STEPS} steps"
-        )
+        raise ValueError(f"t_max / step = {t_max / step!r} exceeds the cap of {MAX_STEPS} steps")
     n_steps = round(t_max / step)
     if n_steps < 1 or abs(t_max / step - n_steps) > 1e-9 * n_steps:
         raise ValueError(f"t_max = {t_max!r} is not a whole number of steps of {step!r}")
     chart = cotangent_chart()
     init = {v: Fraction(init[v]) for v in COTANGENT_VARIABLES}
-    fiber_vals = [init[v] for v in FIBER_VARIABLES]
-    if all(x == 0 for x in fiber_vals):
+    if not any(init[v] for v in FIBER_VARIABLES):
         raise ValueError("covector must not vanish (abnormality)")
-    sr0 = [init[v] for v in COV7_VARIABLES]
     uv = list(controls.as_seq())
-    if any(mat_vec(build_A(sr0), uv)):
+    if any(mat_vec(build_A([init[v] for v in COV7_VARIABLES]), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
     lifts = lift_table(chart)
     for name in GENERATOR_ORDER:
-        val = lifts[name].evaluate(init)
-        if val != 0:
+        if (val := lifts[name].evaluate(init)) != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
@@ -807,27 +821,14 @@ def integrate_extremal(
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
-    rk4, _ = rk4_step([equations[v] for v in chart.variables], step, state)
-    times = [0.0]
-    states = [state]
-    for k in range(n_steps):
-        state = rk4(state)
-        times.append((k + 1) * step)
-        if not all(map(math.isfinite, state)):
-            raise ValueError(f"RK4 state is not finite at t = {times[-1]:.6g}")
-        states.append(state)
-
-    values = constraint_values(chart)
-    sr_ref = [(chart.index(v), float(x)) for v, x in zip(COV7_VARIABLES, sr0)]
-    max_c = max_sr = 0.0
-    for t, st in zip(times, states):
-        cs = list(map(abs, values(st)))
-        srs = [abs(st[idx] - ref) for idx, ref in sr_ref]
-        # max() passes over a NaN, so every value is tested
-        if not all(map(math.isfinite, cs + srs)):
-            raise ValueError(f"constraint or (s, r) drift is not finite at t = {t:.6g}")
-        max_c = max(max_c, *cs)
-        max_sr = max(max_sr, *srs)
+    checks, fixed = [lifts[n] for n in GENERATOR_ORDER], [chart.index(v) for v in COV7_VARIABLES]
+    states, max_c, max_sr, bad = rk4_run([equations[v] for v in chart.variables], step, checks, fixed)(state, n_steps)
+    # a state beyond the floats wins over an earlier drift beyond them
+    if len(states) <= n_steps:
+        raise ValueError(f"RK4 state is not finite at t = {len(states) * step:.6g}")
+    if bad >= 0:
+        raise ValueError(f"constraint or (s, r) drift is not finite at t = {bad * step:.6g}")
+    times = [k * step for k in range(n_steps + 1)]
     return Trajectory(chart, times, states, controls, step), DriftReport(max_c, max_sr, step, t_max)
 
 
@@ -836,14 +837,13 @@ def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
     flow = flow_rhs(traj.chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
+    rates = compiled_values([flow[n] for n in GENERATOR_ORDER], traj.chart.dimension)
     back, ahead = tee(map(constraint_values(traj.chart), traj.states))
     h = traj.step
     max_dev = 0.0
     for before, after, st in zip(back, islice(ahead, 2, None), traj.states[1:]):
-        for name, b, a in zip(GENERATOR_ORDER, before, after):
-            lhs = (a - b) / (2 * h)
-            rhs = flow[name].evaluate_seq(st)
-            max_dev = max(max_dev, abs(lhs - rhs))
+        for b, a, rate in zip(before, after, rates(st)):
+            max_dev = max(max_dev, abs((a - b) / (2 * h) - rate))
     return [
         check(
             "flow:numeric",

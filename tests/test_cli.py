@@ -302,6 +302,14 @@ def test_integrate_caps_the_step_count(capsys, flags):
     assert out == ""
 
 
+def test_integrate_cap_message_shows_a_ratio_beyond_the_cap(capsys):
+    # 100.0000001 / 0.001 is 100000.0001, which six significant digits show as the cap itself
+    code, out, err = _capture(capsys, ["integrate", "--step", "0.001", "--tmax", "100.0000001"])
+    assert (code, out) == (2, "")
+    shown = re.fullmatch(r"error: t_max / step = (\S+) exceeds the cap of 100000 steps\n", err)
+    assert shown is not None and float(shown.group(1)) > control.MAX_STEPS
+
+
 def test_point_belongs_to_integrate_only():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "roots", "--point", "0"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -443,30 +444,56 @@ def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
         assert traj.states[-1] != traj.states[0]
 
 
+def _reference_drift(checks, fixed, states):
+    """The drift loop by the dense Fraction walk: the largest |check| and the
+    largest |x_k - states[0][k]| for k in `fixed`, over all states."""
+    max_c = max_sr = 0.0
+    for st in states:
+        max_c = max(max_c, *(abs(float(dense_evaluate(p, st))) for p in checks))
+        max_sr = max(max_sr, *(abs(st[k] - states[0][k]) for k in fixed))
+    return max_c, max_sr
+
+
+def _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, n):
+    """`run` from `state` matches `_reference_step` iterated n times and the
+    reference drift loop bit for bit."""
+    states, max_c, max_sr, bad = run(list(state), n)
+    want = [list(state)]
+    for _ in range(n):
+        want.append(_reference_step(rhs, want[-1], h))
+    assert [[x.hex() for x in st] for st in states] == [[x.hex() for x in st] for st in want]
+    assert [max_c.hex(), max_sr.hex()] == [x.hex() for x in _reference_drift(checks, fixed, want)]
+    assert bad == -1
+    return states
+
+
 def test_integrator_evaluates_no_zero_right_hand_side():
     _, controls = _seeded_null_data(4)
     rhs = _reference_rhs(controls)
     state = [float(k + 1) / 7 for k in range(30)]
-    step, live = control.rk4_step(rhs, 1e-3, state)
+    states, *_ = control.rk4_run(rhs, 1e-3, [], [])(state, 3)
     variables = cotangent_chart().variables
-    assert live == [k for k, p in enumerate(rhs) if not p.is_zero()]
+    live = [k for k, p in enumerate(rhs) if not p.is_zero()]
     assert [variables[k] for k in range(30) if k not in live] == list(COV7_VARIABLES)
-    assert len(live) == 23
-    # a dead slot hands back its own float object: nothing is computed for it
-    out = step(state)
-    assert all((out[k] is state[k]) == (k not in live) for k in range(30))
+    assert len(live) == 23 and len(states) == 4
+    # a dead slot hands back its own float object at every step: nothing is computed for it
+    assert all((st[k] is state[k]) == (k not in live) for st in states[1:] for k in range(30))
 
 
 def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
-    # off the standard straight-line run, a reordered sum shows in the last bit
+    # off the standard straight-line run, a reordered sum shows in the last bit;
+    # one run serves every state, since its frozen slots are evaluated from s
     _, controls = _seeded_null_data(4)
     rhs = _reference_rhs(controls)
+    chart = cotangent_chart()
+    checks = [lift_table(chart)[n] for n in GENERATOR_ORDER]
+    fixed = [chart.index(v) for v in COV7_VARIABLES]
+    run = control.rk4_run(rhs, 0.37, checks, fixed)
     rng = random.Random(5)
     for _ in range(100):
         state = [rng.uniform(-10, 10) for _ in rhs]
-        step, _ = control.rk4_step(rhs, 0.37, state)
-        want = _reference_step(rhs, state, 0.37)
-        assert [x.hex() for x in step(state)] == [x.hex() for x in want]
+        states = _assert_run_matches_the_reference(run, rhs, checks, fixed, state, 0.37, 3)
+        assert states[-1] != states[-2]
 
 
 # unit, negative and non-dyadic coefficients, and one whose float is -0.0
@@ -509,60 +536,82 @@ def _random_system(rng, n=12):
 def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
     rng = random.Random(seed)
     rhs, kinds = _random_system(rng)
+    # checks from a second system; fixed slots both dead and live
+    checks = _random_system(rng)[0][:4]
+    fixed = sorted(rng.sample([k for k, kind in enumerate(kinds) if kind == "dead"], 1)
+                   + rng.sample([k for k, kind in enumerate(kinds) if kind != "dead"], 3))
     for _ in range(4):
         h = rng.choice([rng.uniform(1e-4, 0.5), 0.37, 1e-3])
+        run = control.rk4_run(rhs, h, checks, fixed)
         for _ in range(10):
             # a dead slot keeps its x, so only a live slot may start at -0.0
             state = [
                 rng.choice([rng.uniform(-2, 2), 0.0] + ([-0.0] if kind != "dead" else []))
                 for kind in kinds
             ]
-            step, live = control.rk4_step(rhs, h, state)
-            assert live == [k for k, kind in enumerate(kinds) if kind != "dead"]
-            want = _reference_step(rhs, state, h)
-            assert [x.hex() for x in step(state)] == [x.hex() for x in want]
+            _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, 3)
 
 
-def test_rk4_step_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
-    targets, evaluated = [], []
+def test_rk4_run_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypatch):
+    emitted, evaluated = [], []
     emit, evaluate = MultiPoly.float_lines, MultiPoly.evaluate_seq
 
     def counting(self, names, target):
-        targets.append(target)
+        emitted.append(self)
         return emit(self, names, target)
 
     def evaluating(self, values):
         evaluated.append(self)
         return evaluate(self, values)
 
-    def counts(rhs):
-        """How many times rk4_step emits each slot's right-hand side into the
-        step, and how many times it evaluates it."""
-        targets.clear()
-        evaluated.clear()
-        control.rk4_step(rhs, 1e-3, [0.5] * len(rhs))
-        # "t" is the target of evaluate_seq's own compile
-        emitted = Counter(int(t[1:]) for t in targets if t != "t")
-        calls = Counter(map(id, evaluated))
-        return [(emitted[k], calls[id(p)]) for k, p in enumerate(rhs)]
+    def counts(rhs, checks=()):
+        """How many times rk4_run emits each right-hand side and each check into
+        the run; nothing is evaluated by evaluate_seq."""
+        emitted.clear()
+        control.rk4_run(rhs, 1e-3, checks, [0])
+        calls = Counter(map(id, emitted))
+        assert not evaluated
+        return [calls[id(p)] for p in rhs], [calls[id(p)] for p in checks]
 
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
     monkeypatch.setattr(MultiPoly, "evaluate_seq", evaluating)
     init, controls = _seeded_null_data(4)
     variables = cotangent_chart().variables
-    got = dict(zip(variables, counts(_reference_rhs(controls))))
-    assert {v for v, n in got.items() if n == (4, 0)} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
-    assert sorted(got.values()) == [(0, 0)] * 7 + [(0, 1)] * 16 + [(4, 0)] * 7
+    got, _ = counts(_reference_rhs(controls))
+    got = dict(zip(variables, got))
+    assert {v for v, n in got.items() if n == 4} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
+    assert sorted(got.values()) == [0] * 7 + [1] * 16 + [4] * 7
     rng = random.Random(7)
-    kind_counts = {"dead": (0, 0), "constant": (0, 1), "frozen": (0, 1), "moving": (4, 0)}
+    kind_counts = {"dead": 0, "constant": 1, "frozen": 1, "moving": 4}
     for _ in range(10):
         rhs, kinds = _random_system(rng)
-        assert counts(rhs) == [kind_counts[kind] for kind in kinds]
-    # a whole run evaluates each of the 16 frozen slots once, whatever its length
+        checks = _random_system(rng)[0][:3]
+        assert counts(rhs, checks) == ([kind_counts[kind] for kind in kinds], [1, 1, 1])
+    # a whole run, whatever its length, emits each slot as often and calls no evaluate_seq
+    lifts = lift_table(cotangent_chart())
     for t_max in (1e-3, 0.05):
-        evaluated.clear()
+        emitted.clear()
         integrate_extremal(init, controls, 1e-3, t_max)
-        assert sorted(Counter(map(id, evaluated)).values()) == [1] * 16
+        calls = Counter(map(id, emitted))
+        assert sorted(calls.values()) == [1] * (16 + 8) + [4] * 7
+        assert all(calls[id(lifts[name])] == 1 for name in GENERATOR_ORDER)
+        assert not evaluated
+
+
+def test_finite_values_whose_sum_overflows_are_finite():
+    # the run tests a sum of values first; an overflowing sum of finite values
+    # must fall back to each value, and a value beyond the floats must not
+    chart = Chart("big", ("u0", "u1"))
+    rate = MultiPoly(chart, {(0, 0): 10**307})
+    u0, u1 = MultiPoly.variable(chart, "u0"), MultiPoly.variable(chart, "u1")
+    states, max_c, max_sr, bad = control.rk4_run([rate, rate], 1.0, [u0, u1], [0, 1])([1e308, 1e308], 3)
+    assert len(states) == 4 and bad == -1
+    assert all(math.isfinite(x) for st in states for x in st) and math.isinf(sum(states[-1]))
+    assert (max_c, max_sr) == (states[-1][0], states[-1][0] - 1e308) and max_c > 1.2e308
+    _, _, _, bad = control.rk4_run([rate, rate], 1.0, [u0 * u1], [0, 1])([1e308, 1e308], 3)
+    assert bad == 0
+    states, _, _, _ = control.rk4_run([rate, rate], 1.0, [], [])([1e308, 1.7e308], 3)
+    assert len(states) == 1
 
 
 def _overflowing_drift_data():
@@ -600,20 +649,36 @@ def test_the_shared_constraint_values_round_as_evaluate_seq():
 
 
 def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(monkeypatch):
+    # each run emits the eight constraints into its own code once; the flow
+    # check reads constraint_values, compiled once per chart
     control.constraint_values.cache_clear()
-    targets = []
+    emitted = []
     emit = MultiPoly.float_lines
 
     def counting(self, names, target):
-        targets.append(target)
+        emitted.append(self)
         return emit(self, names, target)
 
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
     init, controls = standard_initial_data()
-    for _ in range(2):
+    lifts = lift_table(cotangent_chart())
+    for runs in (1, 2):
         traj, _ = integrate_extremal(init, controls, 1e-3, 0.01)
         control.verify_flow_lemma_numeric(traj)
-    assert sorted(t for t in targets if t.startswith("H_")) == sorted(f"H_{n}" for n in GENERATOR_ORDER)
+        calls = Counter(map(id, emitted))
+        assert [calls[id(lifts[name])] for name in GENERATOR_ORDER] == [runs + 1] * 8
+
+
+def test_the_flow_rates_round_as_evaluate_seq():
+    chart = cotangent_chart()
+    _, controls = _seeded_null_data(4)
+    flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
+    rates = control.compiled_values([flow[name] for name in GENERATOR_ORDER], chart.dimension)
+    rng = random.Random(12)
+    for _ in range(100):
+        state = [rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)]
+        want = [flow[name].evaluate_seq(state) for name in GENERATOR_ORDER]
+        assert [float(x).hex() for x in rates(state)] == [float(x).hex() for x in want]
 
 
 def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
