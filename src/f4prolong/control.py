@@ -748,8 +748,8 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fix
     x + h/2 k1, x + h/2 k2, x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead
     slot keeps x, which equals x + 0.0 unless x is -0.0 (float() of a Fraction is
     -0.0 only when it underflows). A frozen slot reads only dead slots: its
-    k1 = k2 = k3 = k4 and increments are computed before the loop, which
-    evaluates only the moving slots."""
+    k1 = k2 = k3 = k4 is its evaluate_seq at s, and it and its increments are
+    computed before the loop, which evaluates only the moving slots."""
     def finite(names):  # their sum is finite, or each is: finite values may overflow the sum
         return f"isfinite({' + '.join(names)}) or all(map(isfinite, ({', '.join(names)},)))" if names else "True"
 
@@ -762,7 +762,7 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fix
     y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
     head = [", ".join(x) + ", = s", "states = [s]", "max_c = max_sr = 0.0", "bad = -1"]
     head += [f"r{k} = x{k}" for k in fixed]
-    head += [line for k in frozen for line in rhs[k].float_lines(x, f"a{k}")]
+    head += [f"a{k} = p{k}.evaluate_seq(s)" for k in frozen]
     head += [f"half{k} = {h / 2!r} * a{k}\nwhole{k} = {h!r} * a{k}" for k in frozen if k in fed]
     head += [f"last{k} = {h / 6!r} * (a{k} + 2 * a{k} + 2 * a{k} + a{k})" for k in frozen]
     # the drift of state i, then step i + 1
@@ -781,7 +781,7 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fix
     body += [f"if not ({finite([x[k] for k in live])}):\n    break", f"states.append([{', '.join(x)}])"]
     loop = "\n".join(body).replace("\n", "\n    ")
     lines = head + ["for i in range(n + 1):", "    " + loop, "return states, max_c, max_sr, bad"]
-    namespace: dict = {"isfinite": math.isfinite}
+    namespace: dict = {"isfinite": math.isfinite, **{f"p{k}": rhs[k] for k in frozen}}
     exec("def run(s, n):\n    " + "\n".join(lines).replace("\n", "\n    "), namespace)
     return namespace["run"]
 
@@ -799,20 +799,25 @@ def integrate_extremal(
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be a positive finite number, got {t_max}")
     if t_max / step > MAX_STEPS:
-        raise ValueError(f"t_max / step = {t_max / step!r} exceeds the cap of {MAX_STEPS} steps")
+        raise ValueError(
+            f"t_max / step = {t_max / step!r} exceeds the cap of {MAX_STEPS} steps"
+        )
     n_steps = round(t_max / step)
     if n_steps < 1 or abs(t_max / step - n_steps) > 1e-9 * n_steps:
         raise ValueError(f"t_max = {t_max!r} is not a whole number of steps of {step!r}")
     chart = cotangent_chart()
     init = {v: Fraction(init[v]) for v in COTANGENT_VARIABLES}
-    if not any(init[v] for v in FIBER_VARIABLES):
+    fiber_vals = [init[v] for v in FIBER_VARIABLES]
+    if all(x == 0 for x in fiber_vals):
         raise ValueError("covector must not vanish (abnormality)")
+    sr0 = [init[v] for v in COV7_VARIABLES]
     uv = list(controls.as_seq())
-    if any(mat_vec(build_A([init[v] for v in COV7_VARIABLES]), uv)):
+    if any(mat_vec(build_A(sr0), uv)):
         raise ValueError("controls do not lie in ker A(initial covector)")
     lifts = lift_table(chart)
     for name in GENERATOR_ORDER:
-        if (val := lifts[name].evaluate(init)) != 0:
+        val = lifts[name].evaluate(init)
+        if val != 0:
             raise ValueError(f"initial data violates constraint H_{name} = {val}")
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
@@ -821,8 +826,10 @@ def integrate_extremal(
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
-    checks, fixed = [lifts[n] for n in GENERATOR_ORDER], [chart.index(v) for v in COV7_VARIABLES]
-    states, max_c, max_sr, bad = rk4_run([equations[v] for v in chart.variables], step, checks, fixed)(state, n_steps)
+    checks = [lifts[n] for n in GENERATOR_ORDER]
+    fixed = [chart.index(v) for v in COV7_VARIABLES]
+    run = rk4_run([equations[v] for v in chart.variables], step, checks, fixed)
+    states, max_c, max_sr, bad = run(state, n_steps)
     # a state beyond the floats wins over an earlier drift beyond them
     if len(states) <= n_steps:
         raise ValueError(f"RK4 state is not finite at t = {len(states) * step:.6g}")

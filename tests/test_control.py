@@ -552,12 +552,13 @@ def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
             _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, 3)
 
 
-def test_rk4_run_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypatch):
+def test_rk4_step_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
     emitted, evaluated = [], []
     emit, evaluate = MultiPoly.float_lines, MultiPoly.evaluate_seq
 
     def counting(self, names, target):
-        emitted.append(self)
+        if target != "t":  # "t" is the target of evaluate_seq's own compile
+            emitted.append(self)
         return emit(self, names, target)
 
     def evaluating(self, values):
@@ -565,13 +566,16 @@ def test_rk4_run_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypat
         return evaluate(self, values)
 
     def counts(rhs, checks=()):
-        """How many times rk4_run emits each right-hand side and each check into
-        the run; nothing is evaluated by evaluate_seq."""
+        """How many times rk4_run emits each right-hand side into the run and a
+        3-step run evaluates it by evaluate_seq, and how many times each check
+        is emitted."""
         emitted.clear()
-        control.rk4_run(rhs, 1e-3, checks, [0])
-        calls = Counter(map(id, emitted))
-        assert not evaluated
-        return [calls[id(p)] for p in rhs], [calls[id(p)] for p in checks]
+        evaluated.clear()
+        run = control.rk4_run(rhs, 1e-3, checks, [0])
+        lines = Counter(map(id, emitted))
+        run([0.5] * len(rhs), 3)
+        calls = Counter(map(id, evaluated))
+        return [(lines[id(p)], calls[id(p)]) for p in rhs], [lines[id(p)] for p in checks]
 
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
     monkeypatch.setattr(MultiPoly, "evaluate_seq", evaluating)
@@ -579,23 +583,25 @@ def test_rk4_run_emits_a_frozen_slot_once_and_a_moving_slot_four_times(monkeypat
     variables = cotangent_chart().variables
     got, _ = counts(_reference_rhs(controls))
     got = dict(zip(variables, got))
-    assert {v for v, n in got.items() if n == 4} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
-    assert sorted(got.values()) == [0] * 7 + [1] * 16 + [4] * 7
+    assert {v for v, n in got.items() if n == (4, 0)} == {"z", "x12", "x13", "x14", "x23", "x24", "x34"}
+    assert sorted(got.values()) == [(0, 0)] * 7 + [(0, 1)] * 16 + [(4, 0)] * 7
     rng = random.Random(7)
-    kind_counts = {"dead": 0, "constant": 1, "frozen": 1, "moving": 4}
+    kind_counts = {"dead": (0, 0), "constant": (0, 1), "frozen": (0, 1), "moving": (4, 0)}
     for _ in range(10):
         rhs, kinds = _random_system(rng)
         checks = _random_system(rng)[0][:3]
         assert counts(rhs, checks) == ([kind_counts[kind] for kind in kinds], [1, 1, 1])
-    # a whole run, whatever its length, emits each slot as often and calls no evaluate_seq
+    # a whole run, whatever its length, emits each moving slot four times and
+    # each constraint once, and evaluates each of the 16 frozen slots once
     lifts = lift_table(cotangent_chart())
     for t_max in (1e-3, 0.05):
         emitted.clear()
+        evaluated.clear()
         integrate_extremal(init, controls, 1e-3, t_max)
-        calls = Counter(map(id, emitted))
-        assert sorted(calls.values()) == [1] * (16 + 8) + [4] * 7
-        assert all(calls[id(lifts[name])] == 1 for name in GENERATOR_ORDER)
-        assert not evaluated
+        lines = Counter(map(id, emitted))
+        assert sorted(lines.values()) == [1] * 8 + [4] * 7
+        assert all(lines[id(lifts[name])] == 1 for name in GENERATOR_ORDER)
+        assert sorted(Counter(map(id, evaluated)).values()) == [1] * 16
 
 
 def test_finite_values_whose_sum_overflows_are_finite():
