@@ -20,7 +20,7 @@ from .control import (
     svc_membership,
 )
 from .f4roots import generate_positive_roots, repaired_assignment
-from .fields import Distribution, OneForm, VectorField, derived_flag, lie_bracket
+from .fields import OneForm, VectorField, lie_bracket
 from .nullflag import complete_null_flag, lambda_to_v
 from .poly import Chart, MultiPoly
 from .prolong import build_zeta_generators, compute_bracket_table, prolonged_chart
@@ -34,7 +34,6 @@ __all__ = [
     "Chart",
     "ControlVector",
     "CovectorFiber",
-    "Distribution",
     "Item",
     "MultiPoly",
     "OneForm",
@@ -44,7 +43,6 @@ __all__ = [
     "build_zeta_generators",
     "complete_null_flag",
     "compute_bracket_table",
-    "derived_flag",
     "form_Q",
     "form_R",
     "generate_positive_roots",

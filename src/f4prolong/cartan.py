@@ -8,7 +8,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .fields import Distribution, OneForm, StructureTable, VectorField, lie_bracket, pair
+from .fields import OneForm, StructureTable, VectorField, lie_bracket, pair
 from .linalg import Echelon, det_cofactor
 from .poly import Chart, MultiPoly
 from .report import Item, check
@@ -70,7 +70,6 @@ class CartanModel:
     frame_order: Tuple[str, ...]
     coframe: Mapping[str, OneForm]
     coframe_order: Tuple[str, ...]
-    distribution: Distribution
 
     @cached_property
     def table(self) -> FrameTable:
@@ -151,11 +150,8 @@ def build_model() -> CartanModel:
         + [f"dx{i}" for i in range(1, 5)]
         + [f"dy{i}" for i in range(1, 5)]
     )
-    gens = [frame[f"X{i}"] for i in range(1, 5)] + [frame[f"Y{i}"] for i in range(1, 5)]
     frame, coframe = MappingProxyType(frame), MappingProxyType(coframe)
-    return CartanModel(
-        chart, frame, frame_order, coframe, coframe_order, Distribution(chart, gens)
-    )
+    return CartanModel(chart, frame, frame_order, coframe, coframe_order)
 
 
 GENERATOR_ORDER = ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")

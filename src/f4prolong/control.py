@@ -733,12 +733,6 @@ def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Seq
     return namespace["values"]
 
 
-@cache
-def constraint_values(chart: Chart) -> Callable[[Sequence[float]], Tuple[float, ...]]:
-    """The eight constraints H_X1..H_Y4 at a state, compiled once per chart and shared."""
-    return compiled_values([lift_table(chart)[n] for n in GENERATOR_ORDER], chart.dimension)
-
-
 def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fixed: Sequence[int]) -> Callable:
     """Fixed-step RK4 of x' = rhs(x) as one compiled `run(s, n)` holding the state
     in locals: n steps from the list s, stopped before a state that is not finite.
@@ -840,16 +834,20 @@ def integrate_extremal(
 
 
 def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
-    """Central-difference check of the flow lemma along a trajectory."""
+    """Central-difference check of the flow lemma along a trajectory: one
+    compiled call per state gives the eight constraints, then their eight
+    flow rates, streamed past each state's two neighbours."""
     if len(traj.states) < 3:
         raise ValueError("trajectory too short for central differences")
+    lifts = lift_table(traj.chart)
     flow = flow_rhs(traj.chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
-    rates = compiled_values([flow[n] for n in GENERATOR_ORDER], traj.chart.dimension)
-    back, ahead = tee(map(constraint_values(traj.chart), traj.states))
+    polys = [lifts[n] for n in GENERATOR_ORDER] + [flow[n] for n in GENERATOR_ORDER]
+    back, mid, ahead = tee(map(compiled_values(polys, traj.chart.dimension), traj.states), 3)
     h = traj.step
     max_dev = 0.0
-    for before, after, st in zip(back, islice(ahead, 2, None), traj.states[1:]):
-        for b, a, rate in zip(before, after, rates(st)):
+    for before, now, after in zip(back, islice(mid, 1, None), islice(ahead, 2, None)):
+        # zip stops after the constraints, the first eight values
+        for b, a, rate in zip(before, after, now[len(GENERATOR_ORDER):]):
             max_dev = max(max_dev, abs((a - b) / (2 * h) - rate))
     return [
         check(

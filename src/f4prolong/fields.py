@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, sparse
-from .poly import Chart, ChartMismatchError, MultiPoly, mul_add
+from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, mul_add
 
 Point = Dict[str, Fraction]
 Terms = Dict[tuple, Fraction]
@@ -146,8 +146,6 @@ class OneForm(_ChartPolys):
 
 def extend_field(f: VectorField, chart: Chart) -> VectorField:
     """Trivial lift of a field to a larger chart (zero on the new variables)."""
-    from .poly import extend_poly
-
     comps = {
         v: extend_poly(c, chart)
         for v, c in zip(f.chart.variables, f.components)
@@ -207,27 +205,6 @@ def pair(form: OneForm, field: VectorField) -> MultiPoly:
     return out
 
 
-@dataclass(frozen=True)
-class Distribution:
-    chart: Chart
-    generators: Tuple[VectorField, ...]
-
-    def __init__(self, chart: Chart, generators: Sequence[VectorField]):
-        generators = tuple(generators)
-        if not generators:
-            raise ValueError("distribution needs at least one generator")
-        for g in generators:
-            if g.chart != chart:
-                raise ChartMismatchError("generator on a different chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "generators", generators)
-
-    @cached_property
-    def flag(self) -> List[List[VectorField]]:
-        """The weak derived flag as new fields per stage, computed on first use."""
-        return derived_flag_fields(self)
-
-
 def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Fraction]]:
     return [list(f.evaluate(point)) for f in fields]
 
@@ -267,18 +244,19 @@ def constant_combination(
 MAX_FLAG_DEPTH = 16  # stages of the derived flag before it stops growing
 
 
-def derived_flag_fields(d: Distribution) -> List[List[VectorField]]:
-    """Weak derived flag D^(i+1) = D^(i) + [D, D^(i)] as lists of new fields per stage.
+def derived_flag_fields(generators: Sequence[VectorField]) -> List[List[VectorField]]:
+    """Weak derived flag D^(i+1) = D^(i) + [D, D^(i)] of the span D of the
+    generators, as lists of new fields per stage.
 
     A candidate bracket is kept only when it is not a rational-constant
     combination of the fields collected so far; this prunes the closure while
     preserving the span (brackets are bilinear over constants).
     """
-    stages: List[List[VectorField]] = [list(d.generators)]
-    span = FieldSpan(d.generators)
+    stages: List[List[VectorField]] = [list(generators)]
+    span = FieldSpan(generators)
     for _ in range(1, MAX_FLAG_DEPTH):
         new: List[VectorField] = []
-        for g in d.generators:
+        for g in generators:
             for f in stages[-1]:
                 br = lie_bracket(g, f)
                 if not br.is_zero() and span.add(br):
@@ -289,12 +267,13 @@ def derived_flag_fields(d: Distribution) -> List[List[VectorField]]:
     return stages
 
 
-def derived_flag(d: Distribution, point: Point) -> Tuple[int, ...]:
-    """Pointwise growth vector of the weak derived flag at the point: the
-    stage ranks of its values there, until they stop growing."""
+def derived_flag(generators: Sequence[VectorField], point: Point) -> Tuple[int, ...]:
+    """Pointwise growth vector at the point of the weak derived flag of the
+    generators' span: the stage ranks of its values there, until they stop
+    growing."""
     span = Echelon()
     ranks: List[int] = []
-    for stage in d.flag:
+    for stage in derived_flag_fields(generators):
         for row in fields_matrix(stage, point):
             span.add(sparse(row))
         if ranks and span.rank == ranks[-1]:

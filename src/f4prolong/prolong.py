@@ -14,16 +14,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
-from .fields import (
-    Distribution,
-    FieldSpan,
-    OneForm,
-    StructureTable,
-    VectorField,
-    extend_field,
-    lie_bracket,
-    pair,
-)
+from .fields import FieldSpan, OneForm, StructureTable, VectorField, extend_field, lie_bracket, pair
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, check
@@ -80,8 +71,7 @@ def prolonged_chart() -> Chart:
 @dataclass
 class ZetaSystem:
     chart: Chart
-    zeta: Dict[int, VectorField]  # zeta_1..zeta_24
-    distribution: Distribution  # E, spanned by zeta_1..zeta_4
+    zeta: Dict[int, VectorField]  # zeta_1..zeta_24; zeta_1..zeta_4 span E
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -152,7 +142,7 @@ def build_zeta_generators() -> ZetaSystem:
     for k, (i, j) in DEFINING_BRACKETS.items():
         zeta[k] = lie_bracket(zeta[i], zeta[j])
         zeta[k].name = f"zeta{k}"
-    return ZetaSystem(chart, zeta, Distribution(chart, [z1, z2, z3, z4]))
+    return ZetaSystem(chart, zeta)
 
 
 def pfaff_forms(chart: Chart) -> List[OneForm]:

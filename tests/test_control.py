@@ -480,7 +480,7 @@ def test_integrator_evaluates_no_zero_right_hand_side():
     assert all((st[k] is state[k]) == (k not in live) for st in states[1:] for k in range(30))
 
 
-def test_rk4_step_rounds_as_the_list_step_on_seeded_states():
+def test_rk4_run_rounds_as_the_list_step_on_seeded_states():
     # off the standard straight-line run, a reordered sum shows in the last bit;
     # one run serves every state, since its frozen slots are evaluated from s
     _, controls = _seeded_null_data(4)
@@ -533,7 +533,7 @@ def _random_system(rng, n=12):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
+def test_rk4_run_rounds_as_the_list_step_on_random_systems(seed):
     rng = random.Random(seed)
     rhs, kinds = _random_system(rng)
     # checks from a second system; fixed slots both dead and live
@@ -552,7 +552,7 @@ def test_rk4_step_rounds_as_the_list_step_on_random_systems(seed):
             _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, 3)
 
 
-def test_rk4_step_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
+def test_rk4_run_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
     emitted, evaluated = [], []
     emit, evaluate = MultiPoly.float_lines, MultiPoly.evaluate_seq
 
@@ -642,22 +642,25 @@ def test_a_state_beyond_the_floats_wins_over_an_earlier_drift_beyond_them():
         integrate_extremal(init, controls, 1.0, 10.0)
 
 
-def test_the_shared_constraint_values_round_as_evaluate_seq():
+def test_the_flow_check_values_round_as_evaluate_seq():
+    # the flow check's one call per state: the eight constraints, then their
+    # eight flow rates, each rounding as its own evaluate_seq
     chart = cotangent_chart()
     lifts = lift_table(chart)
-    values = control.constraint_values(chart)
-    assert values is control.constraint_values(cotangent_chart())
+    _, controls = _seeded_null_data(4)
+    flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
+    polys = [lifts[name] for name in GENERATOR_ORDER] + [flow[name] for name in GENERATOR_ORDER]
+    values = control.compiled_values(polys, chart.dimension)
     rng = random.Random(11)
     for _ in range(100):
         state = [rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)]
-        want = [lifts[name].evaluate_seq(state) for name in GENERATOR_ORDER]
-        assert [x.hex() for x in values(state)] == [x.hex() for x in want]
+        got = values(state)
+        assert len(got) == 16
+        assert [float(x).hex() for x in got] == [float(p.evaluate_seq(state)).hex() for p in polys]
 
 
 def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(monkeypatch):
-    # each run emits the eight constraints into its own code once; the flow
-    # check reads constraint_values, compiled once per chart
-    control.constraint_values.cache_clear()
+    # each run and each flow check emits the eight constraints into its own code once
     emitted = []
     emit = MultiPoly.float_lines
 
@@ -668,23 +671,32 @@ def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(mo
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
     init, controls = standard_initial_data()
     lifts = lift_table(cotangent_chart())
-    for runs in (1, 2):
-        traj, _ = integrate_extremal(init, controls, 1e-3, 0.01)
-        control.verify_flow_lemma_numeric(traj)
+
+    def emitted_constraints():
         calls = Counter(map(id, emitted))
-        assert [calls[id(lifts[name])] for name in GENERATOR_ORDER] == [runs + 1] * 8
+        emitted.clear()
+        return [calls[id(lifts[name])] for name in GENERATOR_ORDER]
+
+    for _ in range(2):
+        traj, _ = integrate_extremal(init, controls, 1e-3, 0.01)
+        assert emitted_constraints() == [1] * 8
+        control.verify_flow_lemma_numeric(traj)
+        assert emitted_constraints() == [1] * 8
 
 
-def test_the_flow_rates_round_as_evaluate_seq():
+def test_the_flow_rates_read_only_dead_slots_and_vanish():
+    # in ker A(lambda), each rate sum_j w_j H_[xi_j, xi] is a combination of
+    # lifts of central fields, which read only s and r12..r34: slots that
+    # the run keeps fixed, so the rates are 0 and flow:numeric sees only
+    # the constraints' drift
     chart = cotangent_chart()
-    _, controls = _seeded_null_data(4)
-    flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
-    rates = control.compiled_values([flow[name] for name in GENERATOR_ORDER], chart.dimension)
-    rng = random.Random(12)
-    for _ in range(100):
-        state = [rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)]
-        want = [flow[name].evaluate_seq(state) for name in GENERATOR_ORDER]
-        assert [float(x).hex() for x in rates(state)] == [float(x).hex() for x in want]
+    dead = {chart.index(v) for v in COV7_VARIABLES}
+    for seed in range(1, 9):
+        init, controls = _seeded_null_data(seed)
+        flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
+        for name in GENERATOR_ORDER:
+            assert set(flow[name].support()) <= dead
+            assert flow[name].evaluate(init) == 0
 
 
 def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4prolong.fields import (
-    Distribution,
     OneForm,
     VectorField,
     constant_combination,
@@ -212,8 +211,7 @@ def test_heisenberg_growth_vector():
     one = MultiPoly.constant(CHART, 1)
     fx = VectorField.from_dict(CHART, {"x": one, "z": v("y")}, "X")
     fy = VectorField.coordinate(CHART, "y", "Y")
-    d = Distribution(CHART, [fx, fy])
-    assert derived_flag(d, origin(CHART)) == (2, 3)
+    assert derived_flag([fx, fy], origin(CHART)) == (2, 3)
 
 
 def test_constant_combination():
@@ -226,7 +224,3 @@ def test_constant_combination():
     # x d/dx is not a constant combination of a and b
     assert constant_combination(VectorField.from_dict(CHART, {"x": v("x")}), [a, b]) is None
 
-
-def test_distribution_requires_generators():
-    with pytest.raises(ValueError):
-        Distribution(CHART, [])

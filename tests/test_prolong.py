@@ -49,20 +49,24 @@ def test_build_zeta_generators_returns_all_24():
     zs = build_zeta_generators()
     assert sorted(zs.zeta) == list(range(1, 25))
     assert all(zs.zeta[k].name == f"zeta{k}" for k in zs.zeta)
-    assert list(zs.distribution.generators) == [zs.zeta[k] for k in (1, 2, 3, 4)]
     before = dict(zs.zeta)
     compute_bracket_table(zs)
     assert zs.zeta.keys() == before.keys()
     assert all(zs.zeta[k] is before[k] for k in before)
 
 
+def generators(zs):
+    """zeta_1..zeta_4: the fields that span E."""
+    return [zs.zeta[k] for k in (1, 2, 3, 4)]
+
+
 def _count_flag_builds(monkeypatch):
     calls = []
     original = fields.derived_flag_fields
 
-    def counting(d, *args, **kwargs):
-        calls.append(d)
-        return original(d, *args, **kwargs)
+    def counting(gens, *args, **kwargs):
+        calls.append(gens)
+        return original(gens, *args, **kwargs)
 
     monkeypatch.setattr(fields, "derived_flag_fields", counting)
     return calls
@@ -170,30 +174,30 @@ def test_the_frame_check_can_fail(prolong_run):
     assert by_id(items)["symbol:point-independence"].status == "pass"
     # zeta24 * (1 + z31) keeps a frame, but its pivot is not constant
     scaled = zs.zeta[24] * (1 + MultiPoly.variable(zs.chart, "z31"))
-    bent = ZetaSystem(zs.chart, {**zs.zeta, 24: scaled}, zs.distribution)
+    bent = ZetaSystem(zs.chart, {**zs.zeta, 24: scaled})
     items = prolong.verify_symbol(bent, table)
     item = by_id(items)["symbol:point-independence"]
     assert item.status == "fail"
     assert item.computed.startswith("zeta24 ")
     # zeta23 repeated as zeta24 is no frame
-    repeated = ZetaSystem(zs.chart, {**zs.zeta, 24: zs.zeta[23]}, zs.distribution)
+    repeated = ZetaSystem(zs.chart, {**zs.zeta, 24: zs.zeta[23]})
     items = prolong.verify_symbol(repeated, table)
     item = by_id(items)["symbol:point-independence"]
     assert (item.status, item.computed) == ("fail", "zeta24 is 1/4 on the lead of zeta23")
 
 
-def _pointwise_weights(d, point, fields):
+def _pointwise_weights(gens, point, vectors):
     """The oracle for the weights of the table flag, the last-row rule on the
-    pointwise flag: the values of d's flag fields at the point go stage by
-    stage into one echelon, and the weight of v is the first stage whose span
-    holds v there (None when none does)."""
+    pointwise flag: the values of the flag fields of the generators at the
+    point go stage by stage into one echelon, and the weight of v is the first
+    stage whose span holds v there (None when none does)."""
     span, ends = Echelon(), []
-    for stage in d.flag:
+    for stage in fields.derived_flag_fields(gens):
         for f in stage:
             span.add(sparse(f.evaluate(point)))
         ends.append(span.count)
     weights = []
-    for v in fields:
+    for v in vectors:
         combo = span.combination(sparse(v.evaluate(point)))
         if combo is None:
             weights.append(None)
@@ -212,8 +216,8 @@ def test_pointwise_weights_agree_with_the_table(prolong_run):
     lifted = [frame[n] for n in cartan.GENERATOR_ORDER]
     seen = []
     for p in seeded_points(zs.chart, 2, 3):
-        assert _pointwise_weights(zs.distribution, p, zetas) == [weights[k] for k in range(1, 25)]
-        seen.append(_pointwise_weights(zs.distribution, p, lifted))
+        assert _pointwise_weights(generators(zs), p, zetas) == [weights[k] for k in range(1, 25)]
+        seen.append(_pointwise_weights(generators(zs), p, lifted))
     # a lift's coordinates of top weight may vanish at a point (at the origin
     # only X1 keeps weight 7), never more than its global weight
     assert [max(column) for column in zip(*seen)] == list(lifts.values())
@@ -359,7 +363,7 @@ def test_growth_vector(prolong_run):
     _, zs, table, _ = prolong_run
     assert table.flag[0] == EXPECTED_GROWTH
     for p in seeded_points(zs.chart, 99, 3):
-        assert derived_flag(zs.distribution, p) == EXPECTED_GROWTH
+        assert derived_flag(generators(zs), p) == EXPECTED_GROWTH
 
 
 def test_table_all_constant_with_rational_coefficients(prolong_run):
@@ -408,7 +412,7 @@ def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
     weights = prolong.symbol_weights(table)
     assert weights == table.flag[1]
     zetas = [zs.zeta[k] for k in range(1, 25)]
-    pointwise = _pointwise_weights(zs.distribution, origin(zs.chart), zetas)
+    pointwise = _pointwise_weights(generators(zs), origin(zs.chart), zetas)
     assert pointwise == [weights[k] for k in range(1, 25)]
 
 
