@@ -642,21 +642,27 @@ def test_a_state_beyond_the_floats_wins_over_an_earlier_drift_beyond_them():
         integrate_extremal(init, controls, 1.0, 10.0)
 
 
-def test_the_flow_check_values_round_as_evaluate_seq():
-    # the flow check's one call per state: the eight constraints, then their
-    # eight flow rates, each rounding as its own evaluate_seq
+def _flow_check_values(seed):
+    """The flow check's one compiled call per state, its sixteen polynomials
+    (the eight constraints, then their eight flow rates), and seeded states."""
     chart = cotangent_chart()
     lifts = lift_table(chart)
     _, controls = _seeded_null_data(4)
     flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
     polys = [lifts[name] for name in GENERATOR_ORDER] + [flow[name] for name in GENERATOR_ORDER]
-    values = control.compiled_values(polys, chart.dimension)
-    rng = random.Random(11)
-    for _ in range(100):
-        state = [rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)]
+    rng = random.Random(seed)
+    states = [[rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)] for _ in range(100)]
+    return control.compiled_values(polys, chart.dimension), polys, states
+
+
+def test_the_shared_constraint_values_round_as_evaluate_seq():
+    # the first eight values of the flow check's call: the shared lift table's constraints
+    values, polys, states = _flow_check_values(11)
+    n = len(GENERATOR_ORDER)
+    for state in states:
         got = values(state)
-        assert len(got) == 16
-        assert [float(x).hex() for x in got] == [float(p.evaluate_seq(state)).hex() for p in polys]
+        assert len(got) == 2 * n
+        assert [float(x).hex() for x in got[:n]] == [float(p.evaluate_seq(state)).hex() for p in polys[:n]]
 
 
 def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(monkeypatch):
@@ -682,6 +688,16 @@ def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(mo
         assert emitted_constraints() == [1] * 8
         control.verify_flow_lemma_numeric(traj)
         assert emitted_constraints() == [1] * 8
+
+
+def test_the_flow_rates_round_as_evaluate_seq():
+    # the last eight values of the flow check's call: the constraints' flow rates
+    values, polys, states = _flow_check_values(12)
+    n = len(GENERATOR_ORDER)
+    for state in states:
+        got = values(state)
+        assert len(got) == 2 * n
+        assert [float(x).hex() for x in got[n:]] == [float(p.evaluate_seq(state)).hex() for p in polys[n:]]
 
 
 def test_the_flow_rates_read_only_dead_slots_and_vanish():
