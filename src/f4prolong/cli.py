@@ -10,13 +10,14 @@ import time
 from contextlib import nullcontext
 from functools import cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import cartan, control, f4roots, nullflag, prolong
-from .linalg import solve_exact
 from .report import Report
 
 SUITES = ("cartan", "control", "nullflag", "prolong", "roots", "all")
+# the largest `verify --samples` accepted; no suite draws samples
+MAX_SAMPLES = 100_000
 
 
 class CliError(Exception):
@@ -132,9 +133,9 @@ def _emit_report(report: Report, as_json: bool) -> None:
 
 
 def _run_suite(name: str, seed: int, samples: Optional[int]) -> Report:
-    if samples is not None and not 1 <= samples <= control.MAX_SAMPLES:
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
         raise CliError(
-            f"--samples must be at least 1 and at most {control.MAX_SAMPLES}, got {samples}"
+            f"--samples must be at least 1 and at most {MAX_SAMPLES}, got {samples}"
         )
     t0 = time.monotonic()
     report = Report(name, seed=seed)
@@ -167,42 +168,10 @@ def _prefixed(prefix: str, items):
     return items
 
 
-def _initial_state(
-    base: Optional[Sequence[Fraction]], cov: Optional[Sequence[Fraction]]
-) -> Dict[str, Fraction]:
-    """Initial cotangent state with (p, q) solved from the eight constraints."""
-    init, _ = control.standard_initial_data()
-    if base is None and cov is None:
-        return init
-    chart = control.cotangent_chart()
-    if base is not None:
-        for name, val in zip(cartan.BASE_VARIABLES, base):
-            init[name] = val
-    if cov is not None:
-        for name, val in zip(control.COV7_VARIABLES, cov):
-            init[name] = val
-    unknowns = control.FIBER_VARIABLES[1:9]
-    for u in unknowns:
-        init[u] = Fraction(0)
-    rows = []
-    rhs = []
-    lifts = control.lift_table(chart)
-    for poly in (lifts[name] for name in cartan.GENERATOR_ORDER):
-        # affine in (p, q): the derivative in each unknown depends on base only
-        rows.append([poly.diff(u).evaluate(init) for u in unknowns])
-        rhs.append(-poly.evaluate(init))
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise CliError("no covector fiber satisfies the constraints at this point")
-    for u, val in zip(unknowns, sol):
-        init[u] = val
-    return init
-
-
 def _cmd_integrate(args) -> int:
     base = _fraction_csv(args.point, 15, "--point") if args.point is not None else None
     cov = _fraction_csv(args.covector, 7, "--covector") if args.covector is not None else None
-    init = _initial_state(base, cov)
+    init = control.initial_state(base, cov)
     if args.controls is not None:
         c = _fraction_csv(args.controls, 8, "--controls")
         controls = control.ControlVector(tuple(c[:4]), tuple(c[4:]))

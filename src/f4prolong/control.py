@@ -704,21 +704,36 @@ class DriftReport:
         }
 
 
+def initial_state(
+    point: Optional[Sequence[Fraction]] = None, covector: Optional[Sequence[Fraction]] = None
+) -> Dict[str, Fraction]:
+    """Abnormal initial data over `point` (default the origin) with covector
+    (s, r12, ..., r34) (default r12 = 1), on the constraints H_X1..H_Y4 = 0.
+    H_Xi is p_i and H_Yi is q_i plus terms in s, r and the base, so each
+    constraint fixes its own (p, q) slot."""
+    point = [0] * len(BASE_VARIABLES) if point is None else point
+    covector = [0, 1, 0, 0, 0, 0, 0] if covector is None else covector
+    if len(point) != len(BASE_VARIABLES) or len(covector) != len(COV7_VARIABLES):
+        raise ValueError(f"need a point of 15 and a covector of 7 entries, got {len(point)}, {len(covector)}")
+    init = dict.fromkeys(COTANGENT_VARIABLES, Fraction(0))
+    init.update(zip(BASE_VARIABLES + COV7_VARIABLES, map(Fraction, [*point, *covector])))
+    lifts = lift_table(cotangent_chart())
+    for name, slot in zip(GENERATOR_ORDER, FIBER_VARIABLES[1:9]):
+        init[slot] = -lifts[name].evaluate(init)
+    return init
+
+
 def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
     """Abnormal initial data: origin base, covector r12 = 1, controls in ker A."""
-    init = {v: Fraction(0) for v in COTANGENT_VARIABLES}
-    init["r12"] = Fraction(1)
     controls = ControlVector(
         (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
     )
-    return init, controls
+    return initial_state(), controls
 
 
 # every RK4 state is kept (about 0.9 KB per step), so the step count is capped
 MAX_STEPS = 100_000
-# the largest `verify --samples` the command line accepts; no suite draws samples
-MAX_SAMPLES = 100_000
 
 
 def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Sequence[float]], Tuple]:
@@ -741,13 +756,15 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fix
     or -1. A live slot (nonzero right-hand side) rounds as a list-based step:
     x + h/2 k1, x + h/2 k2, x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead
     slot keeps x, which equals x + 0.0 unless x is -0.0 (float() of a Fraction is
-    -0.0 only when it underflows). A frozen slot reads only dead slots: its
-    k1 = k2 = k3 = k4 is its evaluate_seq at s, and it and its increments are
-    computed before the loop, which evaluates only the moving slots."""
+    -0.0 only when it underflows); its drift is 0.0, so only live fixed slots are
+    folded. A frozen slot reads only dead slots: its k1 = k2 = k3 = k4 is its
+    evaluate_seq at s, and it and its increments are computed before the loop,
+    which evaluates only the moving slots."""
     def finite(names):  # their sum is finite, or each is: finite values may overflow the sum
         return f"isfinite({' + '.join(names)}) or all(map(isfinite, ({', '.join(names)},)))" if names else "True"
 
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
+    fixed = [k for k in fixed if k in live]
     reads = {k: set(rhs[k].support()) for k in live}
     moving = [k for k in live if not reads[k].isdisjoint(live)]
     frozen = [k for k in live if k not in moving]

@@ -254,15 +254,15 @@ def test_samples_above_the_cap_exit_2(capsys, monkeypatch, suite, samples):
         monkeypatch.setattr(module, "verify_suite", never)
     code, out, err = _capture(capsys, ["verify", suite, "--samples", samples])
     assert code == 2
-    assert f"at most {control.MAX_SAMPLES}, got {samples}" in err
+    assert f"at most {cli.MAX_SAMPLES}, got {samples}" in err
     assert out == ""
 
 
 def test_samples_at_the_cap_are_accepted(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(nullflag, "verify_suite", lambda: seen.append("ran") or [])
-    code, _, _ = _capture(capsys, ["verify", "nullflag", "--samples", str(control.MAX_SAMPLES)])
-    assert control.MAX_SAMPLES == 100_000
+    code, _, _ = _capture(capsys, ["verify", "nullflag", "--samples", str(cli.MAX_SAMPLES)])
+    assert cli.MAX_SAMPLES == 100_000
     assert code == 0
     assert seen == ["ran"]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import by_id, dense_evaluate, discrepancies, failures
 from f4prolong import cartan, control, fields
-from f4prolong.cartan import GENERATOR_ORDER, build_model
+from f4prolong.cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from f4prolong.control import (
     CONJUGATE_PAIRS,
     CONTROL_VARIABLES,
@@ -42,7 +43,7 @@ from f4prolong.control import (
     svc_membership,
     twisted_gram,
 )
-from f4prolong.linalg import integer_vector, mat_rank, mat_rank_kernel, mat_vec
+from f4prolong.linalg import integer_vector, mat_rank, mat_rank_kernel, mat_vec, solve_exact
 from f4prolong.poly import Chart, MultiPoly
 
 
@@ -426,11 +427,7 @@ def _seeded_null_data(seed):
         controls = _random_control(rng, null=True)
     member, witness = svc_membership(controls)
     assert member and witness is not None
-    init, _ = standard_initial_data()
-    init["s"] = witness.s
-    for n, x in zip(R_NAMES, witness.r):
-        init[f"r{n}"] = x
-    return init, controls
+    return control.initial_state(covector=witness.as_seq()), controls
 
 
 @pytest.mark.parametrize("data", ["standard", "seeded"])
@@ -745,6 +742,74 @@ def test_constraints_vanish_on_standard_data():
     lifts = lift_table(cotangent_chart())
     for name in GENERATOR_ORDER:
         assert lifts[name].evaluate(init) == 0
+
+
+def test_the_constraints_fix_their_own_p_q_slots():
+    # the premise of initial_state: the (p, q) Jacobian of the eight lifts is the identity
+    chart = cotangent_chart()
+    lifts = lift_table(chart)
+    zero = MultiPoly.zero(chart)
+    slots = FIBER_VARIABLES[1:9]
+    jacobian = [[lifts[name].diff(u) for u in slots] for name in GENERATOR_ORDER]
+    assert jacobian == [[zero + (i == j) for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_initial_state_is_the_exact_solve_of_the_constraints(seed):
+    rng = random.Random(seed)
+
+    def rational():
+        d = rng.randint(1, 5)
+        return Fraction(rng.randint(-2 * d, 2 * d), d)
+
+    point = [rational() for _ in BASE_VARIABLES]
+    covector = [rational() for _ in COV7_VARIABLES]
+    init = control.initial_state(point, covector)
+    assert [init[v] for v in BASE_VARIABLES + COV7_VARIABLES] == point + covector
+    # the oracle: the 8x8 exact solve for (p, q), affine in them
+    lifts = lift_table(cotangent_chart())
+    slots = FIBER_VARIABLES[1:9]
+    start = {**init, **dict.fromkeys(slots, Fraction(0))}
+    rows = [[lifts[name].diff(u).evaluate(start) for u in slots] for name in GENERATOR_ORDER]
+    rhs = [-lifts[name].evaluate(start) for name in GENERATOR_ORDER]
+    assert solve_exact(rows, rhs) == [init[u] for u in slots]
+    assert any(init[u] for u in slots)
+    assert all(lifts[name].evaluate(init) == 0 for name in GENERATOR_ORDER)
+
+
+def test_the_default_initial_state_is_the_standard_one():
+    want = dict.fromkeys(control.COTANGENT_VARIABLES, Fraction(0))
+    want["r12"] = Fraction(1)
+    assert control.initial_state() == want
+    assert standard_initial_data()[0] == want
+
+
+@pytest.mark.parametrize("point, covector", [([0] * 14, None), ([0] * 16, None), (None, [1] * 6), (None, [1] * 8)])
+def test_initial_state_rejects_wrong_lengths(point, covector):
+    with pytest.raises(ValueError, match="point of 15 and a covector of 7"):
+        control.initial_state(point, covector)
+
+
+def test_the_run_folds_the_drift_of_live_fixed_slots_only(monkeypatch):
+    # a dead slot keeps its float object, so its drift is 0.0 and no line folds
+    # it; a live fixed slot is folded, so the drift check can still fail
+    sources = []
+
+    def spying(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(control, "exec", spying, raising=False)
+    _, controls = _seeded_null_data(4)
+    chart = cotangent_chart()
+    dead = [chart.index(v) for v in COV7_VARIABLES]
+    live = [chart.index(v) for v in ("z", "x1")]
+    run = control.rk4_run(_reference_rhs(controls), 1e-3, [], sorted(dead + live))
+    (source,) = sources
+    assert sorted(int(k) for k in re.findall(r"^\s*e(\d+) = ", source, re.M)) == live
+    state = [float(k + 1) / 7 for k in range(30)]
+    states, _, max_sr, _ = run(state, 3)
+    assert max_sr == max(abs(st[k] - state[k]) for st in states for k in live) > 0
 
 
 def test_the_suite_lifts_each_frame_field_once_per_chart(monkeypatch):
