@@ -748,40 +748,37 @@ def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Seq
     return namespace["values"]
 
 
-def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fixed: Sequence[int]) -> Callable:
+def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly]) -> Callable:
     """Fixed-step RK4 of x' = rhs(x) as one compiled `run(s, n)` holding the state
     in locals: n steps from the list s, stopped before a state that is not finite.
-    It returns (states, max_c, max_sr, bad): over the states, the largest |check|
-    and |x_k - s[k]| (k in `fixed`), and the first index where one is not finite,
-    or -1. A live slot (nonzero right-hand side) rounds as a list-based step:
-    x + h/2 k1, x + h/2 k2, x + h k3, then x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead
-    slot keeps x, which equals x + 0.0 unless x is -0.0 (float() of a Fraction is
-    -0.0 only when it underflows); its drift is 0.0, so only live fixed slots are
-    folded. A frozen slot reads only dead slots: its k1 = k2 = k3 = k4 is its
+    It returns (states, max_c, bad): over the states, the largest |check| and the
+    first index where one is not finite, or -1. A live slot (nonzero right-hand
+    side) rounds as a list-based step: x + h/2 k1, x + h/2 k2, x + h k3, then
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which equals x + 0.0
+    unless x is -0.0 (float() of a Fraction is -0.0 only when it underflows).
+    A frozen slot reads only dead slots: its k1 = k2 = k3 = k4 is its
     evaluate_seq at s, and it and its increments are computed before the loop,
     which evaluates only the moving slots."""
     def finite(names):  # their sum is finite, or each is: finite values may overflow the sum
         return f"isfinite({' + '.join(names)}) or all(map(isfinite, ({', '.join(names)},)))" if names else "True"
 
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
-    fixed = [k for k in fixed if k in live]
     reads = {k: set(rhs[k].support()) for k in live}
     moving = [k for k in live if not reads[k].isdisjoint(live)]
     frozen = [k for k in live if k not in moving]
     fed = [k for k in live if any(k in reads[j] for j in moving)]
     x = [f"x{k}" for k in range(len(rhs))]
     y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
-    head = [", ".join(x) + ", = s", "states = [s]", "max_c = max_sr = 0.0", "bad = -1"]
-    head += [f"r{k} = x{k}" for k in fixed]
+    head = [", ".join(x) + ", = s", "states = [s]", "max_c = 0.0", "bad = -1"]
     head += [f"a{k} = p{k}.evaluate_seq(s)" for k in frozen]
     head += [f"half{k} = {h / 2!r} * a{k}\nwhole{k} = {h!r} * a{k}" for k in frozen if k in fed]
     head += [f"last{k} = {h / 6!r} * (a{k} + 2 * a{k} + 2 * a{k} + a{k})" for k in frozen]
     # the drift of state i, then step i + 1
-    fold = [(f"g{j}", "max_c") for j in range(len(checks))] + [(f"e{k}", "max_sr") for k in fixed]
+    fold = [f"g{j}" for j in range(len(checks))]
     body = [line for j, p in enumerate(checks) for line in p.float_lines(x, f"g{j}")]
-    body += [f"g{j} = abs(g{j})" for j in range(len(checks))] + [f"e{k} = abs(x{k} - r{k})" for k in fixed]
-    body += [f"if bad < 0 and not ({finite([v for v, _ in fold])}):\n    bad = i"]
-    body += [f"if {v} > {m}:\n    {m} = {v}" for v, m in fold]
+    body += [f"{g} = abs({g})" for g in fold]
+    body += [f"if bad < 0 and not ({finite(fold)}):\n    bad = i"]
+    body += [f"if {g} > max_c:\n    max_c = {g}" for g in fold]
     body += ["if i == n:\n    break"] + [line for k in moving for line in rhs[k].float_lines(x, f"a{k}")]
     # stage i's input is x + dt * k_i; a frozen slot adds its increment instead
     for i, (dt, before, increment) in enumerate(((h / 2, "a", "half"), (h / 2, "b", "half"), (h, "c", "whole"))):
@@ -791,7 +788,7 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], fix
              for k in live]
     body += [f"if not ({finite([x[k] for k in live])}):\n    break", f"states.append([{', '.join(x)}])"]
     loop = "\n".join(body).replace("\n", "\n    ")
-    lines = head + ["for i in range(n + 1):", "    " + loop, "return states, max_c, max_sr, bad"]
+    lines = head + ["for i in range(n + 1):", "    " + loop, "return states, max_c, bad"]
     namespace: dict = {"isfinite": math.isfinite, **{f"p{k}": rhs[k] for k in frozen}}
     exec("def run(s, n):\n    " + "\n".join(lines).replace("\n", "\n    "), namespace)
     return namespace["run"]
@@ -804,7 +801,7 @@ def integrate_extremal(
     t_max: float,
 ) -> Tuple[Trajectory, DriftReport]:
     """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system by one
-    `rk4_run`, which also folds the drift of the eight constraints and of (s, r)."""
+    `rk4_run`, which folds the constraints' drift; (s, r)' must be exactly 0."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not (math.isfinite(t_max) and t_max > 0):
@@ -833,19 +830,23 @@ def integrate_extremal(
 
     # the constant-control Hamiltonian's right-hand sides, in chart order
     equations = hamilton_equations(hamiltonian(lifts, dict(zip(GENERATOR_ORDER, uv))))
+    for v in COV7_VARIABLES:
+        if not equations[v].is_zero():
+            raise ValueError(f"(s, r) is not conserved: {v}' = {equations[v]}")
     try:
         state = [float(init[v]) for v in chart.variables]
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
     checks = [lifts[n] for n in GENERATOR_ORDER]
-    fixed = [chart.index(v) for v in COV7_VARIABLES]
-    run = rk4_run([equations[v] for v in chart.variables], step, checks, fixed)
-    states, max_c, max_sr, bad = run(state, n_steps)
+    run = rk4_run([equations[v] for v in chart.variables], step, checks)
+    states, max_c, bad = run(state, n_steps)
     # a state beyond the floats wins over an earlier drift beyond them
     if len(states) <= n_steps:
         raise ValueError(f"RK4 state is not finite at t = {len(states) * step:.6g}")
     if bad >= 0:
-        raise ValueError(f"constraint or (s, r) drift is not finite at t = {bad * step:.6g}")
+        raise ValueError(f"constraint drift is not finite at t = {bad * step:.6g}")
+    # the run never assigns a dead slot, so the last state holds every state's (s, r)
+    max_sr = max(abs(states[-1][k] - state[k]) for k in map(chart.index, COV7_VARIABLES))
     times = [k * step for k in range(n_steps + 1)]
     return Trajectory(chart, times, states, controls, step), DriftReport(max_c, max_sr, step, t_max)
 

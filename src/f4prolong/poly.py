@@ -304,18 +304,6 @@ class MultiPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict, chart: Chart | None = None) -> "MultiPoly":
-        if chart is None:
-            chart = Chart("json", data["chart"])
-        elif list(chart.variables) != list(data["chart"]):
-            raise ChartMismatchError("serialized chart does not match target chart")
-        terms = {
-            tuple(t["exps"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(chart, terms)
-
 
 def from_terms(chart: Chart, terms: Mapping[Sequence[str], Scalar]) -> MultiPoly:
     """Sum of coeff * product of the named variables, e.g. {("x", "y"): 2, ("z",): -1}."""

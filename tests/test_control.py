@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import by_id, dense_evaluate, discrepancies, failures
-from f4prolong import cartan, control, fields
+from f4prolong import cartan, cli, control, fields
 from f4prolong.cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from f4prolong.control import (
     CONJUGATE_PAIRS,
@@ -441,25 +440,21 @@ def test_integrator_states_match_the_dense_reference_bit_for_bit(data):
         assert traj.states[-1] != traj.states[0]
 
 
-def _reference_drift(checks, fixed, states):
-    """The drift loop by the dense Fraction walk: the largest |check| and the
-    largest |x_k - states[0][k]| for k in `fixed`, over all states."""
-    max_c = max_sr = 0.0
-    for st in states:
-        max_c = max(max_c, *(abs(float(dense_evaluate(p, st))) for p in checks))
-        max_sr = max(max_sr, *(abs(st[k] - states[0][k]) for k in fixed))
-    return max_c, max_sr
+def _reference_drift(checks, states):
+    """The drift loop by the dense Fraction walk: the largest |check| over all
+    states."""
+    return max((abs(float(dense_evaluate(p, st))) for st in states for p in checks), default=0.0)
 
 
-def _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, n):
+def _assert_run_matches_the_reference(run, rhs, checks, state, h, n):
     """`run` from `state` matches `_reference_step` iterated n times and the
     reference drift loop bit for bit."""
-    states, max_c, max_sr, bad = run(list(state), n)
+    states, max_c, bad = run(list(state), n)
     want = [list(state)]
     for _ in range(n):
         want.append(_reference_step(rhs, want[-1], h))
     assert [[x.hex() for x in st] for st in states] == [[x.hex() for x in st] for st in want]
-    assert [max_c.hex(), max_sr.hex()] == [x.hex() for x in _reference_drift(checks, fixed, want)]
+    assert max_c.hex() == _reference_drift(checks, want).hex()
     assert bad == -1
     return states
 
@@ -468,7 +463,7 @@ def test_integrator_evaluates_no_zero_right_hand_side():
     _, controls = _seeded_null_data(4)
     rhs = _reference_rhs(controls)
     state = [float(k + 1) / 7 for k in range(30)]
-    states, *_ = control.rk4_run(rhs, 1e-3, [], [])(state, 3)
+    states, *_ = control.rk4_run(rhs, 1e-3, [])(state, 3)
     variables = cotangent_chart().variables
     live = [k for k, p in enumerate(rhs) if not p.is_zero()]
     assert [variables[k] for k in range(30) if k not in live] == list(COV7_VARIABLES)
@@ -484,12 +479,11 @@ def test_rk4_run_rounds_as_the_list_step_on_seeded_states():
     rhs = _reference_rhs(controls)
     chart = cotangent_chart()
     checks = [lift_table(chart)[n] for n in GENERATOR_ORDER]
-    fixed = [chart.index(v) for v in COV7_VARIABLES]
-    run = control.rk4_run(rhs, 0.37, checks, fixed)
+    run = control.rk4_run(rhs, 0.37, checks)
     rng = random.Random(5)
     for _ in range(100):
         state = [rng.uniform(-10, 10) for _ in rhs]
-        states = _assert_run_matches_the_reference(run, rhs, checks, fixed, state, 0.37, 3)
+        states = _assert_run_matches_the_reference(run, rhs, checks, state, 0.37, 3)
         assert states[-1] != states[-2]
 
 
@@ -533,20 +527,17 @@ def _random_system(rng, n=12):
 def test_rk4_run_rounds_as_the_list_step_on_random_systems(seed):
     rng = random.Random(seed)
     rhs, kinds = _random_system(rng)
-    # checks from a second system; fixed slots both dead and live
-    checks = _random_system(rng)[0][:4]
-    fixed = sorted(rng.sample([k for k, kind in enumerate(kinds) if kind == "dead"], 1)
-                   + rng.sample([k for k, kind in enumerate(kinds) if kind != "dead"], 3))
+    checks = _random_system(rng)[0][:4]  # from a second system
     for _ in range(4):
         h = rng.choice([rng.uniform(1e-4, 0.5), 0.37, 1e-3])
-        run = control.rk4_run(rhs, h, checks, fixed)
+        run = control.rk4_run(rhs, h, checks)
         for _ in range(10):
             # a dead slot keeps its x, so only a live slot may start at -0.0
             state = [
                 rng.choice([rng.uniform(-2, 2), 0.0] + ([-0.0] if kind != "dead" else []))
                 for kind in kinds
             ]
-            _assert_run_matches_the_reference(run, rhs, checks, fixed, state, h, 3)
+            _assert_run_matches_the_reference(run, rhs, checks, state, h, 3)
 
 
 def test_rk4_run_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
@@ -568,7 +559,7 @@ def test_rk4_run_emits_no_frozen_slot_and_a_moving_slot_four_times(monkeypatch):
         is emitted."""
         emitted.clear()
         evaluated.clear()
-        run = control.rk4_run(rhs, 1e-3, checks, [0])
+        run = control.rk4_run(rhs, 1e-3, checks)
         lines = Counter(map(id, emitted))
         run([0.5] * len(rhs), 3)
         calls = Counter(map(id, evaluated))
@@ -607,13 +598,13 @@ def test_finite_values_whose_sum_overflows_are_finite():
     chart = Chart("big", ("u0", "u1"))
     rate = MultiPoly(chart, {(0, 0): 10**307})
     u0, u1 = MultiPoly.variable(chart, "u0"), MultiPoly.variable(chart, "u1")
-    states, max_c, max_sr, bad = control.rk4_run([rate, rate], 1.0, [u0, u1], [0, 1])([1e308, 1e308], 3)
+    states, max_c, bad = control.rk4_run([rate, rate], 1.0, [u0, u1])([1e308, 1e308], 3)
     assert len(states) == 4 and bad == -1
     assert all(math.isfinite(x) for st in states for x in st) and math.isinf(sum(states[-1]))
-    assert (max_c, max_sr) == (states[-1][0], states[-1][0] - 1e308) and max_c > 1.2e308
-    _, _, _, bad = control.rk4_run([rate, rate], 1.0, [u0 * u1], [0, 1])([1e308, 1e308], 3)
+    assert max_c == states[-1][0] and max_c > 1.2e308
+    _, _, bad = control.rk4_run([rate, rate], 1.0, [u0 * u1])([1e308, 1e308], 3)
     assert bad == 0
-    states, _, _, _ = control.rk4_run([rate, rate], 1.0, [], [])([1e308, 1.7e308], 3)
+    states, _, _ = control.rk4_run([rate, rate], 1.0, [])([1e308, 1.7e308], 3)
     assert len(states) == 1
 
 
@@ -699,9 +690,9 @@ def test_the_flow_rates_round_as_evaluate_seq():
 
 def test_the_flow_rates_read_only_dead_slots_and_vanish():
     # in ker A(lambda), each rate sum_j w_j H_[xi_j, xi] is a combination of
-    # lifts of central fields, which read only s and r12..r34: slots that
-    # the run keeps fixed, so the rates are 0 and flow:numeric sees only
-    # the constraints' drift
+    # lifts of central fields, which read only s and r12..r34: slots whose
+    # right-hand sides are zero, so the rates are 0 and flow:numeric sees
+    # only the constraints' drift
     chart = cotangent_chart()
     dead = {chart.index(v) for v in COV7_VARIABLES}
     for seed in range(1, 9):
@@ -720,6 +711,33 @@ def test_the_s_r_right_hand_sides_vanish_for_seeded_controls():
         w = dict(zip(GENERATOR_ORDER, _random_control(rng, null=k % 2 == 0).as_seq()))
         equations = control.hamilton_equations(control.hamiltonian(lifts, w))
         assert all(equations[v].is_zero() for v in COV7_VARIABLES)
+
+
+def test_a_moving_s_r_slot_is_refused(monkeypatch, capsys):
+    real = control.hamilton_equations
+
+    def moving_s(h):
+        equations = real(h)
+        equations["s"] = equations["s"] + MultiPoly.variable(equations["s"].chart, "z")
+        return equations
+
+    monkeypatch.setattr(control, "hamilton_equations", moving_s)
+    init, controls = standard_initial_data()
+    with pytest.raises(ValueError, match=r"^\(s, r\) is not conserved: s' = z$"):
+        integrate_extremal(init, controls, 1e-3, 0.01)
+    assert cli.run(["integrate"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: (s, r) is not conserved: s' = ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_last_state_holds_every_states_s_r(seed):
+    init, controls = _seeded_null_data(seed)
+    traj, drift = integrate_extremal(init, controls, 1e-3, 0.05)
+    sr = [traj.chart.index(v) for v in COV7_VARIABLES]
+    first = traj.states[0]
+    assert drift.max_sr_drift == max(abs(st[k] - first[k]) for st in traj.states for k in sr)
+    assert all(st[k] is first[k] for st in traj.states for k in sr)
 
 
 def test_control_lifts_brackets_from_the_model_table(monkeypatch):
@@ -788,28 +806,6 @@ def test_the_default_initial_state_is_the_standard_one():
 def test_initial_state_rejects_wrong_lengths(point, covector):
     with pytest.raises(ValueError, match="point of 15 and a covector of 7"):
         control.initial_state(point, covector)
-
-
-def test_the_run_folds_the_drift_of_live_fixed_slots_only(monkeypatch):
-    # a dead slot keeps its float object, so its drift is 0.0 and no line folds
-    # it; a live fixed slot is folded, so the drift check can still fail
-    sources = []
-
-    def spying(source, namespace):
-        sources.append(source)
-        exec(source, namespace)
-
-    monkeypatch.setattr(control, "exec", spying, raising=False)
-    _, controls = _seeded_null_data(4)
-    chart = cotangent_chart()
-    dead = [chart.index(v) for v in COV7_VARIABLES]
-    live = [chart.index(v) for v in ("z", "x1")]
-    run = control.rk4_run(_reference_rhs(controls), 1e-3, [], sorted(dead + live))
-    (source,) = sources
-    assert sorted(int(k) for k in re.findall(r"^\s*e(\d+) = ", source, re.M)) == live
-    state = [float(k + 1) / 7 for k in range(30)]
-    states, _, max_sr, _ = run(state, 3)
-    assert max_sr == max(abs(st[k] - state[k]) for st in states for k in live) > 0
 
 
 def test_the_suite_lifts_each_frame_field_once_per_chart(monkeypatch):
