@@ -5,10 +5,10 @@ kernel, solve and span membership; cofactor determinants and Pfaffians.
 echelon reduces those integer rows, and `svc_membership` and `lambda_to_v`
 eliminate such integer representatives of their vectors.
 
-Entries are Fractions (or ints) for the numeric routines. The cofactor
-determinant, the adjugate, the Pfaffian and the matrix products take entries
-in any commutative ring (e.g. MultiPoly), read its zero off the entries
-(`entry * 0`) and take no identity arguments.
+Entries are ints or Fractions for the numeric routines, as MultiPoly stores
+its coefficients. The cofactor determinant, the adjugate, the Pfaffian and
+the matrix products take entries in any commutative ring (e.g. MultiPoly),
+read its zero off the entries (`entry * 0`) and take no identity arguments.
 """
 
 from __future__ import annotations

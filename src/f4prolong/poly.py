@@ -39,7 +39,7 @@ class Chart:
             raise KeyError(f"variable {name!r} not on chart {self.id!r}") from None
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Chart)
             and self.id == other.id
             and self.variables == other.variables
@@ -52,8 +52,12 @@ class Chart:
         return f"Chart({self.id!r}, dim={self.dimension})"
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _normal(c: Scalar) -> Scalar:
+    """c as a term map stores it: an int when c is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
@@ -68,7 +72,7 @@ def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
             e = tuple(map(add, e1, e2))
             s = acc.get(e, 0) + c1 * c2
             if s:
-                acc[e] = s
+                acc[e] = _normal(s)
             else:
                 del acc[e]
 
@@ -79,7 +83,8 @@ def grlex_key(exps: Sequence[int]):
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent vectors to nonzero rationals.
+    """Sparse polynomial: map from exponent vectors to nonzero rationals, each
+    stored as an int when it is integral and as a Fraction otherwise.
 
     Immutable after construction; all operations return new instances.
     """
@@ -88,14 +93,14 @@ class MultiPoly:
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
         self.chart = chart
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, Scalar] = {}
         if terms:
             n = chart.dimension
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent vector length != chart dimension")
-                c = _as_fraction(coeff)
-                if c != 0:
+                c = _normal(coeff)
+                if c:
                     clean[tuple(exps)] = c
         self.terms = clean
 
@@ -122,7 +127,7 @@ class MultiPoly:
     def variable(cls, chart: Chart, name: str) -> "MultiPoly":
         exps = [0] * chart.dimension
         exps[chart.index(name)] = 1
-        return cls(chart, {tuple(exps): Fraction(1)})
+        return cls(chart, {tuple(exps): 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -145,27 +150,29 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(
                 f"charts differ: {self.chart.id!r} vs {other.chart.id!r}"
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.constant(self.chart, other)
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = _normal(s)
             else:
-                terms[e] = s
+                terms.pop(e, None)
         return MultiPoly._trusted(self.chart, terms)
 
     __radd__ = __add__
@@ -174,34 +181,33 @@ class MultiPoly:
         return MultiPoly._trusted(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.chart, other)
-        return self + (-other)
+        if type(other) is MultiPoly or isinstance(other, (int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return MultiPoly.zero(self.chart)
-            return MultiPoly._trusted(self.chart, {e: k * c for e, k in self.terms.items()})
-        self._check(other)
-        terms: dict[tuple, Fraction] = {}
-        mul_add(terms, self.terms, other.terms)
-        return MultiPoly._trusted(self.chart, terms)
+        if type(other) is MultiPoly:
+            self._check(other)
+            terms: dict[tuple, Scalar] = {}
+            mul_add(terms, self.terms, other.terms)
+            return MultiPoly._trusted(self.chart, terms)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return MultiPoly.zero(self.chart)
+        return MultiPoly._trusted(self.chart, {e: _normal(k * other) for e, k in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.constant(self.chart, other)
-        return (
-            isinstance(other, MultiPoly)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
+        return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.chart, frozenset(self.terms.items())))
@@ -211,13 +217,13 @@ class MultiPoly:
     def diff(self, var: str) -> "MultiPoly":
         """Exact partial derivative with respect to a chart variable."""
         k = self.chart.index(var)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[tuple, Scalar] = {}
         for e, c in self.terms.items():
             if e[k] == 0:
                 continue
             d = list(e)
             d[k] -= 1
-            terms[tuple(d)] = c * e[k]
+            terms[tuple(d)] = _normal(c * e[k])
         return MultiPoly._trusted(self.chart, terms)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -226,7 +232,7 @@ class MultiPoly:
         for name in self.chart.variables:
             if name not in point:
                 raise KeyError(f"point does not assign variable {name!r}")
-            vals.append(_as_fraction(point[name]))
+            vals.append(_normal(point[name]))
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -321,7 +327,7 @@ def extend_poly(p: MultiPoly, chart: Chart) -> MultiPoly:
     if p.chart == chart:
         return p
     idx = [chart.index(v) for v in p.chart.variables]
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Scalar] = {}
     for e, c in p.terms.items():
         out = [0] * chart.dimension
         for k, power in zip(idx, e):

@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_evaluate
-from f4prolong.poly import SUM_TERMS, Chart, ChartMismatchError, MultiPoly, extend_poly
+from f4prolong.fields import VectorField
+from f4prolong.poly import SUM_TERMS, Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
 
 CHART = Chart("t3", ("a", "b", "c"))
 
@@ -89,6 +91,92 @@ def test_ring_laws(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
+
+
+def test_non_scalar_operands_are_refused():
+    p = v("a") + 1
+    field = VectorField.coordinate(CHART, "b")
+    for op in (add, sub, mul):
+        for args in ((p, 0.5), (0.5, p)):
+            with pytest.raises(TypeError):
+                op(*args)
+    for op in (add, sub):
+        with pytest.raises(TypeError):
+            op(p, field)
+    with pytest.raises(TypeError):
+        field * 0.5
+    # a polynomial times a field is the field's own product, by polynomials
+    assert p * field == field * p == VectorField.from_dict(CHART, {"b": p})
+    assert p != 0.5 and p != field
+
+
+def test_constant_value_and_evaluate_return_fractions():
+    # prolong.lift_weights divides 1 by a constant_value: an int there gives a float
+    point = dict.fromkeys(CHART.variables, 2)
+    for c in (0, 3, Fraction(6, 2), Fraction(1, 2)):
+        p = MultiPoly.constant(CHART, c)
+        assert type(p.constant_value()) is Fraction and p.constant_value() == c
+        if c:
+            assert type(1 / p.constant_value()) is Fraction
+        assert type(p.evaluate(point)) is Fraction and p.evaluate(point) == c
+    for p in (v("a") * 2 - v("b") * v("c"), v("a") * Fraction(1, 2)):
+        assert type(p.evaluate(point)) is Fraction
+
+
+def _fractions(p: MultiPoly) -> dict:
+    """p's term map with every coefficient a Fraction."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return out
+
+
+def _fraction_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def _names(e: tuple) -> tuple:
+    return tuple(name for name, k in zip(CHART.variables, e) for _ in range(k))
+
+
+scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), scalars)
+def test_coefficients_are_ints_or_proper_fractions(p, q, s):
+    a, b = _fractions(p), _fractions(q)
+    big = Chart("t4", ("x",) + CHART.variables)
+    cases = [
+        (p + q, _fraction_sum(a, b)),
+        (p - q, _fraction_sum(a, b, -1)),
+        (p * q, _fraction_product(a, b)),
+        (p * s, {e: c * s for e, c in a.items()}),
+        (from_terms(CHART, {_names(e): c for e, c in a.items()}), a),
+        (extend_poly(p, big), {(0,) + e: c for e, c in a.items()}),
+    ]
+    for k, name in enumerate(CHART.variables):
+        want = {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in a.items() if e[k]}
+        cases.append((p.diff(name), want))
+    for got, want in cases:
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            for c in got.terms.values()
+        )
+        want = MultiPoly._trusted(got.chart, {e: c for e, c in want.items() if c})
+        assert all(type(c) is Fraction for c in want.terms.values())
+        assert got == want and want == got and hash(got) == hash(want)
 
 
 @settings(max_examples=60, deadline=None)
