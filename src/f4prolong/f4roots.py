@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .fields import StructureTable
-from .prolong import DEFINING_BRACKETS, graded_dimensions, symbol_weights
+from .prolong import DEFINING_BRACKETS, build_zeta_generators, graded_dimensions, symbol_weights
 from .report import DISCREPANCY, Item, check
 
 Root = Tuple[int, int, int, int]
@@ -244,10 +244,11 @@ def verify_root_correspondence(table: StructureTable, weights: Dict[int, int]) -
     return items
 
 
-def verify_suite(table: StructureTable) -> List[Item]:
-    """The root system, and its correspondence with the table and with the
-    weights that E's flag, closed over the table, assigns
-    (`prolong.symbol_weights`)."""
+def verify_suite() -> List[Item]:
+    """The root system, and its correspondence with the bracket table of the
+    shared zeta system and with the weights that E's flag, closed over that
+    table, assigns (`prolong.symbol_weights`)."""
+    table = build_zeta_generators().table
     try:
         weights = symbol_weights(table)
     except ValueError as exc:

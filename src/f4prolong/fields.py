@@ -106,6 +106,8 @@ class VectorField(_ChartPolys):
         return tuple(c.evaluate(point) for c in self.components)
 
     def __add__(self, other: "VectorField") -> "VectorField":
+        if type(other) is not VectorField:
+            return NotImplemented
         if self.chart != other.chart:
             raise ChartMismatchError("fields on different charts")
         return VectorField(
@@ -113,6 +115,8 @@ class VectorField(_ChartPolys):
         )
 
     def __sub__(self, other: "VectorField") -> "VectorField":
+        if type(other) is not VectorField:
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "VectorField":

@@ -1,14 +1,15 @@
 """The 24-dimensional prolonged space W, the rank-4 distribution E, its full
 bracket table, growth vector, and graded symbol structure.
 
-The bracket table is a `fields.StructureTable` over zeta_1..zeta_24 with
+`build_zeta_generators()` returns the one shared zeta system, and its `table`
+is the bracket table, a `fields.StructureTable` over zeta_1..zeta_24 with
 generators zeta_1..zeta_4; growth, symbol and roots read its one flag."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -68,10 +69,15 @@ def prolonged_chart() -> Chart:
     return Chart("prolonged24", PROLONGED_VARIABLES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZetaSystem:
     chart: Chart
-    zeta: Dict[int, VectorField]  # zeta_1..zeta_24; zeta_1..zeta_4 span E
+    zeta: Mapping[int, VectorField]  # zeta_1..zeta_24; zeta_1..zeta_4 span E
+
+    @cached_property
+    def table(self) -> StructureTable:
+        """The bracket table of the zeta frame, computed on first use."""
+        return compute_bracket_table(self)
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -108,7 +114,9 @@ def lifted_frame(chart: Chart) -> Mapping[str, VectorField]:
     return MappingProxyType({n: extend_field(f, chart) for n, f in build_model().frame.items()})
 
 
+@cache
 def build_zeta_generators() -> ZetaSystem:
+    """zeta_1..zeta_24, built once per process and shared read-only."""
     chart = prolonged_chart()
     var = lambda n: MultiPoly.variable(chart, n)
     one = MultiPoly.constant(chart, 1)
@@ -142,7 +150,7 @@ def build_zeta_generators() -> ZetaSystem:
     for k, (i, j) in DEFINING_BRACKETS.items():
         zeta[k] = lie_bracket(zeta[i], zeta[j])
         zeta[k].name = f"zeta{k}"
-    return ZetaSystem(chart, zeta)
+    return ZetaSystem(chart, MappingProxyType(zeta))
 
 
 def pfaff_forms(chart: Chart) -> List[OneForm]:
@@ -450,16 +458,15 @@ def verify_symbol(zs: ZetaSystem, table: StructureTable) -> List[Item]:
     return items
 
 
-def verify_suite() -> Tuple[List[Item], ZetaSystem, StructureTable]:
-    """All prolong checks; also the zeta system and its bracket table, whose
-    flag (`StructureTable.flag`) is closed by then. Every check holds on the
+def verify_suite() -> List[Item]:
+    """All prolong checks, on the shared zeta system and its bracket table,
+    whose flag (`StructureTable.flag`) they close. Every check holds on the
     whole chart: none draws a point."""
     zs = build_zeta_generators()
-    items: List[Item] = []
-    items.extend(verify_pfaff_conditions(zs))
-    table = compute_bracket_table(zs)
-    items.extend(verify_bracket_table(table))
-    items.extend(static_discrepancy_items(zs))
-    items.extend(verify_growth(zs, table))
-    items.extend(verify_symbol(zs, table))
-    return items, zs, table
+    return (
+        verify_pfaff_conditions(zs)
+        + verify_bracket_table(zs.table)
+        + static_discrepancy_items(zs)
+        + verify_growth(zs, zs.table)
+        + verify_symbol(zs, zs.table)
+    )

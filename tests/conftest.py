@@ -85,22 +85,20 @@ def nullflag_run():
 
 
 @pytest.fixture(scope="session")
-def prolong_suite():
-    """prolong.verify_suite's (items, zs, table) and its wall time."""
+def prolong_run():
+    """prolong.verify_suite's items, the shared zeta system and its bracket
+    table, and the suite's wall time."""
     t0 = time.monotonic()
-    result = prolong.verify_suite()
-    return result, time.monotonic() - t0
+    items = prolong.verify_suite()
+    elapsed = time.monotonic() - t0
+    zs = prolong.build_zeta_generators()
+    return items, zs, zs.table, elapsed
 
 
 @pytest.fixture(scope="session")
-def prolong_run(prolong_suite):
-    (items, zs, table), elapsed = prolong_suite
-    return items, zs, table, elapsed
-
-
-@pytest.fixture(scope="session")
-def roots_run(prolong_suite):
-    (_, _, table), _ = prolong_suite
+def roots_run(prolong_run):
+    """f4roots.verify_suite's items, on the table prolong_run computed, and
+    its wall time."""
     t0 = time.monotonic()
-    items = f4roots.verify_suite(table)
+    items = f4roots.verify_suite()
     return items, time.monotonic() - t0

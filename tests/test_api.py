@@ -3,13 +3,16 @@ benchmark tracer's targets."""
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import f4prolong
+from f4prolong import cli
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -38,3 +41,16 @@ def test_every_public_name_imports(name):
     namespace: dict = {}
     exec(f"from f4prolong import {name}", namespace)
     assert namespace[name] is getattr(f4prolong, name)
+
+
+@pytest.mark.parametrize("name", list(cli.SUITES))
+def test_every_registered_suite_runs_without_arguments(name):
+    # `verify` calls each module's verify_suite with no argument; bind raises
+    # TypeError on a required parameter
+    inspect.signature(cli.SUITES[name].verify_suite).bind()
+
+
+def test_verify_offers_exactly_the_registered_suites_and_all():
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == [*cli.SUITES, "all"]

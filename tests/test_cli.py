@@ -56,6 +56,7 @@ def test_each_suite_alone_reproduces_its_slice_of_the_golden_report(suite):
 
 
 def test_verify_all_closes_the_flags_of_D_and_E_once_each(capsys, monkeypatch):
+    prolong.build_zeta_generators.cache_clear()
     closed = spy_flags(monkeypatch)
     code, _, _ = _capture(capsys, ["verify", "all", "--json"])
     assert code == 0
@@ -118,6 +119,20 @@ def test_global_suites_ignore_seed_and_samples(capsys):
             del data["seed"], data["elapsed_ms"]
             reports.append(data)
         assert reports[0] == reports[1]
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    # export-model --json is about 200 KB, more than a pipe holds, so the
+    # writer is still printing when the reader closes its end
+    src = str(Path(f4prolong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "f4prolong", "export-model", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and err == ""
 
 
 @pytest.mark.parametrize("module", ["f4prolong", "f4prolong.cli"])

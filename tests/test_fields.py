@@ -197,6 +197,21 @@ def test_fields_and_forms_share_checks_display_and_json():
             unit(CHART, "t")
 
 
+def test_field_sums_refuse_operands_that_are_not_fields():
+    field = VectorField.from_dict(CHART, {"x": v("y")})
+    for other in (v("z"), 1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            field + other
+        with pytest.raises(TypeError):
+            field - other
+    # field + field and field - field are unchanged
+    other = VectorField.from_dict(CHART, {"x": v("z"), "y": v("x")})
+    assert field + other == VectorField.from_dict(CHART, {"x": v("y") + v("z"), "y": v("x")})
+    assert field - other == VectorField.from_dict(CHART, {"x": v("y") - v("z"), "y": -v("x")})
+    with pytest.raises(ChartMismatchError):
+        field + VectorField.zero(Chart("other", CHART.variables))
+
+
 def test_pair_and_two_form_on_contact_form():
     # omega = dz - y dx on (x, y, z) annihilates d/dx + y d/dz and d/dy
     one = MultiPoly.constant(CHART, 1)

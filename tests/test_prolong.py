@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -72,14 +72,23 @@ def _count_flag_builds(monkeypatch):
     return calls
 
 
+def _spy_tables(monkeypatch):
+    """The list of the zeta systems whose bracket table is computed from now on."""
+    tables = []
+    real = prolong.compute_bracket_table
+    monkeypatch.setattr(prolong, "compute_bracket_table", lambda zs: tables.append(zs) or real(zs))
+    return tables
+
+
 def test_prolong_suite_builds_the_flag_of_E_once(monkeypatch):
+    build_zeta_generators.cache_clear()
     calls = _count_flag_builds(monkeypatch)
     closures = spy_flags(monkeypatch)
-    items, _, table = prolong.verify_suite()
+    items = prolong.verify_suite()
     assert not failures(items)
     # E's flag is closed over the table once, for growth and symbol alike;
     # no flag of vector fields is built
-    assert closures == [table]
+    assert [id(t) for t in closures] == [id(build_zeta_generators().table)]
     assert calls == []
 
 
@@ -100,7 +109,8 @@ def test_prolong_suite_evaluates_the_flag_of_E_once_per_point(monkeypatch):
             lambda rows: rank_calls.append(rows) or real_rank(rows),
             raising=False,
         )
-    items, _, _ = prolong.verify_suite()
+    build_zeta_generators.cache_clear()
+    items = prolong.verify_suite()
     assert not failures(items)
     # the global suite draws no point, so no field of E's flag is evaluated
     assert evaluated == []
@@ -128,9 +138,8 @@ def test_roots_suite_builds_no_flag_and_evaluates_no_field(monkeypatch):
     monkeypatch.setattr(fields, "derived_flag_fields", forbidden)
     monkeypatch.setattr(fields.VectorField, "evaluate", forbidden)
     # roots alone builds the table once and nothing else
-    tables = []
-    real = prolong.compute_bracket_table
-    monkeypatch.setattr(prolong, "compute_bracket_table", lambda zs: tables.append(zs) or real(zs))
+    build_zeta_generators.cache_clear()
+    tables = _spy_tables(monkeypatch)
     report = cli._run_suite("roots", 0, None)
     assert report.ok and report.counts()["pass"] == 9
     assert len(tables) == 1
@@ -347,9 +356,9 @@ def test_each_field_builds_its_partials_once(monkeypatch):
     built = []
     real = fields.build_jacobian
     monkeypatch.setattr(fields, "build_jacobian", lambda f: built.append(f) or real(f))
+    build_zeta_generators.cache_clear()
     zs = build_zeta_generators()
-    table = compute_bracket_table(zs)
-    assert compute_bracket_table(zs) == table
+    assert compute_bracket_table(zs) == zs.table
     model = cartan.build_model()
     frame = {name: model.frame[name] for name in model.frame_order}
     assert cartan.frame_table(model, frame) == cartan.frame_table(model, frame)
@@ -405,8 +414,8 @@ def test_symbol_weights_come_from_the_flag_alone(prolong_run, monkeypatch):
     assert weights[24] == 11
 
 
-def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
-    (_, zs, table), _ = prolong_suite
+def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_run):
+    _, zs, table, _ = prolong_run
     # the suite closed the table's flag, and the weights are read off it
     assert "flag" in vars(table)
     weights = prolong.symbol_weights(table)
@@ -416,18 +425,35 @@ def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_suite):
     assert pointwise == [weights[k] for k in range(1, 25)]
 
 
-def test_verify_all_passes_the_prolong_weights_to_roots(monkeypatch):
-    from f4prolong import cli, control, f4roots, nullflag
+def test_verify_all_then_roots_computes_and_closes_one_table(monkeypatch):
+    from f4prolong import cli
 
-    for module in (cartan, control, nullflag):
-        monkeypatch.setattr(module, "verify_suite", lambda *a, **k: [])
-    # the weights travel with the prolong table; roots builds no table of its own
-    monkeypatch.setattr(prolong, "verify_suite", lambda *a: ([], None, "table"))
-    monkeypatch.setattr(prolong, "compute_bracket_table", None)  # must not be called
-    seen = []
-    monkeypatch.setattr(f4roots, "verify_suite", lambda *a: seen.append(a) or [])
-    cli._run_suite("all", 0, None)
-    assert seen == [("table",)]
+    build_zeta_generators.cache_clear()
+    tables = _spy_tables(monkeypatch)
+    closed = spy_flags(monkeypatch)
+    # one process: roots reads the table and the flag that `verify all` closed
+    assert cli.run(["verify", "all", "--json"]) == 0
+    assert cli.run(["verify", "roots", "--json"]) == 0
+    assert [id(zs) for zs in tables] == [id(build_zeta_generators())]
+    # D's flag is the cartan suite's own, closed on each run
+    assert [t.flag[0] for t in closed] == [(8, 15), EXPECTED_GROWTH]
+
+
+def test_the_zeta_system_is_shared_and_read_only(monkeypatch):
+    zs = build_zeta_generators()
+    assert zs is build_zeta_generators()
+    assert zs.table is zs.table
+    with pytest.raises(TypeError):
+        zs.zeta[1] = zs.zeta[2]
+    with pytest.raises(FrozenInstanceError):
+        zs.chart = prolong.prolonged_chart()
+    # a perturbed system computes its own table from its own fields
+    tables = _spy_tables(monkeypatch)
+    negated = ZetaSystem(zs.chart, {**zs.zeta, 5: -zs.zeta[5]})
+    assert negated.table is not zs.table
+    assert [id(z) for z in tables] == [id(negated)]
+    assert zs.table.entries[(3, 5)] == {8: -1}
+    assert negated.table.entries[(3, 5)] == {8: 1}
 
 
 def test_suite_statuses(prolong_run):
@@ -448,11 +474,13 @@ def test_suite_statuses(prolong_run):
 
 def test_the_suite_extends_each_frame_field_once(monkeypatch):
     prolong.lifted_frame.cache_clear()
+    build_zeta_generators.cache_clear()
     calls = []
     real = prolong.extend_field
     monkeypatch.setattr(prolong, "extend_field", lambda f, chart: calls.append(f.name) or real(f, chart))
-    items, zs, _ = prolong.verify_suite()
+    items = prolong.verify_suite()
     assert not failures(items)
+    zs = build_zeta_generators()
     assert sorted(calls) == sorted(cartan.build_model().frame)
     frame = prolong.lifted_frame(zs.chart)
     assert frame is prolong.lifted_frame(prolong.prolonged_chart())
