@@ -178,6 +178,7 @@ def verify_root_correspondence(table: StructureTable, weights: Dict[int, int]) -
     roots = generate_positive_roots()
     root_set = set(roots)
     assignment, repaired = repaired_assignment()
+    # built by hand: it reports the repair of the printed assignment
     if repaired:
         items.append(
             Item(

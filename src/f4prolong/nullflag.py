@@ -11,7 +11,7 @@ from typing import Dict, List, Mapping, Tuple
 from .control import bilinear_Q, bilinear_R, build_A
 from .linalg import det_cofactor, integer_vector, mat_rank, mat_rank_kernel, mat_vec
 from .poly import Chart, MultiPoly, from_terms
-from .report import DISCREPANCY, FAIL, PASS, Item, check
+from .report import DISCREPANCY, FAIL, PASS, Item, against_paper, check
 
 FREE_COORDS = ("z11", "z13", "z14", "z15", "z16", "z21", "z24", "z25", "z31")
 # f1, f2, f3 over (s, r12, r13, r14, r23, r24, r34): each slot holds a z-name,
@@ -243,22 +243,17 @@ def verify_printed_expansions(pairings: Mapping[Tuple[int, int], MultiPoly]) -> 
     items = []
     for (a, b), terms in PRINTED_NULL_EXPANSIONS.items():
         computed = pairings[int(a[1]) - 1, int(b[1]) - 1]
-        printed = from_terms(computed.chart, terms)
-        if computed == printed:
-            desc = f"published ({a}|{b}) expansion matches the bilinear form"
-            items.append(check(f"expansion:({a}|{b})", desc, True))
-        else:
-            items.append(
-                Item(
-                    f"expansion:({a}|{b})",
-                    f"published ({a}|{b}) expansion vs the bilinear form",
-                    DISCREPANCY,
-                    computed=str(computed),
-                    expected=str(printed),
-                    note="the published expansion has z11 where the form"
-                    " yields z11^2" if (a, b) == ("f1", "f1") else "",
-                )
+        items.append(
+            against_paper(
+                f"expansion:({a}|{b})",
+                f"published ({a}|{b}) expansion matches the bilinear form",
+                f"published ({a}|{b}) expansion vs the bilinear form",
+                computed,
+                from_terms(computed.chart, terms),
+                note="the published expansion has z11 where the form"
+                " yields z11^2" if (a, b) == ("f1", "f1") else "",
             )
+        )
     return items
 
 
@@ -389,6 +384,7 @@ def verify_flag_certificates(frame: LambdaFlagFrame, v: VFlagFrame) -> Tuple[lis
     etas = [tuple(t[p] for p in _FROM_PIVOT_ORDER) for t in solved]
     mismatches = sum(x != y for got, want in zip(etas, v.etas) for x, y in zip(got, want))
     q_bad = _nonzero_pairings(bilinear_Q, etas, "Q(eta{}, eta{})") if mismatches else q_closed
+    # built by hand: a failed solve, published typos and agreement are three outcomes
     cross = FAIL if witness else DISCREPANCY if mismatches else PASS
     note = "nonzero count indicates published coefficient typos" if cross == DISCREPANCY else ""
     return symbolic, [

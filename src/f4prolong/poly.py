@@ -186,7 +186,9 @@ class MultiPoly:
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
         if type(other) is MultiPoly:

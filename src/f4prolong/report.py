@@ -34,6 +34,16 @@ def check(item_id: str, description: str, ok: bool, computed="", expected="", no
     return Item(item_id, description, PASS if ok else FAIL, str(computed), str(expected), note)
 
 
+def against_paper(item_id: str, matches: str, versus: str, computed, published, note="", shown=False) -> Item:
+    """A computed value checked against its published display: a pass
+    described by `matches` when the two are equal (showing both values only
+    if `shown`, never the note), else a paper-discrepancy described by
+    `versus` that shows both values and the note."""
+    if computed == published:
+        return check(item_id, matches, True, *((computed, published) if shown else ()))
+    return Item(item_id, versus, DISCREPANCY, str(computed), str(published), note)
+
+
 @dataclass
 class Report:
     suite: str

@@ -200,9 +200,9 @@ def test_fields_and_forms_share_checks_display_and_json():
 def test_field_sums_refuse_operands_that_are_not_fields():
     field = VectorField.from_dict(CHART, {"x": v("y")})
     for other in (v("z"), 1, Fraction(1, 2)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"for \+:"):
             field + other
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="for -:"):
             field - other
     # field + field and field - field are unchanged
     other = VectorField.from_dict(CHART, {"x": v("z"), "y": v("x")})

@@ -96,13 +96,18 @@ def test_ring_laws(p, q, r):
 def test_non_scalar_operands_are_refused():
     p = v("a") + 1
     field = VectorField.coordinate(CHART, "b")
-    for op in (add, sub, mul):
+    # each refusal names its own operator, the reflected difference too
+    for op, symbol in ((add, r"\+"), (sub, "-"), (mul, r"\*")):
         for args in ((p, 0.5), (0.5, p)):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=f"for {symbol}:"):
                 op(*args)
-    for op in (add, sub):
-        with pytest.raises(TypeError):
+    for op, symbol in ((add, r"\+"), (sub, "-")):
+        with pytest.raises(TypeError, match=f"for {symbol}:"):
             op(p, field)
+    for other in ("a", field):
+        with pytest.raises(TypeError, match="for -:"):
+            other - p
+    assert 1 - p == -v("a") and Fraction(1, 2) - p == -v("a") - Fraction(1, 2)
     with pytest.raises(TypeError):
         field * 0.5
     # a polynomial times a field is the field's own product, by polynomials
