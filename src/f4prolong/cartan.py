@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .fields import OneForm, StructureTable, VectorField, lie_bracket, pair
 from .linalg import Echelon, det_cofactor
@@ -49,8 +48,7 @@ def even_complement(i: int, j: int) -> Tuple[int, int]:
 Coordinates = Dict[str, MultiPoly]  # {frame field: coefficient}, frame order, no zeros
 
 
-@dataclass(frozen=True)
-class FrameTable:
+class FrameTable(NamedTuple):
     fields: Dict[str, Coordinates]  # the frame coordinates of each named field
     brackets: Dict[Tuple[str, str], Coordinates]  # of [a, b], a named before b
 
@@ -63,13 +61,22 @@ class FrameTable:
         return {k: -c for k, c in self.brackets[(b, a)].items()}
 
 
-@dataclass(frozen=True)
 class CartanModel:
+    """Read-only; cached_property stores `table` in the instance dict directly."""
+
     chart: Chart
     frame: Mapping[str, VectorField]
     frame_order: Tuple[str, ...]
     coframe: Mapping[str, OneForm]
     coframe_order: Tuple[str, ...]
+
+    def __init__(self, chart, frame, frame_order, coframe, coframe_order):
+        vars(self).update(
+            chart=chart, frame=frame, frame_order=frame_order, coframe=coframe, coframe_order=coframe_order
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CartanModel is read-only: cannot set {name}")
 
     @cached_property
     def table(self) -> FrameTable:

@@ -5,12 +5,11 @@ and the RK4 integrator for abnormal bi-extremals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, tee
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
@@ -67,14 +66,17 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return out
 
 
-@dataclass(frozen=True)
 class CovectorFiber:
     s: Fraction
     r: Tuple[Fraction, ...]  # (r12, r13, r14, r23, r24, r34)
 
-    def __post_init__(self):
-        if len(self.r) != 6:
+    def __init__(self, s, r):
+        if len(r) != 6:
             raise ValueError("need six r components")
+        self.s, self.r = s, r
+
+    def __eq__(self, other):
+        return isinstance(other, CovectorFiber) and self.as_seq() == other.as_seq()
 
     def as_seq(self) -> Tuple[Fraction, ...]:
         return (self.s,) + tuple(self.r)
@@ -83,14 +85,14 @@ class CovectorFiber:
         return self.s == 0 and all(x == 0 for x in self.r)
 
 
-@dataclass(frozen=True)
 class ControlVector:
     u: Tuple[Fraction, ...]
     v: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.u) != 4 or len(self.v) != 4:
+    def __init__(self, u, v):
+        if len(u) != 4 or len(v) != 4:
             raise ValueError("need u, v of length 4")
+        self.u, self.v = u, v
 
     def as_seq(self) -> Tuple[Fraction, ...]:
         return tuple(self.u) + tuple(self.v)
@@ -673,7 +675,6 @@ def verify_flow_lemma_symbolic() -> List[Item]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Trajectory:
     chart: Chart
     times: List[float]
@@ -681,9 +682,11 @@ class Trajectory:
     controls: ControlVector
     step: float
 
+    def __init__(self, chart, times, states, controls, step):
+        self.chart, self.times, self.states, self.controls, self.step = chart, times, states, controls, step
 
-@dataclass
-class DriftReport:
+
+class DriftReport(NamedTuple):
     max_constraint_drift: float
     max_sr_drift: float
     step: float

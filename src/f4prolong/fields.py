@@ -7,7 +7,6 @@ those constants alone, in a `StructureTable`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -286,7 +285,6 @@ def derived_flag(generators: Sequence[VectorField], point: Point) -> Tuple[int, 
     return tuple(ranks)
 
 
-@dataclass
 class StructureTable:
     """The constant structure constants of a frame: entries[(a, b)] is the
     expansion {c: Fraction} of [a, b] in the basis, or None when it has no
@@ -295,6 +293,14 @@ class StructureTable:
     basis: Sequence[Hashable]
     generators: Tuple[Hashable, ...]
     entries: Dict[Tuple[Hashable, Hashable], Optional[Dict[Hashable, Fraction]]]
+
+    def __init__(self, basis, generators, entries):
+        self.basis, self.generators, self.entries = basis, generators, entries
+
+    def __eq__(self, other):
+        # the cached flag follows from these three
+        key = lambda t: (t.basis, t.generators, t.entries)
+        return isinstance(other, StructureTable) and key(self) == key(other)
 
     def bracket(self, a: Hashable, vec: Dict[Hashable, Fraction]) -> Dict[Hashable, Fraction]:
         """[a, sum c_b b] = sum c_b [a, b], read from the entries."""

@@ -4,9 +4,8 @@ explicit eta-frames."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .control import bilinear_Q, bilinear_R, build_A
 from .linalg import det_cofactor, integer_vector, mat_rank, mat_rank_kernel, mat_vec
@@ -31,16 +30,14 @@ _SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class LambdaFlagFrame:
+class LambdaFlagFrame(NamedTuple):
     f1: Tuple
     f2: Tuple
     f3: Tuple
     coords: Dict[str, object]  # all fifteen z-values, free and dependent
 
 
-@dataclass(frozen=True)
-class VFlagFrame:
+class VFlagFrame(NamedTuple):
     eta1: Tuple
     eta2: Tuple
     eta3: Tuple

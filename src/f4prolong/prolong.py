@@ -8,7 +8,6 @@ generators zeta_1..zeta_4; growth, symbol and roots read its one flag."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from types import MappingProxyType
@@ -69,10 +68,17 @@ def prolonged_chart() -> Chart:
     return Chart("prolonged24", PROLONGED_VARIABLES)
 
 
-@dataclass(frozen=True)
 class ZetaSystem:
+    """Read-only; cached_property stores `table` in the instance dict directly."""
+
     chart: Chart
     zeta: Mapping[int, VectorField]  # zeta_1..zeta_24; zeta_1..zeta_4 span E
+
+    def __init__(self, chart, zeta):
+        vars(self).update(chart=chart, zeta=zeta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ZetaSystem is read-only: cannot set {name}")
 
     @cached_property
     def table(self) -> StructureTable:
@@ -227,55 +233,39 @@ def verify_bracket_table(table: StructureTable) -> List[Item]:
     for (i, j), combo in sorted(table.entries.items()):
         item_id = f"table:[z{i},z{j}]"
         if combo is None:
-            items.append(
-                check(
-                    item_id,
-                    f"[zeta{i}, zeta{j}] expands with constant rational coefficients",
-                    False,
-                    computed="non-constant",
-                    expected="constant combination of zeta_1..zeta_24",
-                )
+            item = check(
+                item_id,
+                f"[zeta{i}, zeta{j}] expands with constant rational coefficients",
+                False,
+                computed="non-constant",
+                expected="constant combination of zeta_1..zeta_24",
             )
-            continue
-        printed = PRINTED_TABLE.get((i, j))
-        if printed is None:
-            # below/at the diagonal: consistency with antisymmetry only
-            if j < i:
-                mirror = table.entries.get((j, i))
-                ok = mirror is not None and combo == {
-                    k: -c for k, c in mirror.items()
-                }
-                items.append(
-                    check(
-                        item_id,
-                        f"[zeta{i}, zeta{j}] is minus [zeta{j}, zeta{i}]",
-                        ok,
-                        computed=_fmt_combo(combo),
-                    )
-                )
-            else:
-                items.append(
-                    check(
-                        item_id,
-                        f"[zeta{i}, zeta{i}] = 0",
-                        combo == {},
-                        computed=_fmt_combo(combo),
-                        expected="0",
-                    )
-                )
-            continue
-        items.append(
-            against_paper(
+        elif j < i:
+            # below the diagonal: consistency with antisymmetry only
+            mirror = table.entries.get((j, i))
+            ok = mirror is not None and combo == {k: -c for k, c in mirror.items()}
+            item = check(item_id, f"[zeta{i}, zeta{j}] is minus [zeta{j}, zeta{i}]", ok, computed=_fmt_combo(combo))
+        elif i == j:
+            item = check(item_id, f"[zeta{i}, zeta{i}] = 0", combo == {}, computed=_fmt_combo(combo), expected="0")
+        elif (i, j) not in PRINTED_TABLE:
+            item = check(
+                item_id,
+                f"[zeta{i}, zeta{j}] has a published relation to compare with",
+                False,
+                computed=_fmt_combo(combo),
+                note=f"PRINTED_TABLE has no transcription of the published [zeta{i}, zeta{j}]",
+            )
+        else:
+            item = against_paper(
                 item_id,
                 f"[zeta{i}, zeta{j}] matches the published relation",
                 f"[zeta{i}, zeta{j}] vs the published relation",
                 _fmt_combo(combo),
-                _fmt_combo(printed),
-                note="computed bracket is authoritative; the defining"
-                " brackets come from the same derivation",
+                _fmt_combo(PRINTED_TABLE[(i, j)]),
+                note="computed bracket is authoritative; the defining brackets come from the same derivation",
                 shown=True,
             )
-        )
+        items.append(item)
     return items
 
 

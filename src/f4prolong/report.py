@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
 
 
-@dataclass
 class Item:
-    id: str
-    description: str
-    status: str
-    computed: str = ""
-    expected: str = ""
-    note: str = ""
+    def __init__(self, id: str, description: str, status: str, computed: str = "", expected: str = "", note: str = ""):
+        self.id, self.description, self.status = id, description, status
+        self.computed, self.expected, self.note = computed, expected, note
 
     def to_json(self) -> dict:
         return {
@@ -44,12 +39,10 @@ def against_paper(item_id: str, matches: str, versus: str, computed, published, 
     return Item(item_id, versus, DISCREPANCY, str(computed), str(published), note)
 
 
-@dataclass
 class Report:
-    suite: str
-    seed: int = 0
-    elapsed_ms: int = 0
-    items: List[Item] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int = 0, elapsed_ms: int = 0, items: Optional[List[Item]] = None):
+        self.suite, self.seed, self.elapsed_ms = suite, seed, elapsed_ms
+        self.items = [] if items is None else items
 
     def extend(self, items) -> None:
         self.items.extend(items)

@@ -135,6 +135,21 @@ def test_a_closed_pipe_ends_without_a_traceback():
     assert "Traceback" not in err and err == ""
 
 
+def test_the_command_line_imports_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every command and the package uses neither
+    src = str(Path(f4prolong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; before = set(sys.modules); import f4prolong, f4prolong.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "f4prolong.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
 @pytest.mark.parametrize("module", ["f4prolong", "f4prolong.cli"])
 def test_python_dash_m_runs_the_command_line(module):
     src = str(Path(f4prolong.__file__).resolve().parent.parent)

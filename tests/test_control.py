@@ -237,6 +237,18 @@ def test_svc_membership_and_witness():
             assert not any(mat_vec(build_A(witness.as_seq()), w.as_seq()))
 
 
+def test_records_refuse_components_of_the_wrong_length():
+    zero = Fraction(0)
+    assert CovectorFiber(zero, (zero,) * 6).is_zero()
+    for r in ((zero,) * 5, (zero,) * 7):
+        with pytest.raises(ValueError, match="need six r components"):
+            CovectorFiber(zero, r)
+    assert ControlVector((zero,) * 4, (zero,) * 4).is_zero()
+    for u, v in (((zero,) * 3, (zero,) * 4), ((zero,) * 4, (zero,) * 5)):
+        with pytest.raises(ValueError, match="need u, v of length 4"):
+            ControlVector(u, v)
+
+
 def test_bilinear_Q_polarizes():
     w1 = ControlVector(
         (Fraction(1), Fraction(2), Fraction(0), Fraction(1)),

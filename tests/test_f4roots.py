@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -22,6 +21,7 @@ from f4prolong.f4roots import (
     repaired_assignment,
     verify_root_correspondence,
 )
+from f4prolong.fields import StructureTable
 from f4prolong.prolong import DEFINING_BRACKETS, symbol_weights
 
 
@@ -137,7 +137,7 @@ def test_a_table_without_weights_fails_the_suite_with_its_witness(
     assert "roots:weights" not in by_id(roots_run[0])
     _, _, table, _ = prolong_run
     # [zeta1, zeta23] = 0: E's flag never reaches zeta24
-    zeroed = replace(table, entries={**table.entries, (1, 23): {}})
+    zeroed = StructureTable(table.basis, table.generators, {**table.entries, (1, 23): {}})
     with pytest.raises(ValueError) as exc:
         symbol_weights(zeroed)
     monkeypatch.setattr(f4roots, "build_zeta_generators", lambda: SimpleNamespace(table=zeroed))
