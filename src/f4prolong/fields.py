@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import Echelon, sparse
+from .linalg import Echelon
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, mul_add
 
 Point = Dict[str, Fraction]
@@ -201,11 +201,57 @@ def pair(form: OneForm, field: VectorField) -> MultiPoly:
     """Natural pairing <form, field> = sum_i coeff_i * component_i."""
     if form.chart != field.chart:
         raise ChartMismatchError("form and field on different charts")
-    out = MultiPoly.zero(form.chart)
+    acc: Terms = {}
     for a, b in zip(form.components, field.components):
-        if not (a.is_zero() or b.is_zero()):
-            out = out + a * b
-    return out
+        if a.terms and b.terms:
+            mul_add(acc, a.terms, b.terms)
+    return MultiPoly._trusted(form.chart, acc)
+
+
+class TriangularFrame:
+    """Labelled fields, listed in the order of their coordinates, triangular
+    with constant pivots in lead order (`order`, by default the same): each
+    vanishes on the earlier leads, and its lead is its first nonzero constant
+    component off them. As many as the chart has variables are a frame at
+    every point. Raises ValueError naming the first field that breaks this."""
+
+    def __init__(self, fields: Mapping[Hashable, VectorField], order: Sequence[Hashable] = ()):
+        self.labels = tuple(fields)
+        self.chart = fields[self.labels[0]].chart
+        self._rows = []  # (label, lead, 1 / pivot, {k: terms} of its other nonzero components)
+        owner: Dict[int, Hashable] = {}  # lead -> label
+        for label in order or self.labels:
+            comps = fields[label].components
+            for lead, earlier in owner.items():
+                if comps[lead].terms:
+                    raise ValueError(f"{label} is {comps[lead]} on the lead of {earlier}")
+            lead = next((n for n, c in enumerate(comps) if n not in owner and c.terms and c.is_constant()), None)
+            if lead is None:
+                raise ValueError(f"{label} has no nonzero constant component off the earlier leads")
+            owner[lead] = label
+            others = {k: c.terms for k, c in enumerate(comps) if c.terms and k != lead}
+            self._rows.append((label, lead, 1 / comps[lead].constant_value(), others))
+
+    def coordinates(self, v: VectorField) -> Dict[Hashable, MultiPoly]:
+        """The polynomial coordinates of v, the zero ones dropped, by forward
+        substitution on the leads over nonzero components only. Raises
+        ValueError with the remainder when v is not in the span."""
+        if v.chart != self.chart:
+            raise ChartMismatchError("field and frame on different charts")
+        rest = {k: dict(c.terms) for k, c in enumerate(v.components) if c.terms}
+        found = {}
+        for label, lead, inverse, others in self._rows:
+            if lead in rest:
+                c = MultiPoly._trusted(self.chart, rest.pop(lead))
+                found[label] = c = c if inverse == 1 else c * inverse
+                for k, f in others.items():
+                    mul_add(rest.setdefault(k, {}), f, c.terms, -1)
+                    if not rest[k]:
+                        del rest[k]
+        if rest:
+            left = [MultiPoly._trusted(v.chart, rest.get(k, {})) for k in range(v.chart.dimension)]
+            raise ValueError(f"{v.name or 'the field'} is not in the span of the frame, {VectorField(v.chart, left, 'remainder')}")
+        return {label: found[label] for label in self.labels if label in found}
 
 
 def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Fraction]]:
@@ -268,21 +314,6 @@ def derived_flag_fields(generators: Sequence[VectorField]) -> List[List[VectorFi
             break
         stages.append(new)
     return stages
-
-
-def derived_flag(generators: Sequence[VectorField], point: Point) -> Tuple[int, ...]:
-    """Pointwise growth vector at the point of the weak derived flag of the
-    generators' span: the stage ranks of its values there, until they stop
-    growing."""
-    span = Echelon()
-    ranks: List[int] = []
-    for stage in derived_flag_fields(generators):
-        for row in fields_matrix(stage, point):
-            span.add(sparse(row))
-        if ranks and span.rank == ranks[-1]:
-            break
-        ranks.append(span.rank)
-    return tuple(ranks)
 
 
 class StructureTable:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
-from .fields import FieldSpan, OneForm, StructureTable, VectorField, extend_field, lie_bracket, pair
+from .fields import FieldSpan, OneForm, StructureTable, TriangularFrame, VectorField, extend_field, lie_bracket, pair
 from .nullflag import FREE_COORDS, eta_frames
 from .poly import Chart, MultiPoly, from_terms
 from .report import DISCREPANCY, Item, against_paper, check
@@ -69,7 +69,7 @@ def prolonged_chart() -> Chart:
 
 
 class ZetaSystem:
-    """Read-only; cached_property stores `table` in the instance dict directly."""
+    """Read-only; cached_property stores `table` and `triangular` in the instance dict."""
 
     chart: Chart
     zeta: Mapping[int, VectorField]  # zeta_1..zeta_24; zeta_1..zeta_4 span E
@@ -84,6 +84,12 @@ class ZetaSystem:
     def table(self) -> StructureTable:
         """The bracket table of the zeta frame, computed on first use."""
         return compute_bracket_table(self)
+
+    @cached_property
+    def triangular(self) -> TriangularFrame:
+        """zeta_1..zeta_24 as a TriangularFrame labelled zeta1..zeta24, built
+        on first use: it raises ValueError with a witness when they are not one."""
+        return TriangularFrame({f"zeta{k}": self.zeta[k] for k in sorted(self.zeta)})
 
 
 def zeta4_coefficients(chart: Chart) -> Dict[str, MultiPoly]:
@@ -309,45 +315,16 @@ def static_discrepancy_items(zs: ZetaSystem) -> List[Item]:
     ]
 
 
-def frame_leads(zs: ZetaSystem) -> Dict[int, int]:
-    """A lead coordinate (chart index) for each zeta_k: the first one, not
-    already a lead, where zeta_k is a nonzero constant. zeta_k must vanish on
-    the leads of every zeta_j with j < k, so the frame matrix is triangular
-    with constant pivots and zeta_1..zeta_24 is a frame at every point of the
-    chart. Raises ValueError naming the first zeta_k that breaks this."""
-    leads: Dict[int, int] = {}
-    for k in sorted(zs.zeta):
-        comps = zs.zeta[k].components
-        for j, lead in leads.items():
-            if not comps[lead].is_zero():
-                raise ValueError(f"zeta{k} is {comps[lead]} on the lead of zeta{j}")
-        pivots = [n for n, c in enumerate(comps) if c.is_constant() and not c.is_zero()]
-        free = [n for n in pivots if n not in leads.values()]
-        if not free:
-            raise ValueError(f"zeta{k} has no nonzero constant component off the earlier leads")
-        leads[k] = free[0]
-    return leads
-
-
 def lift_weights(zs: ZetaSystem, weights: Dict[int, int]) -> Dict[str, Optional[int]]:
-    """The weight of each lifted base generator v: forward substitution on the
-    leads writes v = sum c_k zeta_k with polynomial c_k, and v lies in E^(w)
-    at every point for w the largest weight of a zeta_k with c_k != 0 (None
-    when one has no weight). Raises ValueError when the zeta frame is not
-    triangular or an expansion does not rebuild its field."""
-    leads = frame_leads(zs)
+    """The weight of each lifted base generator v: v lies in E^(w) at every
+    point for w the largest weight of a zeta_k along which v has a nonzero
+    coordinate (None when one has no weight). Raises ValueError when the zeta
+    frame is not triangular or v is not in its span."""
     frame = lifted_frame(zs.chart)
+    labelled = {f"zeta{k}": w for k, w in weights.items()}
     out: Dict[str, Optional[int]] = {}
     for name in GENERATOR_ORDER:
-        rest = frame[name]
-        used = []
-        for k, lead in leads.items():
-            c = rest.components[lead] * (1 / zs.zeta[k].components[lead].constant_value())
-            if not c.is_zero():
-                rest = rest - zs.zeta[k] * c
-                used.append(weights.get(k))
-        if not rest.is_zero():
-            raise ValueError(f"{name} minus its zeta-frame expansion leaves {rest}")
+        used = [labelled.get(label) for label in zs.triangular.coordinates(frame[name])]
         out[name] = None if None in used else max(used)
     return out
 
@@ -424,7 +401,7 @@ def verify_symbol(zs: ZetaSystem, table: StructureTable) -> List[Item]:
     )
     witness = ""
     try:
-        frame_leads(zs)
+        zs.triangular
     except ValueError as exc:
         witness = str(exc)
     items.append(

@@ -11,6 +11,7 @@ import pytest
 
 from f4prolong import cartan, control, f4roots, fields, nullflag, prolong
 from f4prolong.fields import origin
+from f4prolong.linalg import Echelon, sparse
 
 
 def by_id(items):
@@ -31,6 +32,21 @@ def seeded_points(chart, seed, n):
     rng = random.Random(seed)
     draw = lambda: {v: Fraction(rng.randint(-2, 2)) for v in chart.variables}
     return [origin(chart)] + [draw() for _ in range(n)]
+
+
+def derived_flag(generators, point):
+    """The pointwise oracle for the global growth checks: the growth vector at
+    the point of the weak derived flag of the generators' span, the stage
+    ranks of its values there, until they stop growing."""
+    span = Echelon()
+    ranks = []
+    for stage in fields.derived_flag_fields(generators):
+        for row in fields.fields_matrix(stage, point):
+            span.add(sparse(row))
+        if ranks and span.rank == ranks[-1]:
+            break
+        ranks.append(span.rank)
+    return tuple(ranks)
 
 
 def patch_flag(monkeypatch, wrap):

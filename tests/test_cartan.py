@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import by_id, discrepancies, failures, seeded_points, spy_flags
+from conftest import by_id, derived_flag, discrepancies, failures, seeded_points, spy_flags
 from f4prolong import cartan, linalg
 from f4prolong.cartan import (
     GENERATOR_ORDER,
@@ -21,7 +21,7 @@ from f4prolong.cartan import (
     verify_bracket_table,
     verify_duality,
 )
-from f4prolong.fields import derived_flag, lie_bracket, pair
+from f4prolong.fields import OneForm, lie_bracket, pair
 from f4prolong.poly import MultiPoly
 
 
@@ -108,9 +108,16 @@ def test_f4_frame_check_can_fail(model):
     assert (item.status, item.computed) == ("fail", "14")
 
 
-def _copy(model):
-    """A new model on the same frame and coframe, without a cached table."""
-    return CartanModel(model.chart, model.frame, model.frame_order, model.coframe, model.coframe_order)
+def _copy(model, frame=None, coframe=None):
+    """A new model on the same frame and coframe, or with the fields and forms
+    given replaced, without a cached table."""
+    return CartanModel(
+        model.chart,
+        {**model.frame, **(frame or {})},
+        model.frame_order,
+        {**model.coframe, **(coframe or {})},
+        model.coframe_order,
+    )
 
 
 def _suite_with(monkeypatch, model, brackets, fields=()):
@@ -165,16 +172,23 @@ def test_the_growth_of_D_is_closed_over_the_frame_table(model, monkeypatch):
     assert ranks == []
 
 
-def test_duality_is_read_off_the_frame_table(model, monkeypatch):
-    # a Z coordinate of X1 is the pairing <omega, X1> = 1, where duality wants 0
-    x1 = {**model.table.fields["X1"], "Z": MultiPoly.constant(model.chart, 1)}
-    item = _suite_with(monkeypatch, model, {}, {"X1": x1})["duality:225"]
-    assert (item.status, item.computed) == ("fail", "checked=225, mismatched=1")
+def test_duality_pairs_the_coframe_not_the_frame_table(model, monkeypatch):
+    # the table's coordinates of the frame fields are unit vectors by
+    # construction; with the table untouched, a perturbed coframe form still fails
+    omega = model.coframe["omega"]
+    bent = OneForm(model.chart, omega.components[:1] + (omega.components[1] + 1,) + omega.components[2:], "omega")
+    copy = _copy(model, coframe={"omega": bent})
+    vars(copy)["table"] = model.table
+    monkeypatch.setattr(cartan, "build_model", lambda: copy)
+    ids = by_id(cartan.verify_suite())
+    # <omega, X1> picks up the x1 component 1 of X1
+    assert (ids["duality:225"].status, ids["duality:225"].computed) == ("fail", "checked=225, mismatched=1")
+    assert not failures([i for i in ids.values() if i.id != "duality:225"])
 
 
 def test_the_suite_pairs_each_form_and_field_once(model, monkeypatch):
-    # the 15 frame fields and the 105 brackets, each paired with the 15
-    # coframe forms once; duality reads the fields' pairings off the table
+    # duality pairs the 15 coframe forms with the 15 frame fields once; the
+    # frame table reads coordinates off the triangular frame, not off pairings
     calls = []
     real = cartan.pair
     monkeypatch.setattr(cartan, "pair", lambda form, v: calls.append(1) or real(form, v))
@@ -182,10 +196,18 @@ def test_the_suite_pairs_each_form_and_field_once(model, monkeypatch):
     assert "table" not in vars(copy)
     monkeypatch.setattr(cartan, "build_model", lambda: copy)
     assert not failures(cartan.verify_suite())
-    assert len(calls) == 15 * (15 + 105)
-    calls.clear()
-    assert verify_duality(copy) == (225, 0)
-    assert calls == []
+    assert len(calls) == 225
+
+
+def test_a_frame_that_is_not_triangular_fails_with_its_witness(model, monkeypatch):
+    # Y1 + X1 keeps a global frame, but it is 1 on the lead of X1, and <dx1, Y1> = 1
+    copy = _copy(model, frame={"Y1": model.frame["Y1"] + model.frame["X1"]})
+    monkeypatch.setattr(cartan, "build_model", lambda: copy)
+    items = cartan.verify_suite()
+    assert [(i.id, i.status, i.computed) for i in failures(items)] == [
+        ("duality:225", "fail", "checked=225, mismatched=1"),
+        ("growth:D", "fail", "Y1 is 1 on the lead of X1"),
+    ]
 
 
 def test_shared_model_is_read_only():

@@ -10,11 +10,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import derived_flag
+from f4prolong import cartan, cli, prolong
 from f4prolong.fields import (
     OneForm,
+    TriangularFrame,
     VectorField,
     constant_combination,
-    derived_flag,
     lie_bracket,
     origin,
     pair,
@@ -239,3 +241,88 @@ def test_constant_combination():
     # x d/dx is not a constant combination of a and b
     assert constant_combination(VectorField.from_dict(CHART, {"x": v("x")}), [a, b]) is None
 
+
+def _sympy_of(p: MultiPoly, symbols):
+    return sum(
+        (sympy.Rational(c) * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _poly_of(expr, chart, symbols) -> MultiPoly:
+    terms = sympy.Poly(expr, *symbols).terms() if expr != 0 else []
+    return MultiPoly(chart, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+
+@pytest.mark.parametrize("which", ["base", "zeta"])
+@pytest.mark.parametrize("seed", range(2))
+def test_frame_coordinates_match_a_sympy_combination(which, seed):
+    # v = sum c_k f_k is summed in sympy from random polynomial c_k, some of
+    # them 0; on a frame the coordinates of v are unique, so they are the c_k
+    if which == "base":
+        fields, frame = cartan.build_model().frame, cartan.build_model().triangular
+    else:
+        zs = prolong.build_zeta_generators()
+        fields, frame = {f"zeta{k}": f for k, f in zs.zeta.items()}, zs.triangular
+    chart = frame.chart
+    symbols = sympy.symbols(chart.variables)
+    rng = random.Random(seed)
+    want = {}
+    for label in frame.labels:
+        # 0 or up to two terms of degree at most 2
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            e = [0] * chart.dimension
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(chart.dimension)] += 1
+            terms[tuple(e)] = rng.choice(ORDER_COEFFS)
+        want[label] = MultiPoly(chart, terms)
+    components = [
+        sympy.expand(sum(_sympy_of(c, symbols) * _sympy_of(fields[label].components[k], symbols) for label, c in want.items()))
+        for k in range(chart.dimension)
+    ]
+    v = VectorField(chart, [_poly_of(c, chart, symbols) for c in components])
+    got = frame.coordinates(v)
+    # in frame order, the zero ones dropped
+    assert list(got) == [label for label, c in want.items() if not c.is_zero()]
+    for label, c in got.items():
+        assert sympy.expand(_sympy_of(c, symbols) - _sympy_of(want[label], symbols)) == 0
+
+
+def test_frame_coordinates_of_a_field_outside_the_span_raise_with_the_remainder():
+    one = MultiPoly.constant(CHART, 1)
+    # two fields on the three-variable chart
+    a = VectorField.from_dict(CHART, {"x": one, "z": v("y")}, "A")
+    b = VectorField.coordinate(CHART, "y", "B")
+    frame = TriangularFrame({"a": a, "b": b})
+    assert frame.coordinates(a * v("y") + b * (v("x") * v("x"))) == {"a": v("y"), "b": v("x") * v("x")}
+    assert frame.coordinates(VectorField.zero(CHART)) == {}
+    outside = VectorField.from_dict(CHART, {"x": v("y"), "z": v("x")}, "V")
+    with pytest.raises(ValueError, match=r"^V is not in the span of the frame, remainder: \(-y\^2 \+ x\)d/dz$"):
+        frame.coordinates(outside)
+    with pytest.raises(ChartMismatchError):
+        frame.coordinates(VectorField.zero(Chart("other", CHART.variables)))
+
+
+def test_a_frame_that_is_not_triangular_is_refused_with_a_witness():
+    one = MultiPoly.constant(CHART, 1)
+    p = VectorField.from_dict(CHART, {"x": one, "y": one})
+    q = VectorField.coordinate(CHART, "y")
+    r = VectorField.coordinate(CHART, "z") * 2
+    assert TriangularFrame({"p": p, "q": q, "r": r}).coordinates(p + q + r) == {"p": one, "q": one, "r": one}
+    with pytest.raises(ValueError, match="^p is 1 on the lead of q$"):
+        TriangularFrame({"q": q, "p": p})
+    # the lead order is the frame's; coordinates are listed in the fields' order
+    frame = TriangularFrame({"r": r, "q": q, "p": p}, ("p", "q", "r"))
+    assert list(frame.coordinates(p * 3 + r * v("x"))) == ["r", "p"]
+    with pytest.raises(ValueError, match="^p has no nonzero constant component off the earlier leads$"):
+        TriangularFrame({"p": p * v("x"), "q": q})
+
+
+def test_the_zeta_frame_is_built_once_per_prolong_run(monkeypatch):
+    built = []
+    real = prolong.TriangularFrame
+    monkeypatch.setattr(prolong, "TriangularFrame", lambda *args: built.append(args) or real(*args))
+    prolong.build_zeta_generators.cache_clear()
+    assert cli.run(["verify", "prolong", "--json"]) == 0
+    assert len(built) == 1

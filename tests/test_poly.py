@@ -116,7 +116,7 @@ def test_non_scalar_operands_are_refused():
 
 
 def test_constant_value_and_evaluate_return_fractions():
-    # prolong.lift_weights divides 1 by a constant_value: an int there gives a float
+    # fields.TriangularFrame divides 1 by a pivot's constant_value: an int there gives a float
     point = dict.fromkeys(CHART.variables, 2)
     for c in (0, 3, Fraction(6, 2), Fraction(1, 2)):
         p = MultiPoly.constant(CHART, c)

@@ -9,9 +9,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import by_id, discrepancies, failures, patch_flag, seeded_points, spy_flags
+from conftest import by_id, derived_flag, discrepancies, failures, patch_flag, seeded_points, spy_flags
 from f4prolong import cartan, fields, linalg, prolong
-from f4prolong.fields import FieldSpan, StructureTable, derived_flag, lie_bracket, origin, pair
+from f4prolong.fields import FieldSpan, StructureTable, lie_bracket, origin, pair
 from f4prolong.linalg import Echelon, sparse
 from f4prolong.poly import MultiPoly
 from f4prolong.prolong import (
