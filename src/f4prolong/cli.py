@@ -165,7 +165,9 @@ def _cmd_integrate(args) -> int:
     try:
         with open(args.csv, "w") if args.csv is not None else nullcontext() as fh:
             try:
-                traj, drift = control.integrate_extremal(init, controls, args.step, args.tmax)
+                traj, drift = control.integrate_extremal(
+                    init, controls, args.step, args.tmax, keep_states=fh is not None  # only --csv reads them
+                )
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
             if fh is not None:
@@ -177,11 +179,11 @@ def _cmd_integrate(args) -> int:
     if args.json:
         out = drift.to_json()
         out["seed"] = args.seed
-        out["steps"] = len(traj.times) - 1
+        out["steps"] = traj.steps
         print(json.dumps(out, indent=2))
     else:
         print(
-            f"integrated {len(traj.times) - 1} steps to t = {args.tmax}"
+            f"integrated {traj.steps} steps to t = {args.tmax}"
             f" (step {args.step})"
         )
         print(f"max constraint drift: {drift.max_constraint_drift!r}")

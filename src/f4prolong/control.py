@@ -676,14 +676,20 @@ def verify_flow_lemma_symbolic() -> List[Item]:
 
 
 class Trajectory:
+    """An RK4 run of `steps` steps; `states` is None when the run kept none."""
+
     chart: Chart
-    times: List[float]
-    states: List[List[float]]
+    states: Optional[List[List[float]]]
     controls: ControlVector
     step: float
+    steps: int
 
-    def __init__(self, chart, times, states, controls, step):
-        self.chart, self.times, self.states, self.controls, self.step = chart, times, states, controls, step
+    def __init__(self, chart, states, controls, step, steps):
+        self.chart, self.states, self.controls, self.step, self.steps = chart, states, controls, step, steps
+
+    @property
+    def times(self) -> List[float]:
+        return [k * self.step for k in range(self.steps + 1)]
 
 
 class DriftReport(NamedTuple):
@@ -730,7 +736,7 @@ def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
     return initial_state(), controls
 
 
-# every RK4 state is kept (about 0.9 KB per step), so the step count is capped
+# a run that keeps its states holds about 0.9 KB per step, so the step count is capped
 MAX_STEPS = 100_000
 
 
@@ -746,17 +752,20 @@ def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Seq
     return namespace["values"]
 
 
-def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly]) -> Callable:
+def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], keep: bool = True) -> Callable:
     """Fixed-step RK4 of x' = rhs(x) as one compiled `run(s, n)` holding the state
     in locals: n steps from the list s, stopped before a state that is not finite.
     It returns (states, max_c, bad): over the states, the largest |check| and the
-    first index where one is not finite, or -1. A live slot (nonzero right-hand
-    side) rounds as a list-based step: x + h/2 k1, x + h/2 k2, x + h k3, then
+    first index where one is not finite, or -1. With `keep` false it keeps no
+    state and returns (i, x, max_c, bad): the index of the last finite state and
+    the state the loop ended on. A live slot (nonzero right-hand side) rounds as
+    a list-based step: x + h/2 k1, x + h/2 k2, x + h k3, then
     x + h/6 (k1 + 2 k2 + 2 k3 + k4). A dead slot keeps x, which equals x + 0.0
     unless x is -0.0 (float() of a Fraction is -0.0 only when it underflows).
     A frozen slot reads only dead slots: its k1 = k2 = k3 = k4 is its
     evaluate_seq at s, and it and its increments are computed before the loop,
-    which evaluates only the moving slots."""
+    which evaluates only the moving slots. When no fed slot moves, stage c's
+    inputs are stage b's, so c_k is b_k."""
     def finite(names):  # their sum is finite, or each is: finite values may overflow the sum
         return f"isfinite({' + '.join(names)}) or all(map(isfinite, ({', '.join(names)},)))" if names else "True"
 
@@ -767,7 +776,8 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly]) -> 
     fed = [k for k in live if any(k in reads[j] for j in moving)]
     x = [f"x{k}" for k in range(len(rhs))]
     y = [f"y{k}" if k in fed else f"x{k}" for k in range(len(rhs))]
-    head = [", ".join(x) + ", = s", "states = [s]", "max_c = 0.0", "bad = -1"]
+    head = [", ".join(x) + ", = s", "max_c = 0.0", "bad = -1"]
+    head += ["states = [s]"] if keep else []
     head += [f"a{k} = p{k}.evaluate_seq(s)" for k in frozen]
     head += [f"half{k} = {h / 2!r} * a{k}\nwhole{k} = {h!r} * a{k}" for k in frozen if k in fed]
     head += [f"last{k} = {h / 6!r} * (a{k} + 2 * a{k} + 2 * a{k} + a{k})" for k in frozen]
@@ -779,14 +789,20 @@ def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly]) -> 
     body += [f"if {g} > max_c:\n    max_c = {g}" for g in fold]
     body += ["if i == n:\n    break"] + [line for k in moving for line in rhs[k].float_lines(x, f"a{k}")]
     # stage i's input is x + dt * k_i; a frozen slot adds its increment instead
+    same_c = not any(k in moving for k in fed)  # then stage c's inputs are stage b's
     for i, (dt, before, increment) in enumerate(((h / 2, "a", "half"), (h / 2, "b", "half"), (h, "c", "whole"))):
+        if i == 1 and same_c:
+            body += [f"c{k} = b{k}" for k in moving]
+            continue
         body += [f"y{k} = x{k} + " + (f"{increment}{k}" if k in frozen else f"{dt!r} * {before}{k}") for k in fed]
         body += [line for k in moving for line in rhs[k].float_lines(y, f"{'bcd'[i]}{k}")]
     body += [f"x{k} = x{k} + " + (f"last{k}" if k in frozen else f"{h / 6!r} * (a{k} + 2 * b{k} + 2 * c{k} + d{k})")
              for k in live]
-    body += [f"if not ({finite([x[k] for k in live])}):\n    break", f"states.append([{', '.join(x)}])"]
+    body += [f"if not ({finite([x[k] for k in live])}):\n    break"]
+    body += [f"states.append([{', '.join(x)}])"] if keep else []
     loop = "\n".join(body).replace("\n", "\n    ")
-    lines = head + ["for i in range(n + 1):", "    " + loop, "return states, max_c, bad"]
+    end = "return states, max_c, bad" if keep else f"return i, [{', '.join(x)}], max_c, bad"
+    lines = head + ["for i in range(n + 1):", "    " + loop, end]
     namespace: dict = {"isfinite": math.isfinite, **{f"p{k}": rhs[k] for k in frozen}}
     exec("def run(s, n):\n    " + "\n".join(lines).replace("\n", "\n    "), namespace)
     return namespace["run"]
@@ -797,9 +813,11 @@ def integrate_extremal(
     controls: ControlVector,
     step: float,
     t_max: float,
+    keep_states: bool = True,
 ) -> Tuple[Trajectory, DriftReport]:
     """Fixed-step RK4 on the 30-dimensional constrained Hamiltonian system by one
-    `rk4_run`, which folds the constraints' drift; (s, r)' must be exactly 0."""
+    `rk4_run`, which folds the constraints' drift; (s, r)' must be exactly 0.
+    With `keep_states` false the trajectory holds no states."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step}")
     if not (math.isfinite(t_max) and t_max > 0):
@@ -836,25 +854,29 @@ def integrate_extremal(
     except OverflowError:
         raise ValueError("initial state does not fit in floats") from None
     checks = [lifts[n] for n in GENERATOR_ORDER]
-    run = rk4_run([equations[v] for v in chart.variables], step, checks)
-    states, max_c, bad = run(state, n_steps)
+    run = rk4_run([equations[v] for v in chart.variables], step, checks, keep_states)
+    if keep_states:
+        states, max_c, bad = run(state, n_steps)
+        reached, last = len(states) - 1, states[-1]
+    else:
+        states = None
+        reached, last, max_c, bad = run(state, n_steps)
     # a state beyond the floats wins over an earlier drift beyond them
-    if len(states) <= n_steps:
-        raise ValueError(f"RK4 state is not finite at t = {len(states) * step:.6g}")
+    if reached < n_steps:
+        raise ValueError(f"RK4 state is not finite at t = {(reached + 1) * step:.6g}")
     if bad >= 0:
         raise ValueError(f"constraint drift is not finite at t = {bad * step:.6g}")
     # the run never assigns a dead slot, so the last state holds every state's (s, r)
-    max_sr = max(abs(states[-1][k] - state[k]) for k in map(chart.index, COV7_VARIABLES))
-    times = [k * step for k in range(n_steps + 1)]
-    return Trajectory(chart, times, states, controls, step), DriftReport(max_c, max_sr, step, t_max)
+    max_sr = max(abs(last[k] - state[k]) for k in map(chart.index, COV7_VARIABLES))
+    return Trajectory(chart, states, controls, step, n_steps), DriftReport(max_c, max_sr, step, t_max)
 
 
 def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     """Central-difference check of the flow lemma along a trajectory: one
     compiled call per state gives the eight constraints, then their eight
     flow rates, streamed past each state's two neighbours."""
-    if len(traj.states) < 3:
-        raise ValueError("trajectory too short for central differences")
+    if len(traj.states or ()) < 3:
+        raise ValueError("trajectory holds too few states for central differences")
     lifts = lift_table(traj.chart)
     flow = flow_rhs(traj.chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
     polys = [lifts[n] for n in GENERATOR_ORDER] + [flow[n] for n in GENERATOR_ORDER]
@@ -906,7 +928,7 @@ def verify_suite() -> List[Item]:
     items.extend(verify_svc(matrix))
     items.extend(verify_flow_lemma_symbolic())
     init, controls = standard_initial_data()
-    traj, drift = integrate_extremal(init, controls, 1e-3, 1.0)
+    traj, drift = integrate_extremal(init, controls, 1e-3, 1.0, keep_states=True)
     items.append(
         check(
             "integrate:drift",

@@ -89,7 +89,7 @@ class MultiPoly:
     Immutable after construction; all operations return new instances.
     """
 
-    __slots__ = ("chart", "terms", "_float_fn")  # _float_fn: compiled by evaluate_seq
+    __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
         self.chart = chart
@@ -267,18 +267,21 @@ class MultiPoly:
         ] or [f"{target} = 0"]
 
     def evaluate_seq(self, values: Sequence[float]) -> float:
-        """Float value at an ordered assignment of the chart variables, from
-        `float_lines` compiled on the first call: each coefficient is rounded
-        to a float once, and every product and sum rounds where Fraction *
-        float would. Exact values come from `evaluate`."""
-        try:
-            fn = self._float_fn
-        except AttributeError:
-            body = self.float_lines([f"v[{i}]" for i in range(self.chart.dimension)], "t")
-            namespace: dict = {}
-            exec("def f(v):\n    " + "\n    ".join(body + ["return t"]), namespace)
-            fn = self._float_fn = namespace["f"]
-        return fn(values)
+        """Float value at an ordered assignment of the chart variables: the walk
+        that `float_lines` writes out, from the int 0 adding float(coefficient)
+        times the factors of each term in dict order. Exact values come from
+        `evaluate`."""
+        total = 0
+        for e, c in self.terms.items():
+            try:
+                term = float(c)
+            except OverflowError:
+                raise ValueError("a polynomial coefficient does not fit in a float") from None
+            for v, k in zip(values, e):
+                if k:
+                    term = term * v**k
+            total = total + term
+        return total
 
     # -- presentation / serialization ---------------------------------
 

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -414,6 +416,34 @@ def test_integrate_reproduces_the_golden_trajectory(capsys, tmp_path):
     data = Path(__file__).parent / "data"
     assert out == (data / "integrate_seed1.json").read_text()
     assert path.read_bytes() == (data / "integrate_seed1.csv").read_bytes()
+
+
+def test_the_json_run_keeps_no_trajectory_and_the_csv_rows_are_the_kept_states(capsys, tmp_path):
+    # 3,000 kept states take about 2.7 MB; the JSON output reads only the drift
+    cov, ctl = "-6/23,-1443/1058,409/1058,9/529,1,0,0", "-2,1,3,3,27/23,-48/23,40/23,-6/23"
+    argv = ["integrate", "--covector=" + cov, "--controls=" + ctl, "--step", "0.001"]
+
+    def peak(tmax):
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--json", "--tmax", tmax]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.01")  # builds the cached lift tables
+    short = peak("0.03")
+    capsys.readouterr()
+    long = peak("3.0")
+    assert json.loads(capsys.readouterr().out)["steps"] == 3000
+    assert long < 1_500_000 and long - short < 100_000
+    path = tmp_path / "traj.csv"
+    assert run([*argv, "--tmax", "3.0", "--csv", str(path)]) == 0
+    init = control.initial_state(None, [Fraction(x) for x in cov.split(",")])
+    c = [Fraction(x) for x in ctl.split(",")]
+    traj, _ = control.integrate_extremal(init, control.ControlVector(c[:4], c[4:]), 0.001, 3.0)
+    want = [",".join(map(repr, [t, *st])) for t, st in zip(traj.times, traj.states)]
+    assert path.read_text().splitlines()[1:] == want and len(want) == 3001
 
 
 def test_the_parser_is_built_once_per_process():

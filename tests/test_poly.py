@@ -243,12 +243,12 @@ def test_evaluate_seq_matches_the_dense_fraction_walk(case):
     assert float(got).hex() == float(dense_evaluate(p, values)).hex()
     # the zero polynomial's sum never leaves its int start
     assert type(got) is (int if p.is_zero() else float)
-    # a second call runs the cached compiled function
+    # the walk keeps nothing between calls
     assert float(p.evaluate_seq(values)).hex() == float(got).hex()
 
 
-def test_evaluate_seq_compiles_a_polynomial_of_many_terms():
-    # one expression summing this many terms exceeds the compiler's recursion limit
+def test_evaluate_seq_walks_a_polynomial_of_many_terms():
+    # more terms than one compiled sum could hold: the walk is not bound by the compiler
     p = MultiPoly(CHART, {(i, j, k): Fraction(1, 3) for i in range(20) for j in range(20) for k in range(15)})
     values = [0.5, -1.25, 0.75]
     assert len(p.terms) == 6000
