@@ -15,7 +15,7 @@ from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
 from .linalg import adjugate, det_cofactor, integer_vector, mat_mul, mat_rank_kernel
 from .linalg import mat_vec, pfaffian, transpose
-from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
+from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms, mul_add
 from .report import DISCREPANCY, PASS, Item, against_paper, check
 
 FIBER_VARIABLES = (
@@ -53,17 +53,25 @@ def hamiltonian_lift(field: VectorField, chart: Chart) -> MultiPoly:
     return total
 
 
+def _conjugate_indices(chart: Chart) -> List[Tuple[int, int]]:
+    """The (fiber, base) chart indices of CONJUGATE_PAIRS."""
+    return [(chart.index(fib), chart.index(base)) for fib, base in CONJUGATE_PAIRS]
+
+
 def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """{f, g} = sum_a (df/dfiber_a dg/dbase_a - df/dbase_a dg/dfiber_a).
+    """{f, g} = sum_a (df/dfiber_a dg/dbase_a - df/dbase_a dg/dfiber_a),
+    summed in one term map from the cached partials; absent ones are skipped.
 
     The sign convention is pinned by {H_X1, H_X2} = 2 r12 = H_[X1,X2].
     """
     if f.chart != g.chart:
         raise ChartMismatchError("arguments on different charts")
-    out = MultiPoly.zero(f.chart)
-    for fib, base in CONJUGATE_PAIRS:
-        out = out + f.diff(fib) * g.diff(base) - f.diff(base) * g.diff(fib)
-    return out
+    df, dg = f.partials(), g.partials()
+    acc: dict = {}
+    for fib, base in _conjugate_indices(f.chart):
+        mul_add(acc, df.get(fib, {}), dg.get(base, {}))
+        mul_add(acc, df.get(base, {}), dg.get(fib, {}), -1)
+    return MultiPoly._trusted(f.chart, acc)
 
 
 class CovectorFiber:
@@ -523,11 +531,12 @@ def hamiltonian(lifts: Mapping[str, MultiPoly], w: Mapping[str, object]) -> Mult
 
 def hamilton_equations(h: MultiPoly) -> Dict[str, MultiPoly]:
     """The right-hand side of each variable: base' = dH/dfiber,
-    fiber' = -dH/dbase."""
+    fiber' = -dH/dbase, read off H's cached partials."""
+    d, chart = h.partials(), h.chart
     out: Dict[str, MultiPoly] = {}
-    for fib, base in CONJUGATE_PAIRS:
-        out[base] = h.diff(fib)
-        out[fib] = -h.diff(base)
+    for (fib, base), (i, j) in zip(CONJUGATE_PAIRS, _conjugate_indices(chart)):
+        out[base] = MultiPoly._trusted(chart, d.get(i, {}))
+        out[fib] = -MultiPoly._trusted(chart, d.get(j, {}))
     return out
 
 

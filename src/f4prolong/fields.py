@@ -15,7 +15,7 @@ from .linalg import Echelon
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, mul_add
 
 Point = Dict[str, Fraction]
-Terms = Dict[tuple, Fraction]
+Terms = Dict[int, Fraction]
 # a field's nonzero components {k: terms of comp_k}, and for each k the
 # nonzero partials ((j, terms of d comp_k / d v_j), ...) over the support of comp_k
 Jacobian = Tuple[Dict[int, Terms], List[Tuple[Tuple[int, Terms], ...]]]
@@ -160,13 +160,12 @@ def extend_field(f: VectorField, chart: Chart) -> VectorField:
 def build_jacobian(f: VectorField) -> Jacobian:
     """The nonzero components of f and, for each component, its partials in
     the variables that it depends on, dropping the zero ones."""
-    variables = f.chart.variables
     nonzero: Dict[int, Terms] = {}
     partials: List[Tuple[Tuple[int, Terms], ...]] = []
     for k, comp in enumerate(f.components):
         if not comp.is_zero():
             nonzero[k] = comp.terms
-        partials.append(tuple((j, comp.diff(variables[j]).terms) for j in comp.support()))
+        partials.append(tuple(comp.partials().items()))
     return nonzero, partials
 
 

@@ -1,14 +1,25 @@
-"""Sparse multivariate polynomials with exact rational coefficients over a named chart."""
+"""Sparse multivariate polynomials with exact rational coefficients over a named chart.
+
+A monomial is one int: on a chart of n variables, byte n-1-i (big-endian)
+holds the exponent of variable i, so monomials order as their exponent
+vectors do and a product of monomials is one int addition. An exponent is at
+most MAX_EXPONENT; the top bit of each byte is a guard, and a product that
+sets it raises OverflowError instead of carrying into the next variable."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 # the most terms in one statement of `MultiPoly.float_lines`
 SUM_TERMS = 200
+MAX_EXPONENT = 127
+# the widest chart that the guard bits cover
+MAX_VARIABLES = 64
+_GUARD = int.from_bytes(bytes([MAX_EXPONENT + 1]) * MAX_VARIABLES, "big")
 
 
 class ChartMismatchError(ValueError):
@@ -18,15 +29,19 @@ class ChartMismatchError(ValueError):
 class Chart:
     """An ordered list of distinct variable names with an identifying token."""
 
-    __slots__ = ("id", "variables", "_index")
+    __slots__ = ("id", "variables", "_index", "_units")
 
     def __init__(self, chart_id: str, variables: Sequence[str]):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("chart variables must be distinct")
+        if len(variables) > MAX_VARIABLES:
+            raise ValueError(f"a chart has at most {MAX_VARIABLES} variables")
         self.id = chart_id
         self.variables = variables
         self._index = {name: k for k, name in enumerate(variables)}
+        # the monomial of each variable
+        self._units = tuple(1 << 8 * k for k in reversed(range(len(variables))))
 
     @property
     def dimension(self) -> int:
@@ -60,6 +75,15 @@ def _normal(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _pack(exps: Sequence[int], n: int) -> int:
+    """The monomial of an exponent vector on a chart of n variables."""
+    if len(exps) != n:
+        raise ValueError("exponent vector length != chart dimension")
+    if n and not 0 <= min(exps) <= max(exps) <= MAX_EXPONENT:
+        raise ValueError(f"exponents must lie in 0..{MAX_EXPONENT}")
+    return int.from_bytes(bytes(exps), "big")
+
+
 def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
     """acc += sign * a * b for term maps, one product of terms at a time with a
     outer and b inner. A term that cancels is deleted, so if it comes back it
@@ -69,12 +93,18 @@ def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
     outer = a.items() if sign == 1 else [(e, sign * c) for e, c in a.items()]
     for e1, c1 in outer:
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = _normal(s)
+            e = e1 + e2
+            if e & _GUARD:
+                raise OverflowError(f"an exponent above {MAX_EXPONENT}")
+            c = acc.get(e)
+            if c is None:
+                acc[e] = _normal(c1 * c2)
             else:
-                del acc[e]
+                c += c1 * c2
+                if c:
+                    acc[e] = _normal(c)
+                else:
+                    del acc[e]
 
 
 def grlex_key(exps: Sequence[int]):
@@ -83,25 +113,26 @@ def grlex_key(exps: Sequence[int]):
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent vectors to nonzero rationals, each
-    stored as an int when it is integral and as a Fraction otherwise.
+    """Sparse polynomial: `terms` maps monomials (packed ints, see the module
+    docstring) to nonzero rationals, each stored as an int when it is integral
+    and as a Fraction otherwise. The constructor takes exponent vectors;
+    `exponents()` gives them back.
 
     Immutable after construction; all operations return new instances.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_partials")  # _partials: set by partials()
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
         self.chart = chart
-        clean: dict[tuple, Scalar] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             n = chart.dimension
             for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError("exponent vector length != chart dimension")
+                m = _pack(exps, n)
                 c = _normal(coeff)
                 if c:
-                    clean[tuple(exps)] = c
+                    clean[m] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -112,7 +143,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, chart: Chart, c: Scalar) -> "MultiPoly":
-        return cls(chart, {(0,) * chart.dimension: c})
+        c = _normal(c)
+        return cls._trusted(chart, {0: c} if c else {})
 
     @classmethod
     def _trusted(cls, chart: Chart, terms: dict) -> "MultiPoly":
@@ -125,9 +157,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "MultiPoly":
-        exps = [0] * chart.dimension
-        exps[chart.index(name)] = 1
-        return cls(chart, {tuple(exps): 1})
+        return cls._trusted(chart, {chart._units[chart.index(name)]: 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -135,15 +165,24 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return self.degree() == 0
+        return not any(self.terms)
 
     def support(self) -> list[int]:
         """The indices of the chart variables that the polynomial reads, ascending."""
-        return sorted({i for e in self.terms for i, k in enumerate(e) if k})
+        used = reduce(or_, self.terms, 0)
+        if not used:
+            return []
+        return [i for i, k in enumerate(used.to_bytes(self.chart.dimension, "big")) if k]
 
     def degree(self) -> int:
         """The total degree; 0 for the zero polynomial."""
-        return max(map(sum, self.terms), default=0)
+        return max((sum(e) for e, _ in self.exponents()), default=0)
+
+    def exponents(self) -> list[tuple[bytes, Scalar]]:
+        """The terms as (exponent vector, coefficient) pairs in dict order, each
+        vector a bytes whose item i is the exponent of chart variable i."""
+        n = self.chart.dimension
+        return [(m.to_bytes(n, "big"), c) for m, c in self.terms.items()]
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -193,7 +232,7 @@ class MultiPoly:
     def __mul__(self, other):
         if type(other) is MultiPoly:
             self._check(other)
-            terms: dict[tuple, Scalar] = {}
+            terms: dict[int, Scalar] = {}
             mul_add(terms, self.terms, other.terms)
             return MultiPoly._trusted(self.chart, terms)
         if not isinstance(other, (int, Fraction)):
@@ -218,15 +257,25 @@ class MultiPoly:
 
     def diff(self, var: str) -> "MultiPoly":
         """Exact partial derivative with respect to a chart variable."""
-        k = self.chart.index(var)
-        terms: dict[tuple, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            d = list(e)
-            d[k] -= 1
-            terms[tuple(d)] = _normal(c * e[k])
-        return MultiPoly._trusted(self.chart, terms)
+        return MultiPoly._trusted(self.chart, self.partials().get(self.chart.index(var), {}))
+
+    def partials(self) -> dict[int, dict[int, Scalar]]:
+        """{i: term map of the partial in variable i} over `support()`, in
+        ascending i, each map in the order of the terms it comes from: built
+        in one sweep over the terms on the first call and kept. The maps are
+        shared; wrap one with `_trusted`, never change it."""
+        try:
+            return self._partials
+        except AttributeError:
+            pass
+        n, units = self.chart.dimension, self.chart._units
+        out: dict[int, dict[int, Scalar]] = {i: {} for i in self.support()}
+        for m, c in self.terms.items():
+            for i, k in enumerate(m.to_bytes(n, "big")):
+                if k:
+                    out[i][m - units[i]] = c if k == 1 else _normal(c * k)
+        self._partials = out
+        return out
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of chart variables."""
@@ -236,7 +285,7 @@ class MultiPoly:
                 raise KeyError(f"point does not assign variable {name!r}")
             vals.append(_normal(point[name]))
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.exponents():
             term = c
             for v, k in zip(vals, e):
                 if k:
@@ -253,7 +302,7 @@ class MultiPoly:
         the int 0 adding float(coefficient) * factors, signed zeros included: 0 + x
         is 0.0 + x, 1.0 * v is v and t + (-c) * v is t - c * v. Zero is `target = 0`."""
         terms = []
-        for e, c in self.terms.items():
+        for e, c in self.exponents():
             factors = [names[i] if k == 1 else f"{names[i]}**{k}" for i, k in enumerate(e) if k]
             try:
                 if abs(c) != 1 or not factors:
@@ -272,7 +321,7 @@ class MultiPoly:
         times the factors of each term in dict order. Exact values come from
         `evaluate`."""
         total = 0
-        for e, c in self.terms.items():
+        for e, c in self.exponents():
             try:
                 term = float(c)
             except OverflowError:
@@ -285,8 +334,9 @@ class MultiPoly:
 
     # -- presentation / serialization ---------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+    def sorted_terms(self) -> list[tuple[bytes, Scalar]]:
+        """`exponents()` in graded-lexicographic order."""
+        return sorted(self.exponents(), key=lambda kv: grlex_key(kv[0]))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -332,10 +382,10 @@ def extend_poly(p: MultiPoly, chart: Chart) -> MultiPoly:
     if p.chart == chart:
         return p
     idx = [chart.index(v) for v in p.chart.variables]
-    terms: dict[tuple, Scalar] = {}
-    for e, c in p.terms.items():
-        out = [0] * chart.dimension
+    terms: dict[int, Scalar] = {}
+    for e, c in p.exponents():
+        out = bytearray(chart.dimension)
         for k, power in zip(idx, e):
             out[k] = power
-        terms[tuple(out)] = c
-    return MultiPoly(chart, terms)
+        terms[int.from_bytes(out, "big")] = c
+    return MultiPoly._trusted(chart, terms)

@@ -70,7 +70,7 @@ def dense_evaluate(p, values):
     describes, from the int 0 adding float(coefficient) times the factors of
     each term in dict order, over dense exponent tuples."""
     total = 0
-    for e, c in p.terms.items():
+    for e, c in p.exponents():
         term = float(c)
         for v, k in zip(values, e):
             if k:

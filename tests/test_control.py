@@ -128,7 +128,7 @@ def test_poisson_pins_convention():
     model = build_model()
     h1 = hamiltonian_lift(model.frame["X1"], chart)
     h2 = hamiltonian_lift(model.frame["X2"], chart)
-    assert poisson_bracket(h1, h2) == MultiPoly.variable(chart, "r12") * 2
+    assert poisson_bracket(h1, h2) == MultiPoly.variable(chart, "r12") * 2 == bracket_lifts(chart)[("X1", "X2")]
 
 
 def test_lifts_are_linear_in_the_fiber():
@@ -139,7 +139,7 @@ def test_lifts_are_linear_in_the_fiber():
     for name in model.frame_order:
         h = hamiltonian_lift(model.frame[name], chart)
         assert not h.is_zero()
-        assert all(sum(e[k] for k in fiber) == 1 for e in h.terms), name
+        assert all(sum(e[k] for k in fiber) == 1 for e, _ in h.exponents()), name
 
 
 def test_poisson_bracket_sympy_oracle():
@@ -151,7 +151,7 @@ def test_poisson_bracket_sympy_oracle():
 
     def to_sympy(p):
         out = 0
-        for e, c in p.terms.items():
+        for e, c in p.exponents():
             term = sympy.Rational(c.numerator, c.denominator)
             for n, k in zip(chart.variables, e):
                 term *= syms[n] ** k
@@ -168,6 +168,66 @@ def test_poisson_bracket_sympy_oracle():
             for bv, fv in zip(base, fiber)
         )
         assert sympy.expand(to_sympy(poisson_bracket(f, g)) - oracle) == 0
+
+
+def _diff_poisson(f, g):
+    """The bracket as four diffs and two products per conjugate pair, summed
+    one polynomial at a time: the oracle for the partials-based kernel."""
+    out = MultiPoly.zero(f.chart)
+    for fib, base in CONJUGATE_PAIRS:
+        out = out + f.diff(fib) * g.diff(base) - f.diff(base) * g.diff(fib)
+    return out
+
+
+@st.composite
+def chart_polys(draw, chart):
+    """Up to six terms of degree at most four with rational coefficients;
+    some terms read only base or only fiber variables."""
+    n = chart.dimension
+    reach = draw(st.sampled_from([range(n), range(15), range(15, 30)]))
+    exps = st.lists(st.sampled_from(list(reach)), max_size=4).map(
+        lambda picks: tuple(picks.count(i) for i in range(n))
+    )
+    coeff = st.fractions(-4, 4, max_denominator=6)
+    return MultiPoly(chart, draw(st.dictionaries(exps, coeff, max_size=6)))
+
+
+@st.composite
+def poisson_pairs(draw):
+    chart = draw(st.sampled_from([cotangent_chart(), control.phase_control_chart()]))
+    return draw(chart_polys(chart)), draw(chart_polys(chart))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poisson_pairs())
+def test_poisson_bracket_equals_the_diff_formula(pair):
+    f, g = pair
+    got = poisson_bracket(f, g)
+    assert got == _diff_poisson(f, g)
+    assert poisson_bracket(g, f) == -got
+    # a second bracket reads the cached partials and gives the same result
+    assert poisson_bracket(f, g) == got and f.partials() is f.partials()
+
+
+def test_each_lift_builds_its_partials_once_per_control_suite(monkeypatch):
+    real = MultiPoly.partials
+    built = []
+
+    def spy(p):
+        if not hasattr(p, "_partials"):
+            built.append(p)
+        return real(p)
+
+    lift_table.cache_clear()
+    bracket_lifts.cache_clear()
+    monkeypatch.setattr(MultiPoly, "partials", spy)
+    items = control.verify_suite()
+    assert not failures(items)
+    # built keeps every polynomial alive, so equal ids mean one object built twice
+    assert len({id(p) for p in built}) == len(built)
+    for chart in (cotangent_chart(), control.phase_control_chart()):
+        lifts = lift_table(chart)
+        assert all(sum(p is lifts[name] for p in built) == 1 for name in GENERATOR_ORDER), chart
 
 
 def test_rank_dichotomy_examples():

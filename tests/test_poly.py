@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 from conftest import dense_evaluate
 from f4prolong.fields import VectorField
-from f4prolong.poly import SUM_TERMS, Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms
+from f4prolong.poly import (
+    MAX_EXPONENT,
+    MAX_VARIABLES,
+    SUM_TERMS,
+    Chart,
+    ChartMismatchError,
+    MultiPoly,
+    extend_poly,
+    from_terms,
+    grlex_key,
+)
 
 CHART = Chart("t3", ("a", "b", "c"))
 
@@ -130,7 +140,7 @@ def test_constant_value_and_evaluate_return_fractions():
 
 def _fractions(p: MultiPoly) -> dict:
     """p's term map with every coefficient a Fraction."""
-    return {e: Fraction(c) for e, c in p.terms.items()}
+    return {tuple(e): Fraction(c) for e, c in p.exponents()}
 
 
 def _fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
@@ -179,7 +189,8 @@ def test_coefficients_are_ints_or_proper_fractions(p, q, s):
             type(c) is int or (type(c) is Fraction and c.denominator != 1)
             for c in got.terms.values()
         )
-        want = MultiPoly._trusted(got.chart, {e: c for e, c in want.items() if c})
+        want = MultiPoly(got.chart, want)
+        want = MultiPoly._trusted(want.chart, {m: Fraction(c) for m, c in want.terms.items()})
         assert all(type(c) is Fraction for c in want.terms.values())
         assert got == want and want == got and hash(got) == hash(want)
 
@@ -300,9 +311,151 @@ def test_a_coefficient_beyond_the_floats_is_a_value_error():
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys(), points, float_points())
 def test_float_evaluation_leaves_the_polynomial_unchanged(p, q, pt, values):
-    copy = MultiPoly(CHART, p.terms)
+    copy = MultiPoly(CHART, dict(p.exponents()))
     before = (p + q, p * q, q * p, hash(p), p.evaluate(pt))
     p.evaluate_seq(values)
     q.evaluate_seq(values)
     assert (p + q, p * q, q * p, hash(p), p.evaluate(pt)) == before
     assert p == copy and copy == p and hash(p) == hash(copy)
+
+
+# -- the packed monomials, against exponent tuples ---------------------------
+
+
+def _chart(n: int) -> Chart:
+    return Chart(f"w{n}", tuple(f"w{k}" for k in range(n)))
+
+
+def _monomial(chart: Chart, exps: tuple) -> int:
+    """The packed key of one exponent vector."""
+    (m,) = MultiPoly(chart, {exps: 1}).terms
+    return m
+
+
+@st.composite
+def exponent_vectors(draw):
+    """Two to eight exponent vectors over 1-38 variables, each exponent in 0..127."""
+    n = draw(st.integers(1, 38))
+    vector = st.lists(st.integers(0, 127), min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(vector, min_size=2, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent_vectors())
+def test_packed_monomials_order_as_exponent_tuples(case):
+    n, vectors = case
+    chart = _chart(n)
+    packed = [_monomial(chart, e) for e in vectors]
+    for a, pa in zip(vectors, packed):
+        for b, pb in zip(vectors, packed):
+            assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    p = MultiPoly(chart, {e: k + 1 for k, e in enumerate(vectors)})
+    assert [tuple(e) for e, _ in p.exponents()] == list(dict.fromkeys(vectors))
+    assert [tuple(e) for e, _ in p.sorted_terms()] == sorted(set(vectors), key=grlex_key)
+
+
+def _term_list(p: MultiPoly) -> list:
+    """p's terms in dict order as (exponent tuple, coefficient, coefficient type)."""
+    return [(tuple(e), c, type(c)) for e, c in p.exponents()]
+
+
+def _reference_product(a: dict, b: dict) -> dict:
+    """The tuple-keyed product loop: a outer, b inner, a cancelled term deleted."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s.numerator if s.denominator == 1 else s
+            else:
+                del out[e]
+    return out
+
+
+def _reference_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s.numerator if s.denominator == 1 else s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _reference_diff(a: dict, k: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        if e[k]:
+            c = c * e[k]
+            out[e[:k] + (e[k] - 1,) + e[k + 1 :]] = c.numerator if c.denominator == 1 else c
+    return out
+
+
+def _as_list(terms: dict) -> list:
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+@st.composite
+def wide_polys(draw):
+    """Two polynomials over the same chart of 1-38 variables, with up to six
+    terms of degree at most five and int or Fraction coefficients."""
+    n = draw(st.integers(1, 38))
+    exps = st.lists(st.integers(0, n - 1), max_size=5).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+    chart = _chart(n)
+    return tuple(MultiPoly(chart, draw(st.dictionaries(exps, coeff, max_size=6))) for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys())
+def test_packed_ring_and_calculus_agree_with_exponent_tuples(pair):
+    p, q = pair
+    a, b = ({tuple(e): c for e, c in r.exponents()} for r in pair)
+    assert _term_list(p * q) == _as_list(_reference_product(a, b))
+    assert _term_list(p + q) == _as_list(_reference_sum(a, b))
+    support = sorted({k for e in a for k, power in enumerate(e) if power})
+    assert p.support() == support
+    assert p.degree() == max(map(sum, a), default=0)
+    assert p.is_constant() == (support == [])
+    partials = p.partials()
+    assert list(partials) == support
+    for k, name in enumerate(p.chart.variables):
+        want = _as_list(_reference_diff(a, k))
+        assert _term_list(p.diff(name)) == want
+        assert _term_list(MultiPoly._trusted(p.chart, partials.get(k, {}))) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 38).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, 127), st.integers(0, 127))))
+def test_an_exponent_sum_above_127_raises_and_never_carries(case):
+    n, k, i, j = case
+    chart = _chart(n)
+    unit = tuple(int(m == k) for m in range(n))
+    x_i = MultiPoly(chart, {tuple(i * u for u in unit): 1})
+    x_j = MultiPoly(chart, {tuple(j * u for u in unit): 1})
+    if i + j > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            x_i * x_j
+    else:
+        assert [tuple(e) for e, _ in (x_i * x_j).exponents()] == [tuple((i + j) * u for u in unit)]
+
+
+def test_exponents_and_charts_beyond_the_guard_are_refused():
+    x = v("a")
+    top = MultiPoly(CHART, {(127, 0, 0): 1})
+    with pytest.raises(OverflowError, match="above 127"):
+        top * x
+    with pytest.raises(OverflowError):
+        MultiPoly(CHART, {(0, 127, 3): 2}) * MultiPoly(CHART, {(1, 1, 0): 1})
+    for bad in ((128, 0, 0), (0, -1, 0)):
+        with pytest.raises(ValueError, match=r"0\.\.127"):
+            MultiPoly(CHART, {bad: 1})
+    widest = _chart(MAX_VARIABLES)
+    first = MultiPoly.variable(widest, "w0")
+    assert first.support() == [0] and (first * first).degree() == 2
+    with pytest.raises(OverflowError):
+        MultiPoly(widest, {(127,) + (0,) * (MAX_VARIABLES - 1): 1}) * first
+    with pytest.raises(ValueError, match=f"at most {MAX_VARIABLES} variables"):
+        _chart(MAX_VARIABLES + 1)
