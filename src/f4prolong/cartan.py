@@ -7,7 +7,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
-from .fields import OneForm, StructureTable, TriangularFrame, VectorField, lie_bracket, pair
+from .fields import Frame, OneForm, StructureTable, VectorField, lie_bracket, pair
 from .linalg import Echelon, det_cofactor
 from .poly import Chart, MultiPoly
 from .report import Item, check
@@ -61,33 +61,16 @@ class FrameTable(NamedTuple):
         return {k: -c for k, c in self.brackets[(b, a)].items()}
 
 
-class CartanModel:
-    """Read-only; cached_property stores `table` and `triangular` in the instance dict."""
+class CartanModel(Frame):
+    """The frame in frame order, triangular in LEAD_ORDER, with its `coframe`
+    listed dual to it; `table` is cached like `triangular`."""
 
-    chart: Chart
-    frame: Mapping[str, VectorField]
-    frame_order: Tuple[str, ...]
     coframe: Mapping[str, OneForm]
-    coframe_order: Tuple[str, ...]
-
-    def __init__(self, chart, frame, frame_order, coframe, coframe_order):
-        vars(self).update(
-            chart=chart, frame=frame, frame_order=frame_order, coframe=coframe, coframe_order=coframe_order
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CartanModel is read-only: cannot set {name}")
-
-    @cached_property
-    def triangular(self) -> TriangularFrame:
-        """The frame, listed in frame order, triangular in LEAD_ORDER; built on
-        first use, and raises ValueError with a witness when it is not."""
-        return TriangularFrame({name: self.frame[name] for name in self.frame_order}, LEAD_ORDER)
 
     @cached_property
     def table(self) -> FrameTable:
         """The frame table of the whole frame, computed on first use."""
-        return frame_table(self, {name: self.frame[name] for name in self.frame_order})
+        return frame_table(self, self.fields)
 
 
 @cache
@@ -102,6 +85,7 @@ def build_model() -> CartanModel:
     chart = base_chart()
     var = lambda name: MultiPoly.variable(chart, name)
 
+    # both in frame order: Z, X_ij, X_i, Y_i and their duals
     frame: Dict[str, VectorField] = {}
     coframe: Dict[str, OneForm] = {}
 
@@ -129,9 +113,8 @@ def build_model() -> CartanModel:
             },
             f"omega{i}{j}",
         )
-    for i in range(1, 5):
-        coframe[f"dx{i}"] = OneForm.differential(chart, f"x{i}")
-        coframe[f"dy{i}"] = OneForm.differential(chart, f"y{i}")
+    for v in [f"{c}{i}" for c in "xy" for i in range(1, 5)]:
+        coframe[f"d{v}"] = OneForm.differential(chart, v)
 
     # X_i: unit dx_i direction, y_i dz correction, and the x_ij corrections
     # dual to the omega_ij above.
@@ -147,24 +130,10 @@ def build_model() -> CartanModel:
         xcomp[i][f"x{i}{j}"] = -var(f"x{j}")
         ycomp[k][f"x{i}{j}"] = var(f"y{h}")
         ycomp[h][f"x{i}{j}"] = -var(f"y{k}")
-    for i in range(1, 5):
-        frame[f"X{i}"] = VectorField.from_dict(chart, xcomp[i], f"X{i}")
-        frame[f"Y{i}"] = VectorField.from_dict(chart, ycomp[i], f"Y{i}")
-
-    frame_order = tuple(
-        ["Z"]
-        + [f"X{i}{j}" for i, j in PAIRS]
-        + [f"X{i}" for i in range(1, 5)]
-        + [f"Y{i}" for i in range(1, 5)]
-    )
-    coframe_order = tuple(
-        ["omega"]
-        + [f"omega{i}{j}" for i, j in PAIRS]
-        + [f"dx{i}" for i in range(1, 5)]
-        + [f"dy{i}" for i in range(1, 5)]
-    )
-    frame, coframe = MappingProxyType(frame), MappingProxyType(coframe)
-    return CartanModel(chart, frame, frame_order, coframe, coframe_order)
+    for name, comps in (("X", xcomp), ("Y", ycomp)):
+        for i in range(1, 5):
+            frame[f"{name}{i}"] = VectorField.from_dict(chart, comps[i], f"{name}{i}")
+    return CartanModel(chart, MappingProxyType(frame), LEAD_ORDER, coframe=MappingProxyType(coframe))
 
 
 GENERATOR_ORDER = ("X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
@@ -240,8 +209,8 @@ def verify_bracket_table(m: CartanModel) -> List[Item]:
 def verify_duality(m: CartanModel) -> Tuple[int, int]:
     """Count (checked, mismatched) of the 225 coframe/frame pairings, each
     computed here: the frame table's coordinates do not read the coframe."""
-    dual = list(zip(m.frame_order, m.coframe_order))
-    grid = [(pair(m.coframe[form], m.frame[b]), int(a == b)) for b in m.frame_order for a, form in dual]
+    dual = list(zip(m.fields, m.coframe.values()))
+    grid = [(pair(form, field), int(a == b)) for b, field in m.fields.items() for a, form in dual]
     return len(grid), sum(p != want for p, want in grid)
 
 
@@ -251,7 +220,7 @@ def constant_coordinates(m: CartanModel, label: str, row: Coordinates) -> Dict[s
     out = {}
     for name, value in row.items():
         if not value.is_constant():
-            form = m.coframe_order[m.frame_order.index(name)]
+            form = dict(zip(m.fields, m.coframe))[name]
             raise ValueError(f"<{form}, {label}> = {value} is not constant")
         out[name] = value.constant_value()
     return out
@@ -264,7 +233,7 @@ def contact_foliation_check(m: CartanModel, i: int, j: int) -> List[Item]:
         raise ValueError("need 1 <= i < j <= 4")
     h, k = even_complement(i, j)
     names = [f"X{i}", f"X{j}", f"Y{h}", f"Y{k}", f"X{i}{j}"]
-    dual = dict(zip(m.frame_order, m.coframe_order))
+    dual = dict(zip(m.fields, m.coframe))
     # Frobenius: D_ij is involutive iff no bracket of its generators has a
     # coordinate along the other ten frame fields
     obstructions = [
@@ -341,7 +310,7 @@ def type_f4_frame_check(m: CartanModel, table: FrameTable) -> List[Item]:
                 congruences.append(
                     (f"f4:[X{i},Y{j}]~0", f"[X{i},Y{j}] = 0 mod D", br(f"X{i}", f"Y{j}"), {}, 1)
                 )
-    dual = dict(zip(m.frame_order, m.coframe_order))
+    dual = dict(zip(m.fields, m.coframe))
     zero = MultiPoly.zero(m.chart)
     items = []
     for item_id, description, c, d, sign in congruences:
@@ -388,17 +357,19 @@ def verify_suite() -> List[Item]:
     # D's flag closed over the constant frame coordinates of [generator,
     # frame field]; at rank 15, D^(2) = D + [D, D] is the whole tangent space
     try:
-        table = StructureTable(m.frame_order, GENERATOR_ORDER, {
+        table = StructureTable(tuple(m.fields), GENERATOR_ORDER, {
             (g, e): constant_coordinates(m, f"[{g},{e}]", m.table.bracket(g, e))
             for g in GENERATOR_ORDER
-            for e in m.frame_order
+            for e in m.fields
         })
         growth = table.flag[0]
         computed = str(growth)
     except ValueError as exc:
         growth, computed = None, str(exc)
     growth = check("growth:D", "growth vector of D is (8, 15) on the whole chart", growth == (8, 15), computed, "(8, 15)")
-    if "table" not in vars(m):
+    try:
+        m.triangular
+    except ValueError:
         # a frame that is not triangular has no coordinates to read, and
         # growth:D, which holds on the whole chart only on a frame, says why
         return [duality, growth]

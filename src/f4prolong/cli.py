@@ -220,16 +220,14 @@ def _cmd_export_model(args) -> int:
     out = {
         "schema": "f4prolong/1",
         "chart": list(model.chart.variables),
-        "frame": {name: model.frame[name].to_json() for name in model.frame_order},
-        "coframe": {name: model.coframe[name].to_json() for name in model.coframe_order},
+        "frame": {name: f.to_json() for name, f in model.fields.items()},
+        "coframe": {name: form.to_json() for name, form in model.coframe.items()},
     }
     if args.json:
         print(json.dumps(out, indent=2))
     else:
-        for name in model.frame_order:
-            print(repr(model.frame[name]))
-        for name in model.coframe_order:
-            print(repr(model.coframe[name]))
+        for f in [*model.fields.values(), *model.coframe.values()]:
+            print(repr(f))
     return 0
 
 

@@ -507,8 +507,7 @@ def lift_table(chart: Chart) -> Mapping[str, MultiPoly]:
     """H_e on the chart for each of the 15 frame fields, built once per chart
     and shared read-only; its GENERATOR_ORDER entries are the eight
     constraints H_X1..H_Y4."""
-    model = build_model()
-    return MappingProxyType({n: hamiltonian_lift(model.frame[n], chart) for n in model.frame_order})
+    return MappingProxyType({n: hamiltonian_lift(f, chart) for n, f in build_model().fields.items()})
 
 
 def control_variables(chart: Chart) -> Dict[str, MultiPoly]:

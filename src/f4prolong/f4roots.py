@@ -249,8 +249,8 @@ def verify_suite() -> List[Item]:
     """The root system, and its correspondence with the bracket table of the
     shared zeta system and with the weights that E's flag, closed over that
     table, assigns (`prolong.symbol_weights`)."""
-    table = build_zeta_generators().table
     try:
+        table = build_zeta_generators().table
         weights = symbol_weights(table)
     except ValueError as exc:
         return verify_root_system() + [

@@ -2,8 +2,9 @@
 
 Brackets multiply term maps through `poly.mul_add`, the one product kernel,
 which `MultiPoly.__mul__` uses too; nothing here reads an exponent vector.
-A frame whose brackets have constant coordinates closes its derived flag over
-those constants alone, in a `StructureTable`."""
+A read-only `Frame` of labelled fields writes a field in its coordinates by
+its `TriangularFrame`; a frame whose brackets have constant coordinates closes
+its derived flag over those constants alone, in a `StructureTable`."""
 
 from __future__ import annotations
 
@@ -251,6 +252,32 @@ class TriangularFrame:
             left = [MultiPoly._trusted(v.chart, rest.get(k, {})) for k in range(v.chart.dimension)]
             raise ValueError(f"{v.name or 'the field'} is not in the span of the frame, {VectorField(v.chart, left, 'remainder')}")
         return {label: found[label] for label in self.labels if label in found}
+
+
+class Frame:
+    """Read-only labelled fields on one chart, listed in the order of their
+    coordinates, with the order of their leads (`leads`, by default the same).
+    A subclass adds its own records by keyword; cached_property stores
+    `triangular` and a subclass's caches in the instance dict."""
+
+    chart: Chart
+    fields: Mapping[Hashable, VectorField]
+    leads: Tuple[Hashable, ...]
+
+    def __init__(self, chart, fields, leads=(), **records):
+        vars(self).update(records, chart=chart, fields=fields, leads=leads)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name}")
+
+    @cached_property
+    def triangular(self) -> TriangularFrame:
+        """The fields as a TriangularFrame, built on first use: it raises
+        ValueError with a witness when they are not one."""
+        return TriangularFrame(self.fields, self.leads)
 
 
 def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Fraction]]:

@@ -90,7 +90,7 @@ def mul_add(acc: dict, a: Mapping, b: Mapping, sign: int = 1) -> None:
     goes in again at the end of acc's order."""
     if not (a and b):
         return
-    outer = a.items() if sign == 1 else [(e, sign * c) for e, c in a.items()]
+    outer = a.items() if sign == 1 else [(e, c * sign) for e, c in a.items()]
     for e1, c1 in outer:
         for e2, c2 in b.items():
             e = e1 + e2

@@ -32,7 +32,7 @@ def model():
 
 def generators(model):
     """X1..X4, Y1..Y4: the frame fields that span D."""
-    return [model.frame[n] for n in GENERATOR_ORDER]
+    return [model.fields[n] for n in GENERATOR_ORDER]
 
 
 def test_even_complement():
@@ -46,14 +46,14 @@ def test_even_complement():
 
 def test_distribution_annihilated_by_pfaff_forms(model):
     # D = ker(omega, omega_ij): the seven annihilator forms kill X_i and Y_i
-    ann = model.coframe_order[:7]
+    ann = list(model.coframe)[:7]
     for g in generators(model):
         for cname in ann:
             assert pair(model.coframe[cname], g).is_zero()
 
 
 def test_spot_brackets(model):
-    f = model.frame
+    f = model.fields
     two = {"X12": MultiPoly.constant(model.chart, 2)}
     assert model.table.bracket("X1", "X2") == expected_bracket(model, "X1", "X2") == two
     assert model.table.bracket("X2", "X1") == {"X12": MultiPoly.constant(model.chart, -2)}
@@ -89,16 +89,16 @@ def test_f4_frame_check_can_fail(model):
     assert len(items) == 22
     assert not failures(items)
     # with Y1 and Y2 swapped, [X1, Y1] = 0 while [X3, Y3] = Z lies outside D
-    swapped = dict(model.frame, Y1=model.frame["Y2"], Y2=model.frame["Y1"])
+    swapped = dict(model.fields, Y1=model.fields["Y2"], Y2=model.fields["Y1"])
     item = by_id(type_f4_frame_check(model, frame_table(model, swapped)))["f4:[X1,Y1]~[X3,Y3]"]
     assert item.status == "fail"
     assert item.computed == "<omega, v> = 1"
     # with Y3 and Y4 swapped, [X1, X2] - [Y3, Y4] = 4 X12 leaves D along omega12
-    swapped = dict(model.frame, Y3=model.frame["Y4"], Y4=model.frame["Y3"])
+    swapped = dict(model.fields, Y3=model.fields["Y4"], Y4=model.fields["Y3"])
     item = by_id(type_f4_frame_check(model, frame_table(model, swapped)))["f4:[X1,X2]~[Y3,Y4]"]
     assert (item.status, item.computed) == ("fail", "<omega12, v> = 4")
     # a frame field with a coordinate that is not constant
-    scaled = dict(model.frame, X1=model.frame["X1"] * (1 + MultiPoly.variable(model.chart, "x2")))
+    scaled = dict(model.fields, X1=model.fields["X1"] * (1 + MultiPoly.variable(model.chart, "x2")))
     item = by_id(type_f4_frame_check(model, frame_table(model, scaled)))["f4:induced-frame-rank"]
     assert item.status == "fail"
     assert item.computed.startswith("<dx1, X1> = ")
@@ -110,13 +110,12 @@ def test_f4_frame_check_can_fail(model):
 
 def _copy(model, frame=None, coframe=None):
     """A new model on the same frame and coframe, or with the fields and forms
-    given replaced, without a cached table."""
+    given replaced, without a cached triangular or table."""
     return CartanModel(
         model.chart,
-        {**model.frame, **(frame or {})},
-        model.frame_order,
-        {**model.coframe, **(coframe or {})},
-        model.coframe_order,
+        {**model.fields, **(frame or {})},
+        model.leads,
+        coframe={**model.coframe, **(coframe or {})},
     )
 
 
@@ -165,7 +164,7 @@ def test_the_growth_of_D_is_closed_over_the_frame_table(model, monkeypatch):
     item = _suite_with(monkeypatch, model, {})["growth:D"]
     assert (item.status, item.computed) == ("pass", "(8, 15)")
     assert [(t.basis, t.generators) for t in closed] == [
-        (model.frame_order, cartan.GENERATOR_ORDER)
+        (tuple(model.fields), cartan.GENERATOR_ORDER)
     ]
     weights = {**dict.fromkeys(cartan.GENERATOR_ORDER, 1), **dict.fromkeys(cartan.CENTER, 2)}
     assert closed[0].flag == ((8, 15), weights)
@@ -201,7 +200,7 @@ def test_the_suite_pairs_each_form_and_field_once(model, monkeypatch):
 
 def test_a_frame_that_is_not_triangular_fails_with_its_witness(model, monkeypatch):
     # Y1 + X1 keeps a global frame, but it is 1 on the lead of X1, and <dx1, Y1> = 1
-    copy = _copy(model, frame={"Y1": model.frame["Y1"] + model.frame["X1"]})
+    copy = _copy(model, frame={"Y1": model.fields["Y1"] + model.fields["X1"]})
     monkeypatch.setattr(cartan, "build_model", lambda: copy)
     items = cartan.verify_suite()
     assert [(i.id, i.status, i.computed) for i in failures(items)] == [
@@ -214,12 +213,12 @@ def test_shared_model_is_read_only():
     model = build_model()
     assert build_model() is model
     with pytest.raises(TypeError):
-        model.frame["Z"] = model.frame["X12"]
+        model.fields["Z"] = model.fields["X12"]
     with pytest.raises(TypeError):
         model.coframe["omega"] = model.coframe["omega12"]
     with pytest.raises(AttributeError):
-        model.frame = model.frame
-    assert len(model.frame) == 15
+        model.fields = model.fields
+    assert len(model.fields) == 15
 
 
 def test_suite_green(cartan_run):

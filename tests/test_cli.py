@@ -87,7 +87,7 @@ def test_verify_all_builds_the_model_once(capsys, monkeypatch):
     cartan.build_model.cache_clear()
     built = []
     real = cartan.CartanModel
-    monkeypatch.setattr(cartan, "CartanModel", lambda *fields: built.append(1) or real(*fields))
+    monkeypatch.setattr(cartan, "CartanModel", lambda *a, **kw: built.append(1) or real(*a, **kw))
     code, _, _ = _capture(capsys, ["verify", "all", "--json"])
     assert code == 0
     assert len(built) == 1

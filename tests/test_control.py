@@ -126,8 +126,8 @@ def test_gram_R_matches_form():
 def test_poisson_pins_convention():
     chart = cotangent_chart()
     model = build_model()
-    h1 = hamiltonian_lift(model.frame["X1"], chart)
-    h2 = hamiltonian_lift(model.frame["X2"], chart)
+    h1 = hamiltonian_lift(model.fields["X1"], chart)
+    h2 = hamiltonian_lift(model.fields["X2"], chart)
     assert poisson_bracket(h1, h2) == MultiPoly.variable(chart, "r12") * 2 == bracket_lifts(chart)[("X1", "X2")]
 
 
@@ -135,9 +135,9 @@ def test_lifts_are_linear_in_the_fiber():
     chart = cotangent_chart()
     model = build_model()
     fiber = [chart.index(v) for v in FIBER_VARIABLES]
-    assert len(model.frame_order) == 15
-    for name in model.frame_order:
-        h = hamiltonian_lift(model.frame[name], chart)
+    assert len(model.fields) == 15
+    for name in model.fields:
+        h = hamiltonian_lift(model.fields[name], chart)
         assert not h.is_zero()
         assert all(sum(e[k] for k in fiber) == 1 for e, _ in h.exponents()), name
 
@@ -159,8 +159,8 @@ def test_poisson_bracket_sympy_oracle():
         return out
 
     for a, b in [("X1", "Y1"), ("Y2", "Y3"), ("X3", "Y4")]:
-        f = hamiltonian_lift(model.frame[a], chart)
-        g = hamiltonian_lift(model.frame[b], chart)
+        f = hamiltonian_lift(model.fields[a], chart)
+        g = hamiltonian_lift(model.fields[b], chart)
         fs, gs = to_sympy(f), to_sympy(g)
         oracle = sum(
             sympy.diff(fs, syms[fv]) * sympy.diff(gs, syms[bv])
@@ -453,7 +453,7 @@ def _reference_rhs(controls):
     model = build_model()
     h = MultiPoly.zero(chart)
     for name, c in zip(GENERATOR_ORDER, controls.as_seq()):
-        h = h + hamiltonian_lift(model.frame[name], chart) * c
+        h = h + hamiltonian_lift(model.fields[name], chart) * c
     by_var = {}
     for fib, base in CONJUGATE_PAIRS:
         by_var[base] = h.diff(fib)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import derived_flag
 from f4prolong import cartan, cli, prolong
 from f4prolong.fields import (
+    Frame,
     OneForm,
     TriangularFrame,
     VectorField,
@@ -264,11 +265,8 @@ def _poly_of(expr, chart, symbols) -> MultiPoly:
 def test_frame_coordinates_match_a_sympy_combination(which, seed):
     # v = sum c_k f_k is summed in sympy from random polynomial c_k, some of
     # them 0; on a frame the coordinates of v are unique, so they are the c_k
-    if which == "base":
-        fields, frame = cartan.build_model().frame, cartan.build_model().triangular
-    else:
-        zs = prolong.build_zeta_generators()
-        fields, frame = {f"zeta{k}": f for k, f in zs.zeta.items()}, zs.triangular
+    record = cartan.build_model() if which == "base" else prolong.build_zeta_generators()
+    fields, frame = record.fields, record.triangular
     chart = frame.chart
     symbols = sympy.symbols(chart.variables)
     rng = random.Random(seed)
@@ -326,8 +324,28 @@ def test_a_frame_that_is_not_triangular_is_refused_with_a_witness():
 
 def test_the_zeta_frame_is_built_once_per_prolong_run(monkeypatch):
     built = []
-    real = prolong.TriangularFrame
-    monkeypatch.setattr(prolong, "TriangularFrame", lambda *args: built.append(args) or real(*args))
+    # fields.Frame builds it, for the zeta system as for the model
+    monkeypatch.setattr("f4prolong.fields.TriangularFrame", lambda *args: built.append(args) or TriangularFrame(*args))
     prolong.build_zeta_generators.cache_clear()
     assert cli.run(["verify", "prolong", "--json"]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("which", ["base", "zeta"])
+def test_both_models_are_one_read_only_frame_record(which):
+    record = cartan.build_model() if which == "base" else prolong.build_zeta_generators()
+    # the record, its read-only guard and its triangular frame are Frame's alone
+    assert isinstance(record, Frame)
+    assert not {"__init__", "__setattr__", "__delattr__", "triangular"} & set(vars(type(record)))
+    assert record.table is record.table and record.triangular is record.triangular
+    for name in [*vars(record), "other"]:
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is read-only: cannot set {name}$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is read-only: cannot delete {name}$"):
+            delattr(record, name)
+    # a copy through the one constructor starts with no cached triangular or table
+    given = {k: v for k, v in vars(record).items() if k not in ("triangular", "table")}
+    copy = type(record)(**given)
+    assert vars(copy) == given
+    assert copy.triangular is not record.triangular
+    assert copy.table == record.table

@@ -46,17 +46,17 @@ def test_defining_brackets_reference_earlier_fields():
 
 def test_build_zeta_generators_returns_all_24():
     zs = build_zeta_generators()
-    assert sorted(zs.zeta) == list(range(1, 25))
-    assert all(zs.zeta[k].name == f"zeta{k}" for k in zs.zeta)
-    before = dict(zs.zeta)
+    assert list(zs.fields) == [f"zeta{k}" for k in range(1, 25)]
+    assert all(f.name == label for label, f in zs.fields.items())
+    before = dict(zs.fields)
     compute_bracket_table(zs)
-    assert zs.zeta.keys() == before.keys()
-    assert all(zs.zeta[k] is before[k] for k in before)
+    assert zs.fields.keys() == before.keys()
+    assert all(zs.fields[label] is before[label] for label in before)
 
 
 def generators(zs):
     """zeta_1..zeta_4: the fields that span E."""
-    return [zs.zeta[k] for k in (1, 2, 3, 4)]
+    return [zs.fields[f"zeta{k}"] for k in (1, 2, 3, 4)]
 
 
 def _count_flag_builds(monkeypatch):
@@ -183,17 +183,39 @@ def test_the_frame_check_can_fail(prolong_run):
     items = prolong.verify_symbol(zs, table)
     assert by_id(items)["symbol:point-independence"].status == "pass"
     # zeta24 * (1 + z31) keeps a frame, but its pivot is not constant
-    scaled = zs.zeta[24] * (1 + MultiPoly.variable(zs.chart, "z31"))
-    bent = ZetaSystem(zs.chart, {**zs.zeta, 24: scaled})
+    scaled = zs.fields["zeta24"] * (1 + MultiPoly.variable(zs.chart, "z31"))
+    bent = ZetaSystem(zs.chart, {**zs.fields, "zeta24": scaled})
     items = prolong.verify_symbol(bent, table)
     item = by_id(items)["symbol:point-independence"]
     assert item.status == "fail"
     assert item.computed.startswith("zeta24 ")
     # zeta23 repeated as zeta24 is no frame
-    repeated = ZetaSystem(zs.chart, {**zs.zeta, 24: zs.zeta[23]})
+    repeated = ZetaSystem(zs.chart, {**zs.fields, "zeta24": zs.fields["zeta23"]})
     items = prolong.verify_symbol(repeated, table)
     item = by_id(items)["symbol:point-independence"]
     assert (item.status, item.computed) == ("fail", "zeta24 is 1/4 on the lead of zeta23")
+
+
+def test_zetas_that_are_not_a_triangular_frame_fail_with_the_witness(capsys, monkeypatch):
+    from f4prolong import cli, f4roots
+
+    zs = build_zeta_generators()
+    repeated = ZetaSystem(zs.chart, {**zs.fields, "zeta24": zs.fields["zeta23"]})
+    for module in (prolong, f4roots):
+        monkeypatch.setattr(module, "build_zeta_generators", lambda: repeated)
+    witness = "zeta24 is 1/4 on the lead of zeta23"
+    # no coordinates, so no table items; the growth and symbol items say why
+    items = prolong.verify_suite()
+    assert not [i.id for i in items if i.id.startswith("table:")]
+    assert [(i.id, i.computed) for i in failures(items)] == [
+        ("growth:E", witness),
+        ("growth:pi-lift-in-E7", witness),
+        ("symbol:weights", "the table has no constant entry for [1, 1]"),
+        ("symbol:point-independence", witness),
+    ]
+    assert [(i.id, i.computed) for i in failures(f4roots.verify_suite())] == [("roots:weights", witness)]
+    assert cli.run(["verify", "all", "--json"]) == 1
+    capsys.readouterr()
 
 
 def _pointwise_weights(gens, point, vectors):
@@ -222,7 +244,7 @@ def test_pointwise_weights_agree_with_the_table(prolong_run):
     weights = prolong.symbol_weights(table)
     lifts = prolong.lift_weights(zs, weights)
     frame = prolong.lifted_frame(zs.chart)
-    zetas = [zs.zeta[k] for k in range(1, 25)]
+    zetas = list(zs.fields.values())
     lifted = [frame[n] for n in cartan.GENERATOR_ORDER]
     seen = []
     for p in seeded_points(zs.chart, 2, 3):
@@ -293,8 +315,7 @@ def test_table_flag_ranks_and_weights_match_sympy(data):
 
 
 def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
-    zs = build_zeta_generators()
-    adds, calls = [], []
+    adds, calls, built, read = [], [], [], []
     original_add = linalg.Echelon.add
     monkeypatch.setattr(
         linalg.Echelon, "add", lambda self, vec: adds.append(self) or original_add(self, vec)
@@ -302,11 +323,26 @@ def test_bracket_table_factors_the_zeta_basis_once(monkeypatch):
     for mod, name in ((fields, "constant_combination"), (linalg, "solve_exact")):
         original = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    triangular = fields.TriangularFrame
+    monkeypatch.setattr(fields, "TriangularFrame", lambda *a: built.append(a) or triangular(*a))
+    coordinates = triangular.coordinates
+    monkeypatch.setattr(triangular, "coordinates", lambda self, v: read.append(self) or coordinates(self, v))
+    build_zeta_generators.cache_clear()
+    zs = build_zeta_generators()
     table = compute_bracket_table(zs)
     assert len(table.entries) == 92
-    # one echelon holds zeta_1..zeta_24; every bracket is only reduced against it
-    assert len(adds) == 24 and len(set(map(id, adds))) == 1
-    assert calls == []
+    # the 72 bracketed entries are coordinates in the one triangular zeta
+    # frame; the table adds nothing to any echelon
+    assert len(read) == 72 and {id(t) for t in read} == {id(zs.triangular)}
+    assert adds == [] and calls == []
+    # a prolong run builds that frame once, and the table, lift_weights and
+    # symbol:point-independence read it: 72 brackets and 8 lifted generators
+    read.clear()
+    build_zeta_generators.cache_clear()
+    assert not failures(prolong.verify_suite())
+    zs = build_zeta_generators()
+    assert len(built) == 2 and built[-1] == (zs.fields, ())
+    assert len(read) == 80 and {id(t) for t in read} == {id(zs.triangular)}
 
 
 def test_bracket_table_reads_the_defining_brackets_off_the_zetas(monkeypatch):
@@ -319,10 +355,10 @@ def test_bracket_table_reads_the_defining_brackets_off_the_zetas(monkeypatch):
     # zeta_5..zeta_24 are the 20 defining brackets; the other 72 entries are bracketed
     assert len(bracketed) == 72
     assert (table.basis, table.generators) == (range(1, 25), (1, 2, 3, 4))
-    span = FieldSpan([zs.zeta[k] for k in range(1, 25)])
+    span = FieldSpan(zs.fields.values())
     for k, (i, j) in DEFINING_BRACKETS.items():
-        assert (zs.zeta[i], zs.zeta[j]) not in bracketed
-        combo = span.combination(lie_bracket(zs.zeta[i], zs.zeta[j]))
+        assert (zs.fields[f"zeta{i}"], zs.fields[f"zeta{j}"]) not in bracketed
+        combo = span.combination(lie_bracket(zs.fields[f"zeta{i}"], zs.fields[f"zeta{j}"]))
         assert table.entries[(i, j)] == {n + 1: c for n, c in enumerate(combo) if c} == {k: 1}
 
 
@@ -330,25 +366,28 @@ def test_zetas_annihilate_pfaff_system(prolong_run):
     _, zs, _, _ = prolong_run
     for form in pfaff_forms(zs.chart):
         for k in (1, 2, 3, 4):
-            assert pair(form, zs.zeta[k]).is_zero()
+            assert pair(form, zs.fields[f"zeta{k}"]).is_zero()
 
 
 def test_defining_brackets_reproduce_zetas(prolong_run):
     _, zs, _, _ = prolong_run
     for k in (10, 17, 24):
         i, j = DEFINING_BRACKETS[k]
-        assert lie_bracket(zs.zeta[i], zs.zeta[j]) == zs.zeta[k]
+        assert lie_bracket(zs.fields[f"zeta{i}"], zs.fields[f"zeta{j}"]) == zs.fields[f"zeta{k}"]
 
 
 def test_cached_partials_leave_the_table_no_diff_or_product(prolong_run, monkeypatch):
     _, zs, table, _ = prolong_run
-    for k in range(1, 25):
-        zs.zeta[k].jacobian()
+    for f in zs.fields.values():
+        f.jacobian()
     calls = []
-    for name in ("diff", "__mul__"):
-        real = getattr(MultiPoly, name)
-        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        monkeypatch.setattr(MultiPoly, name, spy)
+    diff, mul = MultiPoly.diff, MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "diff", lambda *args: calls.append("diff") or diff(*args))
+    # TriangularFrame.coordinates scales by a constant pivot, a product of a
+    # polynomial and a scalar; a product of two polynomials is refused
+    monkeypatch.setattr(
+        MultiPoly, "__mul__", lambda p, q: (isinstance(q, MultiPoly) and calls.append("product")) or mul(p, q)
+    )
     assert compute_bracket_table(zs) == table
     assert calls == []
 
@@ -361,11 +400,10 @@ def test_each_field_builds_its_partials_once(monkeypatch):
     zs = build_zeta_generators()
     assert compute_bracket_table(zs) == zs.table
     model = cartan.build_model()
-    frame = {name: model.frame[name] for name in model.frame_order}
-    assert cartan.frame_table(model, frame) == cartan.frame_table(model, frame)
+    assert cartan.frame_table(model, model.fields) == cartan.frame_table(model, model.fields)
     # built keeps every field alive, so equal ids mean one object built twice
     assert len({id(f) for f in built}) == len(built)
-    assert {id(zs.zeta[k]) for k in range(1, 24)} <= {id(f) for f in built}
+    assert {id(zs.fields[f"zeta{k}"]) for k in range(1, 24)} <= {id(f) for f in built}
 
 
 def test_growth_vector(prolong_run):
@@ -421,7 +459,7 @@ def test_suite_hands_out_the_symbol_weights_at_the_origin(prolong_run):
     assert "flag" in vars(table)
     weights = prolong.symbol_weights(table)
     assert weights == table.flag[1]
-    zetas = [zs.zeta[k] for k in range(1, 25)]
+    zetas = list(zs.fields.values())
     pointwise = _pointwise_weights(generators(zs), origin(zs.chart), zetas)
     assert pointwise == [weights[k] for k in range(1, 25)]
 
@@ -445,12 +483,12 @@ def test_the_zeta_system_is_shared_and_read_only(monkeypatch):
     assert zs is build_zeta_generators()
     assert zs.table is zs.table
     with pytest.raises(TypeError):
-        zs.zeta[1] = zs.zeta[2]
+        zs.fields["zeta1"] = zs.fields["zeta2"]
     with pytest.raises(AttributeError):
         zs.chart = prolong.prolonged_chart()
     # a perturbed system computes its own table from its own fields
     tables = _spy_tables(monkeypatch)
-    negated = ZetaSystem(zs.chart, {**zs.zeta, 5: -zs.zeta[5]})
+    negated = ZetaSystem(zs.chart, {**zs.fields, "zeta5": -zs.fields["zeta5"]})
     assert negated.table is not zs.table
     assert [id(z) for z in tables] == [id(negated)]
     assert zs.table.entries[(3, 5)] == {8: -1}
@@ -498,7 +536,7 @@ def test_the_suite_extends_each_frame_field_once(monkeypatch):
     items = prolong.verify_suite()
     assert not failures(items)
     zs = build_zeta_generators()
-    assert sorted(calls) == sorted(cartan.build_model().frame)
+    assert sorted(calls) == sorted(cartan.build_model().fields)
     frame = prolong.lifted_frame(zs.chart)
     assert frame is prolong.lifted_frame(prolong.prolonged_chart())
     with pytest.raises(TypeError):
