@@ -1,7 +1,8 @@
 """Polynomial vector fields, 1-forms, Lie brackets, derived flags on a single chart.
 
-Brackets multiply term maps through `poly.mul_add`, the one product kernel,
-which `MultiPoly.__mul__` uses too; nothing here reads an exponent vector.
+Brackets and frame coordinates multiply int numerators through `poly.mul_add`,
+the one product kernel, which `MultiPoly.__mul__` uses too, and divide each
+output term once; nothing here reads an exponent vector.
 A read-only `Frame` of labelled fields writes a field in its coordinates by
 its `TriangularFrame`; a frame whose brackets have constant coordinates closes
 its derived flag over those constants alone, in a `StructureTable`."""
@@ -10,16 +11,18 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import Echelon
-from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, mul_add
+from .linalg import Echelon, integer_vector
+from .poly import Chart, ChartMismatchError, MultiPoly, Scalar, extend_poly, mul_add
 
 Point = Dict[str, Fraction]
-Terms = Dict[int, Fraction]
-# a field's nonzero components {k: terms of comp_k}, and for each k the
-# nonzero partials ((j, terms of d comp_k / d v_j), ...) over the support of comp_k
-Jacobian = Tuple[Dict[int, Terms], List[Tuple[Tuple[int, Terms], ...]]]
+Terms = Dict[int, Scalar]  # monomial -> nonzero int, or Fraction when not integral
+Numerators = Dict[int, int]  # monomial -> nonzero int, over a denominator kept beside it
+# a field's lcm d of denominators, its nonzero components times d {k: comp_k},
+# and for each k the nonzero partials ((j, d comp_k / d v_j), ...) over its support
+Jacobian = Tuple[int, Dict[int, Numerators], List[Tuple[Tuple[int, Numerators], ...]]]
 
 
 def origin(chart: Chart) -> Point:
@@ -158,19 +161,31 @@ def extend_field(f: VectorField, chart: Chart) -> VectorField:
     return VectorField.from_dict(chart, comps, f.name)
 
 
+def _cleared(*maps: Terms) -> tuple:
+    """The lcm d of the denominators in the term maps, then each map times d."""
+    ints, d = integer_vector([c for terms in maps for c in terms.values()])
+    numerators = iter(ints)
+    return (d, *(dict(zip(terms, numerators)) for terms in maps))
+
+
+def _over(d: int, numerators: Numerators) -> Terms:
+    """The term map numerators / d, a quotient kept as an int when it is one."""
+    return numerators if d == 1 else {e: Fraction(n, d) if n % d else n // d for e, n in numerators.items()}
+
+
 def build_jacobian(f: VectorField) -> Jacobian:
-    """The nonzero components of f and, for each component, its partials in
-    the variables that it depends on, dropping the zero ones."""
-    nonzero: Dict[int, Terms] = {}
-    partials: List[Tuple[Tuple[int, Terms], ...]] = []
-    for k, comp in enumerate(f.components):
-        if not comp.is_zero():
-            nonzero[k] = comp.terms
-        partials.append(tuple(comp.partials().items()))
-    return nonzero, partials
+    """The lcm d of the denominators of f, its nonzero components times d and,
+    for each component, its partials times d in the variables that it depends
+    on, dropping the zero ones: int coefficients throughout."""
+    nonzero = {k: c for k, c in enumerate(f.components) if c.terms}
+    d, *terms = _cleared(*(c.terms for c in nonzero.values()))
+    if d != 1:  # at d == 1 the components are ints, their partials cached on them
+        nonzero = {k: MultiPoly._trusted(f.chart, t) for k, t in zip(nonzero, terms)}
+    partials = [tuple(nonzero[k].partials().items()) if k in nonzero else () for k in range(f.chart.dimension)]
+    return d, {k: c.terms for k, c in nonzero.items()}, partials
 
 
-def _add_products(acc: Terms, coeffs: Dict[int, Terms], partials, sign: int) -> None:
+def _add_products(acc: Numerators, coeffs: Dict[int, Numerators], partials, sign: int) -> None:
     """acc += sign * sum_j coeffs_j * partial_j, over the j in both."""
     for j, d in partials:
         mul_add(acc, coeffs.get(j, {}), d, sign)
@@ -178,18 +193,20 @@ def _add_products(acc: Terms, coeffs: Dict[int, Terms], partials, sign: int) -> 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Commutator [x, y]_k = sum_j x_j d_j y_k - y_j d_j x_k of derivations,
-    exact, from the cached Jacobians: only nonzero partials are multiplied."""
+    exact, from the cached Jacobians: only nonzero partials are multiplied, as
+    ints scaled by d_x * d_y; a scale cancels and orders terms as rationals do."""
     if x.chart != y.chart:
         raise ChartMismatchError("fields on different charts")
     chart = x.chart
-    x_nonzero, x_partials = x.jacobian()
-    y_nonzero, y_partials = y.jacobian()
+    x_d, x_nonzero, x_partials = x.jacobian()
+    y_d, y_nonzero, y_partials = y.jacobian()
+    d = x_d * y_d
     comps = []
     for k in range(chart.dimension):
-        acc: Terms = {}
+        acc: Numerators = {}
         _add_products(acc, x_nonzero, y_partials[k], 1)
         _add_products(acc, y_nonzero, x_partials[k], -1)
-        comps.append(MultiPoly._trusted(chart, acc))
+        comps.append(MultiPoly._trusted(chart, acc if d == 1 else _over(d, acc)))
     out = VectorField.__new__(VectorField)
     out.chart = chart
     out.components = tuple(comps)
@@ -218,7 +235,7 @@ class TriangularFrame:
     def __init__(self, fields: Mapping[Hashable, VectorField], order: Sequence[Hashable] = ()):
         self.labels = tuple(fields)
         self.chart = fields[self.labels[0]].chart
-        self._rows = []  # (label, lead, 1 / pivot, {k: terms} of its other nonzero components)
+        self._rows = []  # (label, lead, pivot p / q as (p, q), d, {k: d * its other nonzero components})
         owner: Dict[int, Hashable] = {}  # lead -> label
         for label in order or self.labels:
             comps = fields[label].components
@@ -230,26 +247,39 @@ class TriangularFrame:
                 raise ValueError(f"{label} has no nonzero constant component off the earlier leads")
             owner[lead] = label
             others = {k: c.terms for k, c in enumerate(comps) if c.terms and k != lead}
-            self._rows.append((label, lead, 1 / comps[lead].constant_value(), others))
+            d, *numerators = _cleared(*others.values())
+            pivot = comps[lead].constant_value().as_integer_ratio()
+            self._rows.append((label, lead, pivot, d, dict(zip(others, numerators))))
 
     def coordinates(self, v: VectorField) -> Dict[Hashable, MultiPoly]:
         """The polynomial coordinates of v, the zero ones dropped, by forward
-        substitution on the leads over nonzero components only. Raises
-        ValueError with the remainder when v is not in the span."""
+        substitution on the leads over nonzero components only: each remaining
+        component is int numerators over one nonzero denominator, rescaled only
+        when a row needs a multiple of it, and each coordinate is divided once.
+        Raises ValueError with the remainder when v is not in the span."""
         if v.chart != self.chart:
             raise ChartMismatchError("field and frame on different charts")
-        rest = {k: dict(c.terms) for k, c in enumerate(v.components) if c.terms}
+        rest = {k: _cleared(c.terms) for k, c in enumerate(v.components) if c.terms}
         found = {}
-        for label, lead, inverse, others in self._rows:
+        for label, lead, (p, q), row_d, others in self._rows:
             if lead in rest:
-                c = MultiPoly._trusted(self.chart, rest.pop(lead))
-                found[label] = c = c if inverse == 1 else c * inverse
+                # the coordinate rest[lead] / pivot, numerators over p * d
+                d, numerators = rest.pop(lead)
+                if q != 1:
+                    numerators = {e: n * q for e, n in numerators.items()}
+                found[label] = MultiPoly._trusted(self.chart, _over(p * d, numerators))
+                den = p * d * row_d  # of each product below, signed as the pivot
                 for k, f in others.items():
-                    mul_add(rest.setdefault(k, {}), f, c.terms, -1)
-                    if not rest[k]:
+                    d, acc = rest.get(k, (den, {}))
+                    if d % den:
+                        m = lcm(d, den)
+                        d, acc = m, {e: n * (m // d) for e, n in acc.items()}
+                    mul_add(acc, f, numerators, -(d // den))
+                    rest[k] = d, acc
+                    if not acc:
                         del rest[k]
         if rest:
-            left = [MultiPoly._trusted(v.chart, rest.get(k, {})) for k in range(v.chart.dimension)]
+            left = [MultiPoly._trusted(v.chart, _over(*rest[k]) if k in rest else {}) for k in range(v.chart.dimension)]
             raise ValueError(f"{v.name or 'the field'} is not in the span of the frame, {VectorField(v.chart, left, 'remainder')}")
         return {label: found[label] for label in self.labels if label in found}
 
@@ -257,8 +287,8 @@ class TriangularFrame:
 class Frame:
     """Read-only labelled fields on one chart, listed in the order of their
     coordinates, with the order of their leads (`leads`, by default the same).
-    A subclass adds its own records by keyword; cached_property stores
-    `triangular` and a subclass's caches in the instance dict."""
+    A subclass adds its own records by keyword; `triangular` and a subclass's
+    cached_property caches are stored in the instance dict."""
 
     chart: Chart
     fields: Mapping[Hashable, VectorField]
@@ -273,11 +303,20 @@ class Frame:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name}")
 
-    @cached_property
+    @property
     def triangular(self) -> TriangularFrame:
-        """The fields as a TriangularFrame, built on first use: it raises
-        ValueError with a witness when they are not one."""
-        return TriangularFrame(self.fields, self.leads)
+        """The fields as a TriangularFrame, built on the first read and kept.
+        When they are not one, the ValueError with its witness is kept instead
+        and raised on every read."""
+        if "triangular" not in vars(self):
+            try:
+                vars(self)["triangular"] = TriangularFrame(self.fields, self.leads)
+            except ValueError as exc:
+                vars(self)["triangular"] = exc
+        built = vars(self)["triangular"]
+        if isinstance(built, ValueError):
+            raise built.with_traceback(None)
+        return built
 
 
 def fields_matrix(fields: Sequence[VectorField], point: Point) -> List[List[Fraction]]:

@@ -10,8 +10,9 @@ from functools import cached_property
 import pytest
 
 from f4prolong import cartan, control, f4roots, fields, nullflag, prolong
-from f4prolong.fields import origin
+from f4prolong.fields import VectorField, origin
 from f4prolong.linalg import Echelon, sparse
+from f4prolong.poly import MultiPoly, mul_add
 
 
 def by_id(items):
@@ -77,6 +78,52 @@ def dense_evaluate(p, values):
                 term = term * v**k
         total = total + term
     return total
+
+
+def rational_bracket(x, y):
+    """The oracle for fields.lie_bracket: the same loop over the rational term
+    maps, [x, y]_k = sum_j x_j d_j y_k - y_j d_j x_k, each product summed by
+    `mul_add` from the components' own partials."""
+    comps = []
+    for k in range(x.chart.dimension):
+        acc = {}
+        for a, b, sign in ((x, y, 1), (y, x, -1)):
+            for j, d in b.components[k].partials().items():
+                mul_add(acc, a.components[j].terms, d, sign)
+        comps.append(MultiPoly._trusted(x.chart, acc))
+    return VectorField(x.chart, comps)
+
+
+def rational_coordinates(fields, order, v):
+    """The oracle for TriangularFrame(fields, order).coordinates(v) on a frame
+    that the constructor accepts: the same forward substitution over rational
+    term maps, each coordinate scaled by 1 / pivot."""
+    rows, owner = [], set()
+    for label in order or fields:
+        comps = fields[label].components
+        lead = next(n for n, c in enumerate(comps) if n not in owner and c.terms and c.is_constant())
+        owner.add(lead)
+        others = {k: c.terms for k, c in enumerate(comps) if c.terms and k != lead}
+        rows.append((label, lead, 1 / comps[lead].constant_value(), others))
+    rest = {k: dict(c.terms) for k, c in enumerate(v.components) if c.terms}
+    found = {}
+    for label, lead, inverse, others in rows:
+        if lead in rest:
+            c = MultiPoly._trusted(v.chart, rest.pop(lead))
+            found[label] = c = c if inverse == 1 else c * inverse
+            for k, f in others.items():
+                mul_add(rest.setdefault(k, {}), f, c.terms, -1)
+                if not rest[k]:
+                    del rest[k]
+    if rest:
+        left = [MultiPoly._trusted(v.chart, rest.get(k, {})) for k in range(v.chart.dimension)]
+        raise ValueError(f"{v.name or 'the field'} is not in the span of the frame, {VectorField(v.chart, left, 'remainder')}")
+    return {label: found[label] for label in fields if label in found}
+
+
+def typed_terms(p):
+    """p's terms in dict order, each with the type of its coefficient."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
 
 
 @pytest.fixture(scope="session")

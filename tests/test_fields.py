@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derived_flag
+from conftest import derived_flag, rational_bracket, rational_coordinates, typed_terms
 from f4prolong import cartan, cli, prolong
 from f4prolong.fields import (
     Frame,
@@ -349,3 +349,132 @@ def test_both_models_are_one_read_only_frame_record(which):
     assert vars(copy) == given
     assert copy.triangular is not record.triangular
     assert copy.table == record.table
+
+
+# numerators and denominators 1..12, so that 3, 5, 7, 9 and 11 occur, which no
+# frame of the certifier has
+DENOMINATED = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def denominated_polys(draw, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[tuple(draw(st.integers(0, 2)) for _ in range(3))] = draw(DENOMINATED)
+    return MultiPoly(CHART, terms)
+
+
+@st.composite
+def denominated_fields(draw):
+    return VectorField(CHART, [draw(denominated_polys()) for _ in range(3)])
+
+
+@st.composite
+def triangular_frames(draw):
+    """1 to 3 labelled fields, triangular on leads in a drawn order, each with
+    a constant pivot (negative or fractional ones included) and, off the
+    earlier leads, components that are never a nonzero constant; listed in
+    a drawn order that need not be the lead order."""
+    size = draw(st.integers(1, 3))
+    leads = draw(st.permutations(range(3)))[:size]
+    pivots = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 7))
+    frame = {}
+    for n, lead in enumerate(leads):
+        comps = [MultiPoly.zero(CHART)] * 3
+        for k in set(range(3)) - set(leads[: n + 1]):
+            comps[k] = draw(denominated_polys(2)) * v(draw(st.sampled_from("xyz")))
+        comps[lead] = MultiPoly.constant(CHART, draw(pivots))
+        frame[f"f{n}"] = VectorField(CHART, comps, f"f{n}")
+    listed = draw(st.permutations(list(frame)))
+    return {label: frame[label] for label in listed}, tuple(frame)
+
+
+def _coordinates_or_witness(compute):
+    """The coordinates as (label, typed terms) in order, or the refusal's text."""
+    try:
+        return [(label, typed_terms(c)) for label, c in compute().items()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(denominated_fields(), denominated_fields(), triangular_frames(), st.data())
+def test_integer_kernels_give_the_rational_loops_terms_in_order_and_type(a, b, frame, data):
+    # brackets: values, term order and int/Fraction types of the rational loop
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert [typed_terms(c) for c in lie_bracket(x, y).components] == [
+            typed_terms(c) for c in rational_bracket(x, y).components
+        ]
+    # coordinates of a combination of the frame fields, and of one that may
+    # leave a remainder, or the same remainder in the same words
+    fields, order = frame
+    v = VectorField.zero(CHART)
+    for f in fields.values():
+        v = v + f * data.draw(denominated_polys(2))
+    if data.draw(st.booleans()):
+        v = v + data.draw(denominated_fields())
+    triangular = TriangularFrame(fields, order)
+    assert _coordinates_or_witness(lambda: triangular.coordinates(v)) == _coordinates_or_witness(
+        lambda: rational_coordinates(fields, order, v)
+    )
+
+
+def test_the_certifiers_brackets_and_coordinates_match_the_rational_loops(monkeypatch):
+    zs = prolong.build_zeta_generators()
+    zeta = list(zs.fields.values())
+    for x in zeta[:4]:
+        for y in zeta[:23]:
+            assert [typed_terms(c) for c in lie_bracket(x, y).components] == [
+                typed_terms(c) for c in rational_bracket(x, y).components
+            ]
+    # every coordinate call of one verify all, on the frame it was made in
+    built, calls = {}, []
+    init, coordinates = TriangularFrame.__init__, TriangularFrame.coordinates
+    monkeypatch.setattr(TriangularFrame, "__init__", lambda t, *a: built.setdefault(id(t), a) and init(t, *a))
+    monkeypatch.setattr(TriangularFrame, "coordinates", lambda t, f: calls.append((t, f)) or coordinates(t, f))
+    prolong.build_zeta_generators.cache_clear()
+    cartan.build_model.cache_clear()
+    assert cli.run(["verify", "all", "--json"]) == 0
+    assert len(calls) == 200 and len(built) == 2
+    for t, f in calls:
+        want = rational_coordinates(*built[id(t)], f)
+        got = coordinates(t, f)
+        assert list(got) == list(want)
+        assert [typed_terms(c) for c in got.values()] == [typed_terms(c) for c in want.values()]
+
+
+def _count_fraction_operations(monkeypatch):
+    """The list that every Fraction product or sum appends to from now on."""
+    seen = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _r=real, _n=name: seen.append(_n) or _r(*a))
+    return seen
+
+
+def test_a_zeta_bracket_makes_no_fraction_product_or_sum(monkeypatch):
+    zs = prolong.build_zeta_generators()
+    z1, z9 = zs.fields["zeta1"], zs.fields["zeta9"]
+    z1.jacobian(), z9.jacobian()
+    want = rational_bracket(z1, z9)
+    seen = _count_fraction_operations(monkeypatch)
+    # the products run on int numerators; each output term is divided once
+    got = lie_bracket(z1, z9)
+    assert seen == []
+    assert [typed_terms(c) for c in got.components] == [typed_terms(c) for c in want.components]
+    assert any(type(c) is Fraction for comp in got.components for c in comp.terms.values())
+
+
+def test_zeta_coordinates_make_no_fraction_product_or_sum(monkeypatch):
+    zs = prolong.build_zeta_generators()
+    # a bracket plus a field whose coordinate is not integral
+    v = lie_bracket(zs.fields["zeta1"], zs.fields["zeta9"])
+    v = v + zs.fields["zeta20"] * MultiPoly(zs.chart, {(1,) + (0,) * 23: Fraction(1, 3)})
+    want = rational_coordinates(zs.fields, (), v)
+    frame = zs.triangular
+    seen = _count_fraction_operations(monkeypatch)
+    got = frame.coordinates(v)
+    assert seen == []
+    assert list(got) == list(want)
+    assert [typed_terms(c) for c in got.values()] == [typed_terms(c) for c in want.values()]
+    assert any(type(c) is Fraction for p in got.values() for c in p.terms.values())

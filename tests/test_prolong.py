@@ -203,6 +203,9 @@ def test_zetas_that_are_not_a_triangular_frame_fail_with_the_witness(capsys, mon
     repeated = ZetaSystem(zs.chart, {**zs.fields, "zeta24": zs.fields["zeta23"]})
     for module in (prolong, f4roots):
         monkeypatch.setattr(module, "build_zeta_generators", lambda: repeated)
+    built = []
+    triangular = fields.TriangularFrame
+    monkeypatch.setattr(fields, "TriangularFrame", lambda *a: built.append(a) or triangular(*a))
     witness = "zeta24 is 1/4 on the lead of zeta23"
     # no coordinates, so no table items; the growth and symbol items say why
     items = prolong.verify_suite()
@@ -216,6 +219,13 @@ def test_zetas_that_are_not_a_triangular_frame_fail_with_the_witness(capsys, mon
     assert [(i.id, i.computed) for i in failures(f4roots.verify_suite())] == [("roots:weights", witness)]
     assert cli.run(["verify", "all", "--json"]) == 1
     capsys.readouterr()
+    # the refusal is kept: one constructor call on these zetas per process,
+    # and every read raises its witness again
+    assert [a for a in built if a[0] is repeated.fields] == [(repeated.fields, ())]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{witness}$"):
+            repeated.triangular
+    assert [a for a in built if a[0] is repeated.fields] == [(repeated.fields, ())]
 
 
 def _pointwise_weights(gens, point, vectors):
@@ -383,11 +393,9 @@ def test_cached_partials_leave_the_table_no_diff_or_product(prolong_run, monkeyp
     calls = []
     diff, mul = MultiPoly.diff, MultiPoly.__mul__
     monkeypatch.setattr(MultiPoly, "diff", lambda *args: calls.append("diff") or diff(*args))
-    # TriangularFrame.coordinates scales by a constant pivot, a product of a
-    # polynomial and a scalar; a product of two polynomials is refused
-    monkeypatch.setattr(
-        MultiPoly, "__mul__", lambda p, q: (isinstance(q, MultiPoly) and calls.append("product")) or mul(p, q)
-    )
+    # TriangularFrame.coordinates divides by a constant pivot on int
+    # numerators, so no polynomial product is made, not even by a scalar
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda p, q: calls.append("product") or mul(p, q))
     assert compute_bracket_table(zs) == table
     assert calls == []
 
