@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import islice, tee
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import BASE_VARIABLES, GENERATOR_ORDER, build_model
 from .fields import VectorField
-from .linalg import adjugate, det_cofactor, integer_vector, mat_mul, mat_rank_kernel
+from .linalg import adjugate, det_cofactor, dot, integer_vector, mat_mul, mat_rank_kernel
 from .linalg import mat_vec, pfaffian, transpose
 from .poly import Chart, ChartMismatchError, MultiPoly, extend_poly, from_terms, mul_add
 from .report import DISCREPANCY, PASS, Item, against_paper, check
@@ -133,7 +132,7 @@ _GRAM_R_TERMS = [(i, j, g) for i, row in enumerate(gram_R()) for j, g in enumera
 
 
 def _pairing(terms, a: Sequence, b: Sequence):
-    return sum(a[i] * b[j] * g for i, j, g in terms)
+    return dot(*zip(*((a[i], b[j], g) for i, j, g in terms)))
 
 
 def bilinear_Q(a: Sequence, b: Sequence):
@@ -748,16 +747,21 @@ def standard_initial_data() -> Tuple[Dict[str, Fraction], ControlVector]:
 MAX_STEPS = 100_000
 
 
-def compiled_values(polys: Sequence[MultiPoly], dimension: int) -> Callable[[Sequence[float]], Tuple]:
-    """The polynomials' values at a state as one compiled call from `float_lines`:
-    each value rounds as that polynomial's evaluate_seq."""
+def flow_deviation(constraints, rates, dimension: int, h: float) -> Callable:
+    """The compiled `fold(states)`: the largest |(g(x+) - g(x-)) / (2 h) - rate(x)|
+    over the constraints g, their rates and the inner states x, as max() folds
+    it from 0.0; each polynomial is emitted once by `float_lines`."""
     x = [f"x{k}" for k in range(dimension)]
-    lines = [", ".join(x) + ", = s"]
-    lines += [line for j, p in enumerate(polys) for line in p.float_lines(x, f"g{j}")]
-    lines.append("return " + "".join(f"g{j}, " for j in range(len(polys))))
+    n = range(len(constraints))
+    body = [line for j, p in enumerate(constraints) for line in p.float_lines(x, f"a{j}")]
+    body += ["if i > 1:"] + [f"    d = abs((a{j} - b{j}) / {2 * h!r} - r{j})\n    if d > max_dev: max_dev = d" for j in n]
+    body += [f"b{j}, m{j} = m{j}, a{j}" for j in n]
+    body += [line for j, p in enumerate(rates) for line in p.float_lines(x, f"r{j}")]
+    loop = "\n".join(body).replace("\n", "\n        ")
+    head = "".join(f"m{j} = " for j in n)
     namespace: dict = {}
-    exec("def values(s):\n    " + "\n    ".join(lines), namespace)
-    return namespace["values"]
+    exec(f"def fold(states):\n    max_dev = {head}0.0\n    for i, ({', '.join(x)},) in enumerate(states):\n        {loop}\n    return max_dev", namespace)
+    return namespace["fold"]
 
 
 def rk4_run(rhs: Sequence[MultiPoly], h: float, checks: Sequence[MultiPoly], keep: bool = True) -> Callable:
@@ -881,20 +885,13 @@ def integrate_extremal(
 
 def verify_flow_lemma_numeric(traj: Trajectory) -> List[Item]:
     """Central-difference check of the flow lemma along a trajectory: one
-    compiled call per state gives the eight constraints, then their eight
-    flow rates, streamed past each state's two neighbours."""
+    `flow_deviation` pass over the eight constraints and their rates."""
     if len(traj.states or ()) < 3:
         raise ValueError("trajectory holds too few states for central differences")
     lifts = lift_table(traj.chart)
     flow = flow_rhs(traj.chart, dict(zip(GENERATOR_ORDER, traj.controls.as_seq())))
-    polys = [lifts[n] for n in GENERATOR_ORDER] + [flow[n] for n in GENERATOR_ORDER]
-    back, mid, ahead = tee(map(compiled_values(polys, traj.chart.dimension), traj.states), 3)
-    h = traj.step
-    max_dev = 0.0
-    for before, now, after in zip(back, islice(mid, 1, None), islice(ahead, 2, None)):
-        # zip stops after the constraints, the first eight values
-        for b, a, rate in zip(before, after, now[len(GENERATOR_ORDER):]):
-            max_dev = max(max_dev, abs((a - b) / (2 * h) - rate))
+    polys = [[t[n] for n in GENERATOR_ORDER] for t in (lifts, flow)]
+    max_dev = flow_deviation(*polys, traj.chart.dimension, traj.step)(traj.states)
     return [
         check(
             "flow:numeric",

@@ -7,16 +7,21 @@ eliminate such integer representatives of their vectors.
 
 Entries are ints or Fractions for the numeric routines, as MultiPoly stores
 its coefficients. The cofactor determinant, the adjugate, the Pfaffian and
-the matrix products take entries in any commutative ring (e.g. MultiPoly),
-read its zero off the entries (`entry * 0`) and take no identity arguments.
+the matrix products take entries in ints, Fractions and MultiPoly alike and
+take no identity arguments. Their sums of products go through one kernel,
+`dot`, which skips every pair with a zero factor and accumulates polynomial
+products into one term map; its sum lies in the ring that the entries give.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+from .poly import MultiPoly, mul_add
 
 # sparse integer vector: key -> nonzero int
 Vec = Dict[Hashable, int]
@@ -156,11 +161,42 @@ def _square(rows, what: str) -> int:
     return len(rows)
 
 
+def dot(a, b, weights=None):
+    """sum(x * y * w) over the pairs of a and b, w from the int weights (1 when
+    None), for ints, Fractions and MultiPoly alike. A pair with a zero factor is
+    skipped; the other polynomial pairs are added into one term map by `mul_add`,
+    and scalar pairs add as numbers. The sum lies in the ring of all the pairs,
+    zero ones included: a MultiPoly on the chart of the first polynomial, else a
+    Fraction if a factor is one, else an int. A polynomial on another chart
+    raises ChartMismatchError."""
+    first, acc, total = None, {}, 0
+    for x, y, w in zip(a, b, repeat(1) if weights is None else weights):
+        px, py = type(x) is MultiPoly, type(y) is MultiPoly
+        if px or py:
+            if first is None:
+                first = x if px else y
+            if px:
+                first._check(x)
+            if py:
+                first._check(y)
+            if x and y and w:
+                mul_add(acc, x.terms if px else {0: x}, y.terms if py else {0: y}, w)
+        elif x and y and w:
+            total = total + x * y * w
+        elif type(total) is int and Fraction in (type(x), type(y)):
+            total = Fraction(total)
+    if first is None:
+        return total
+    out = MultiPoly._trusted(first.chart, acc)
+    return out + total if total else out
+
+
 def det_cofactor(rows):
     """Determinant by cofactor expansion; generic entries, dims <= 8.
 
     Expansion prunes zero entries, so the sparse symbolic matrices in scope
-    stay small.
+    stay small. Each expansion is one `dot`, led by the pair (rows[0][0] * 0, 1)
+    so that a row of zeros sums to the zero of that entry's ring.
     """
     _square(rows, "determinant")
     zero = rows[0][0] * 0
@@ -169,14 +205,8 @@ def det_cofactor(rows):
         k = len(mat)
         if k == 1:
             return mat[0][0]
-        acc = zero
-        for j, entry in enumerate(mat[0]):
-            if entry == zero:
-                continue
-            minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
-            term = entry * rec(minor)
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        terms = [(e, rec([r[:j] + r[j + 1 :] for r in mat[1:]]), (-1) ** j) for j, e in enumerate(mat[0]) if e]
+        return dot(*zip((zero, 1, 1), *terms))
 
     return rec([list(r) for r in rows])
 
@@ -206,16 +236,12 @@ def pfaffian(rows):
         k = len(mat)
         if k == 2:
             return mat[0][1]
-        acc = zero
+        terms = []
         for j in range(1, k):
-            entry = mat[0][j]
-            if entry == zero:
-                continue
-            keep = [c for c in range(k) if c not in (0, j)]
-            minor = [[mat[r][c] for c in keep] for r in keep]
-            term = entry * rec(minor)
-            acc = acc + (term if j % 2 == 1 else -term)
-        return acc
+            if mat[0][j]:
+                keep = [c for c in range(k) if c not in (0, j)]
+                terms.append((mat[0][j], rec([[mat[r][c] for c in keep] for r in keep]), (-1) ** (j + 1)))
+        return dot(*zip((zero, 1, 1), *terms))
 
     return rec([list(r) for r in rows])
 
@@ -231,12 +257,13 @@ def solve_exact(
 
 def mat_mul(a, b):
     """Matrix product; entries in any ring."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_vec(m, x):
     """Matrix-vector product; entries in any ring."""
-    return [sum(a * b for a, b in zip(row, x)) for row in m]
+    return [dot(row, x) for row in m]
 
 
 def transpose(a):

@@ -121,6 +121,63 @@ def rational_coordinates(fields, order, v):
     return {label: found[label] for label in fields if label in found}
 
 
+def sum_mat_mul(a, b):
+    """The oracle for linalg.mat_mul: each entry the `sum` of its products."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def sum_mat_vec(m, x):
+    """The oracle for linalg.mat_vec: each entry the `sum` of its products."""
+    return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+
+def sum_pairing(terms, a, b):
+    """The oracle for control._pairing: the `sum` of a[i] * b[j] * g."""
+    return sum(a[i] * b[j] * g for i, j, g in terms)
+
+
+def cofactor_det(rows):
+    """The oracle for linalg.det_cofactor: first-row expansion from the zero
+    rows[0][0] * 0, skipping the entries equal to it, one term added at a time."""
+    zero = rows[0][0] * 0
+
+    def rec(mat):
+        k = len(mat)
+        if k == 1:
+            return mat[0][0]
+        acc = zero
+        for j, entry in enumerate(mat[0]):
+            if entry == zero:
+                continue
+            term = entry * rec([[row[c] for c in range(k) if c != j] for row in mat[1:]])
+            acc = acc + (term if j % 2 == 0 else -term)
+        return acc
+
+    return rec([list(r) for r in rows])
+
+
+def cofactor_pfaffian(rows):
+    """The oracle for linalg.pfaffian on a skew-symmetric matrix of even size:
+    the same first-row expansion, one term added at a time."""
+    zero = rows[0][0] * 0
+
+    def rec(mat):
+        k = len(mat)
+        if k == 2:
+            return mat[0][1]
+        acc = zero
+        for j in range(1, k):
+            entry = mat[0][j]
+            if entry == zero:
+                continue
+            keep = [c for c in range(k) if c not in (0, j)]
+            term = entry * rec([[mat[r][c] for c in keep] for r in keep])
+            acc = acc + (term if j % 2 == 1 else -term)
+        return acc
+
+    return rec([list(r) for r in rows])
+
+
 def typed_terms(p):
     """p's terms in dict order, each with the type of its coefficient."""
     return [(e, type(c), c) for e, c in p.terms.items()]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -723,61 +724,100 @@ def test_a_state_beyond_the_floats_wins_over_an_earlier_drift_beyond_them():
 
 
 def _flow_check_values(seed):
-    """The flow check's one compiled call per state, its sixteen polynomials
-    (the eight constraints, then their eight flow rates), and seeded states."""
+    """The flow check's eight constraints, their eight flow rates, and seeded
+    states with zeros of both signs."""
     chart = cotangent_chart()
     lifts = lift_table(chart)
     _, controls = _seeded_null_data(4)
     flow = control.flow_rhs(chart, dict(zip(GENERATOR_ORDER, controls.as_seq())))
-    polys = [lifts[name] for name in GENERATOR_ORDER] + [flow[name] for name in GENERATOR_ORDER]
     rng = random.Random(seed)
     states = [[rng.choice([rng.uniform(-10, 10), 0.0, -0.0]) for _ in range(30)] for _ in range(100)]
-    return control.compiled_values(polys, chart.dimension), polys, states
+    return [lifts[name] for name in GENERATOR_ORDER], [flow[name] for name in GENERATOR_ORDER], states
+
+
+def _walked_deviation(constraints, rates, states, h):
+    """The oracle for flow_deviation: values by evaluate_seq, each state
+    between its two neighbours, folded by max()."""
+    values = [[p.evaluate_seq(state) for p in constraints] for state in states]
+    max_dev = 0.0
+    for k in range(1, len(states) - 1):
+        for b, a, rate in zip(values[k - 1], values[k + 1], rates):
+            max_dev = max(max_dev, abs((a - b) / (2 * h) - rate.evaluate_seq(states[k])))
+    return max_dev
+
+
+def _assert_folds_as_the_walk(constraints, rates, states):
+    for h in (1e-3, 0.3):
+        got = control.flow_deviation(constraints, rates, len(states[0]), h)(states)
+        assert float(got).hex() == float(_walked_deviation(constraints, rates, states, h)).hex()
 
 
 def test_the_shared_constraint_values_round_as_evaluate_seq():
-    # the first eight values of the flow check's call: the shared lift table's constraints
-    values, polys, states = _flow_check_values(11)
-    n = len(GENERATOR_ORDER)
-    for state in states:
-        got = values(state)
-        assert len(got) == 2 * n
-        assert [float(x).hex() for x in got[:n]] == [float(p.evaluate_seq(state)).hex() for p in polys[:n]]
+    # with zero rates the fold reads the constraints' central differences alone
+    constraints, rates, states = _flow_check_values(11)
+    _assert_folds_as_the_walk(constraints, [MultiPoly.zero(cotangent_chart())] * len(rates), states)
+    _assert_folds_as_the_walk(constraints, rates, states)
 
 
 def test_the_constraint_values_are_compiled_once_for_every_run_and_flow_check(monkeypatch):
-    # each run and each flow check emits the eight constraints into its own code once
-    emitted = []
-    emit = MultiPoly.float_lines
+    # each run and each flow check emits the eight constraints into its own
+    # code once, and each flow check its eight flow rates once
+    emitted, rates = [], []
+    emit, flow_rhs = MultiPoly.float_lines, control.flow_rhs
 
     def counting(self, names, target):
         emitted.append(self)
         return emit(self, names, target)
 
+    def recording(chart, w):
+        rates.append(flow_rhs(chart, w))
+        return rates[-1]
+
     monkeypatch.setattr(MultiPoly, "float_lines", counting)
+    monkeypatch.setattr(control, "flow_rhs", recording)
     init, controls = standard_initial_data()
     lifts = lift_table(cotangent_chart())
 
-    def emitted_constraints():
+    def emitted_counts(*tables):
         calls = Counter(map(id, emitted))
         emitted.clear()
-        return [calls[id(lifts[name])] for name in GENERATOR_ORDER]
+        return [[calls[id(table[name])] for name in GENERATOR_ORDER] for table in tables]
 
     for _ in range(2):
         traj, _ = integrate_extremal(init, controls, 1e-3, 0.01)
-        assert emitted_constraints() == [1] * 8
+        assert emitted_counts(lifts) == [[1] * 8]
         control.verify_flow_lemma_numeric(traj)
-        assert emitted_constraints() == [1] * 8
+        assert emitted_counts(lifts, rates.pop()) == [[1] * 8] * 2
 
 
 def test_the_flow_rates_round_as_evaluate_seq():
-    # the last eight values of the flow check's call: the constraints' flow rates
-    values, polys, states = _flow_check_values(12)
-    n = len(GENERATOR_ORDER)
-    for state in states:
-        got = values(state)
-        assert len(got) == 2 * n
-        assert [float(x).hex() for x in got[n:]] == [float(p.evaluate_seq(state)).hex() for p in polys[n:]]
+    # with zero constraints the fold reads the largest |rate| alone; a NaN
+    # deviation is passed over, as max() from 0.0 passes it over
+    constraints, rates, states = _flow_check_values(12)
+    _assert_folds_as_the_walk([MultiPoly.zero(cotangent_chart())] * len(constraints), rates, states)
+    _assert_folds_as_the_walk(constraints, rates, states)
+    chart = Chart("xy", ("x", "y"))
+    x, y = MultiPoly.variable(chart, "x"), MultiPoly.variable(chart, "y")
+    nan, inf = math.nan, math.inf
+    _assert_folds_as_the_walk([x], [y], [[0.0, 0.0], [1.0, 0.5], [3.0, -0.0], [4.0, nan], [5.0, 1.0]])
+    _assert_folds_as_the_walk([x], [y], [[inf, 0.0], [1.0, 0.5], [inf, 2.0], [2.0, 0.0]])
+
+
+def test_a_flow_check_walks_the_states_in_one_call():
+    # the compiled fold walks every state, so the Python calls of a flow
+    # check do not grow with the number of states
+    init, controls = standard_initial_data()
+    runs = [integrate_extremal(init, controls, 1e-3, t_max)[0] for t_max in (0.01, 0.01, 0.05)]
+    counts = []
+    for traj in runs:
+        calls = Counter()
+        sys.setprofile(lambda frame, event, arg: calls.update([event]))
+        try:
+            control.verify_flow_lemma_numeric(traj)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls["call"])
+    assert counts[1] == counts[2] > 0
 
 
 def test_the_flow_rates_read_only_dead_slots_and_vanish():

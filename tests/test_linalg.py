@@ -11,11 +11,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cofactor_det, cofactor_pfaffian, sum_mat_mul, sum_mat_vec, sum_pairing
+from f4prolong import control
 from f4prolong.fields import VectorField, constant_combination
 from f4prolong.linalg import (
     Echelon,
     adjugate,
     det_cofactor,
+    dot,
     integer_vector,
     mat_mul,
     mat_rank,
@@ -25,7 +28,7 @@ from f4prolong.linalg import (
     solve_exact,
     transpose,
 )
-from f4prolong.poly import Chart, MultiPoly, from_terms
+from f4prolong.poly import Chart, ChartMismatchError, MultiPoly, from_terms
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -294,3 +297,115 @@ def test_mat_mul_and_transpose():
         from_terms(chart, {("x", "y"): 4, ("x",): -2}),
         from_terms(chart, {("y", "y", "y"): 1, ("x", "y", "y"): 1, ("x", "y"): -1}),
     ]
+
+
+# the same variables on another chart
+_OTHER3 = Chart("other", _CHART3.variables)
+_ZEROS = {"int": 0, "fraction": Fraction(0), "poly": MultiPoly.zero(_CHART3)}
+_KINDS = {
+    "int": st.integers(-3, 3),
+    "fraction": fracs,
+    "poly": st.dictionaries(st.sampled_from(_MONOMIALS), st.integers(-3, 3) | fracs, max_size=3).map(
+        lambda terms: from_terms(_CHART3, terms)
+    ),
+}
+
+
+@st.composite
+def ring_matrices(draw, rows, cols):
+    """A rows x cols matrix of entries of a drawn set of kinds (int, Fraction,
+    MultiPoly), zeros frequent, whose first row is sometimes all zero."""
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(_KINDS)), min_size=1)))
+    entry = st.one_of(st.sampled_from([_ZEROS[k] for k in kinds]), *(_KINDS[k] for k in kinds))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if m and draw(st.booleans()):
+        m[0] = [_ZEROS[draw(st.sampled_from(kinds))]] * cols
+    return m
+
+
+def _rechart(data, m):
+    """m with one drawn polynomial entry, if it has one, sometimes moved onto
+    _OTHER3."""
+    spots = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if type(x) is MultiPoly]
+    if spots and data.draw(st.booleans()):
+        i, j = data.draw(st.sampled_from(spots))
+        m[i][j] = MultiPoly._trusted(_OTHER3, m[i][j].terms)
+    return m
+
+
+def _typed(x):
+    """x with each entry as (type, chart or None, value)."""
+    if isinstance(x, list):
+        return [_typed(y) for y in x]
+    return type(x), x.chart if type(x) is MultiPoly else None, x
+
+
+def _outcome(f, *args):
+    """f(*args) typed, or ChartMismatchError if it raises that."""
+    try:
+        return _typed(f(*args))
+    except ChartMismatchError:
+        return ChartMismatchError
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_products_and_pairings_match_the_sums_in_value_ring_and_chart(data, rows, inner, cols):
+    # entry by entry the sum of the products, of the type that sum has: a
+    # MultiPoly on the first polynomial's chart whenever one takes part, zero
+    # products included, else a Fraction if a factor is one, else an int; and
+    # a polynomial on another chart raises
+    a = _rechart(data, data.draw(ring_matrices(rows, inner)))
+    b = _rechart(data, data.draw(ring_matrices(inner, cols)))
+    x, y = _rechart(data, data.draw(ring_matrices(2, inner)))
+    assert _outcome(mat_mul, a, b) == _outcome(sum_mat_mul, a, b)
+    assert _outcome(mat_vec, a, x) == _outcome(sum_mat_vec, a, x)
+    weights = data.draw(st.lists(st.integers(-2, 2).filter(bool), min_size=inner, max_size=inner))
+    diagonal = [(j, j, g) for j, g in enumerate(weights)]
+    assert _outcome(dot, x, y, weights) == _outcome(sum_pairing, diagonal, x, y)
+    for terms, n in ((control._GRAM_Q_TERMS, 8), (control._GRAM_R_TERMS, 7)):
+        u, v = _rechart(data, data.draw(ring_matrices(2, n)))
+        assert _outcome(control._pairing, terms, u, v) == _outcome(sum_pairing, terms, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_determinants_and_pfaffians_match_the_cofactor_loop(data, n):
+    m = data.draw(ring_matrices(n, n))
+    assert _typed(det_cofactor(m)) == _typed(cofactor_det(m))
+    if n % 2 == 0:
+        skew = [[m[i][j] if i < j else -m[j][i] if i > j else m[i][i] * 0 for j in range(n)] for i in range(n)]
+        assert _typed(pfaffian(skew)) == _typed(cofactor_pfaffian(skew))
+
+
+def test_a_sum_of_zero_products_lies_in_the_ring_of_its_pairs():
+    x = MultiPoly.variable(_CHART3, "x")
+    for zero in (mat_vec([[0, 0]], [x, x])[0], det_cofactor([[x * 0, 0], [x, x]]), dot([x * 0], [Fraction(1, 2)])):
+        assert type(zero) is MultiPoly and zero.chart is _CHART3 and zero.is_zero()
+    assert type(dot([0, Fraction(0)], [1, 2])) is Fraction and type(dot([0, 0], [1, 2])) is int
+    assert dot([], []) == 0 and type(dot([], [])) is int
+
+
+def test_mixed_charts_raise_in_every_product_and_pairing():
+    p, q = MultiPoly.variable(_CHART3, "x"), MultiPoly.variable(_OTHER3, "x")
+    for a, b in (([p], [q]), ([p, 0], [1, MultiPoly.zero(_OTHER3)]), ([0, p], [q, 0])):
+        with pytest.raises(ChartMismatchError):
+            dot(a, b)
+        with pytest.raises(ChartMismatchError):
+            mat_mul([a], [[y] for y in b])
+        with pytest.raises(ChartMismatchError):
+            control.bilinear_R(a + [0] * (7 - len(a)), b + [0] * (7 - len(b)))
+
+
+def test_products_and_pairings_of_polynomials_make_no_polynomial_product_or_sum(monkeypatch):
+    rng = random.Random(5)
+    a, b = _poly_matrix(rng, 3, 4, zero_first_row=True), _poly_matrix(rng, 4, 3)
+    u, v = _poly_matrix(rng, 2, 7)
+    expected = sum_mat_mul(a, b), sum_mat_vec(a, b[0]), sum_pairing(control._GRAM_R_TERMS, u, v)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        method = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda x, y, _m=method: calls.append(_m) or _m(x, y))
+    got = mat_mul(a, b), mat_vec(a, b[0]), control.bilinear_R(u, v)
+    assert calls == []
+    assert got == expected

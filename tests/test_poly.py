@@ -61,6 +61,16 @@ def test_basic_arithmetic():
     assert MultiPoly.constant(CHART, Fraction(3, 2)).constant_value() == Fraction(3, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_truth_is_being_nonzero(p, q):
+    # the matrix kernel skips a pair by `x and y`, as it does for ints and Fractions
+    for x in (p, q, p - p, p * q, p + q):
+        assert bool(x) is not x.is_zero()
+    assert not MultiPoly.zero(CHART) and not MultiPoly.constant(CHART, Fraction(0))
+    assert MultiPoly.constant(CHART, Fraction(1, 2)) and v("a")
+
+
 def test_support_and_degree():
     zero = MultiPoly.zero(CHART)
     assert zero.support() == [] and zero.degree() == 0
